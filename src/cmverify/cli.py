@@ -16,160 +16,53 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import cached_property
 
-from .contact import (InconsistentEta, axiom_suite, build_structure,
-                      compute_h, h_variants)
-from .curvature import nabla_riemann_table, ricci, riemann
-from .frames import (FrameDependent, ShapeError, SingularMetric,
-                     compute_brackets, koszul_connection, validate_frame)
+from .contact import InconsistentEta, axiom_suite
+from .frames import FrameDependent, ShapeError, SingularMetric
 from .linalg import SingularMatrix
-from .nullity import (extract_k_mu, extraction_report, identity_battery,
-                      resolve_params)
+from .nullity import extraction_report, identity_battery
 from .recurrence import (KINDS, classification_phrase, example_pipeline,
                          pipeline_available, recurrence_report,
                          solve_recurrence, theorem_checks)
 from .report import ReportDocument, file_hash, render_oneform
-from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
+from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from .specfile import SpecFileError, load_spec, resolve_spec_path
-from .symcore import (DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol,
-                      parse_expr)
+from .symcore import DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol
+from .workspace import FrameInvalid, Workspace
 
 DETA_FACTORS = {"half": Fraction(1, 2), "one": Fraction(1)}
 
 
-class CliError(Exception):
-    """Input problem that should terminate with exit code 1."""
-
-
-class Workspace:
-    """Lazily built geometric state shared by every suite."""
-
-    def __init__(self, parsed, args):
-        self.parsed = parsed
-        self.args = args
-
-    @property
-    def spec(self):
-        return self.parsed.spec
-
-    @cached_property
-    def validation(self):
-        rep = validate_frame(self.spec)
-        if not rep.ok:
-            bad = "; ".join(f"{i.name}: {i.detail}" for i in rep.issues
-                            if i.level == "error")
-            raise CliError(f"frame validation failed ({bad})")
-        return rep
-
-    @cached_property
-    def brackets(self):
-        self.validation
-        return compute_brackets(self.spec)
-
-    @cached_property
-    def conn(self):
-        return koszul_connection(self.spec, self.brackets)
-
-    @cached_property
-    def r_table(self):
-        return riemann(self.spec, self.conn, self.brackets)
-
-    @cached_property
-    def nr_table(self):
-        return nabla_riemann_table(self.spec, self.conn, self.r_table)
-
-    @cached_property
-    def ric(self):
-        return ricci(self.spec, self.r_table)
-
-    @cached_property
-    def cs(self):
-        return build_structure(self.spec, self.parsed.decl)
-
-    @cached_property
-    def h_computed(self):
-        return compute_h(self.spec, self.cs, self.brackets)
-
-    @cached_property
-    def variants(self):
-        return h_variants(self.cs, self.h_computed)
-
-    @cached_property
-    def declared(self):
-        k = self.parsed.declared_k
-        mu = self.parsed.declared_mu
-        symbols = self.spec.symbols()
-        if self.args.k is not None:
-            k = parse_expr(self.args.k, symbols)
-        if self.args.mu is not None:
-            mu = parse_expr(self.args.mu, symbols)
-        return k, mu
-
-    @cached_property
-    def params(self):
-        """Per h-variant: (label, h, extracted, used)."""
-        k, mu = self.declared
-        out = []
-        for label, h in self.variants:
-            ext = extract_k_mu(self.spec, self.r_table, self.cs, h)
-            out.append((label, h, ext, resolve_params(ext, k, mu)))
-        return out
-
-    @cached_property
-    def sampler(self):
-        return Sampler(self.spec, seed=self.args.seed,
-                       points=self.args.points, tol=self.args.tol)
-
-    @cached_property
-    def deta_factor(self):
-        return DETA_FACTORS[self.args.deta_factor]
-
-
 def run_axioms(ws: Workspace, doc: ReportDocument):
-    doc.extend(axiom_suite(ws.spec, ws.conn, ws.cs, ws.sampler,
-                           ws.deta_factor))
+    doc.extend(axiom_suite(ws))
 
 
 def run_identities(ws: Workspace, doc: ReportDocument):
     for label, h, ext, used in ws.params:
         doc.add(extraction_report(ext, used, label))
-        doc.extend(identity_battery(ws.spec, ws.conn, ws.r_table,
-                                    ws.nr_table, ws.ric, ws.cs, h, used,
-                                    ws.sampler, label))
-    _, _, _, primary = ws.params[0]
-    doc.solutions = {"A": None, "B": None,
-                     "k": _jval(primary.k), "mu": _jval(primary.mu)}
+        doc.extend(identity_battery(ws, h, used, label))
+    _attach_solution(ws, doc, None)
 
 
 def run_solve(ws: Workspace, doc: ReportDocument, kind: str):
-    sol = solve_recurrence(kind, ws.spec, ws.conn, ws.r_table, ws.nr_table,
-                           ws.ric, ws.cs)
+    sol = solve_recurrence(kind, ws)
     doc.add(recurrence_report(sol, ws.sampler))
     _attach_solution(ws, doc, sol)
 
 
 def run_pipeline(ws: Workspace, doc: ReportDocument):
-    doc.extend(example_pipeline(ws.spec, ws.conn, ws.r_table, ws.nr_table,
-                                ws.cs, ws.sampler))
+    doc.extend(example_pipeline(ws))
 
 
 def run_all(ws: Workspace, doc: ReportDocument):
     run_axioms(ws, doc)
-    for label, h, ext, used in ws.params:
-        doc.add(extraction_report(ext, used, label))
-        doc.extend(identity_battery(ws.spec, ws.conn, ws.r_table,
-                                    ws.nr_table, ws.ric, ws.cs, h, used,
-                                    ws.sampler, label))
+    run_identities(ws, doc)
     sols = {}
     for kind in KINDS:
-        sols[kind] = solve_recurrence(kind, ws.spec, ws.conn, ws.r_table,
-                                      ws.nr_table, ws.ric, ws.cs)
+        sols[kind] = solve_recurrence(kind, ws)
         doc.add(recurrence_report(sols[kind], ws.sampler))
     for label, h, ext, used in ws.params:
-        doc.extend(theorem_checks(ws.spec, ws.conn, ws.r_table, ws.ric,
-                                  ws.cs, h, used, sols["phi"], ws.sampler,
-                                  label))
+        doc.extend(theorem_checks(ws, h, used, sols["phi"], label))
     if pipeline_available(ws.spec):
         run_pipeline(ws, doc)
     _attach_solution(ws, doc, sols["phi"])
@@ -180,15 +73,15 @@ def _jval(v):
 
 
 def _attach_solution(ws: Workspace, doc: ReportDocument, sol):
+    """Solutions block: A and B from a consistent solve, k and mu from the
+    primary h variant.  Without a solve there is no classification."""
     _, _, _, primary = ws.params[0]
-    if sol.consistent:
-        doc.solutions = {"A": render_oneform(sol.A),
-                         "B": render_oneform(sol.B),
-                         "k": _jval(primary.k), "mu": _jval(primary.mu)}
-    else:
-        doc.solutions = {"A": None, "B": None,
-                         "k": _jval(primary.k), "mu": _jval(primary.mu)}
-    doc.classification = classification_phrase(sol)
+    solved = sol is not None and sol.consistent
+    doc.solutions = {"A": render_oneform(sol.A) if solved else None,
+                     "B": render_oneform(sol.B) if solved else None,
+                     "k": _jval(primary.k), "mu": _jval(primary.mu)}
+    if sol is not None:
+        doc.classification = classification_phrase(sol)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -258,8 +151,9 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(_fuse_value_flags(argv))
     try:
         path = resolve_spec_path(args.specfile)
-        parsed = load_spec(path)
-        ws = Workspace(parsed, args)
+        ws = Workspace(load_spec(path), k=args.k, mu=args.mu,
+                       seed=args.seed, points=args.points, tol=args.tol,
+                       deta_factor=DETA_FACTORS[args.deta_factor])
         doc = ReportDocument(str(path), file_hash(path))
         if args.command == "check" and args.suite == "axioms":
             run_axioms(ws, doc)
@@ -271,12 +165,13 @@ def run(argv=None) -> int:
             run_pipeline(ws, doc)
         else:
             run_all(ws, doc)
-    except (SpecFileError, FileNotFoundError, CliError, FrameDependent,
+        warnings = ws.validation.warnings
+    except (SpecFileError, FileNotFoundError, FrameInvalid, FrameDependent,
             SingularMetric, SingularMatrix, ShapeError, InconsistentEta,
             ExprSyntaxError, UnknownSymbol, DivisionByZeroExpr) as exc:
         print(f"cmverify: error: {exc}", file=sys.stderr)
         return 1
-    for issue in ws.validation.warnings:
+    for issue in warnings:
         print(f"cmverify: warning: {issue.name}: {issue.detail}",
               file=sys.stderr)
     print(doc.to_json() if args.format == "json" else doc.to_text())

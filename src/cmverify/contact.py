@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .frames import (
-    Connection,
     FrameSpec,
     OneForm,
     ShapeError,
@@ -19,7 +18,6 @@ from .frames import (
     Tensor11,
     VectorField,
     basis_vector,
-    compute_brackets,
     covariant_derivative_vector,
     frame_apply,
     lie_bracket,
@@ -85,11 +83,8 @@ def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
                             (dim - 1) // 2)
 
 
-def compute_h(spec: FrameSpec, cs: ContactStructure,
-              brackets=None) -> Tensor11:
+def compute_h(spec: FrameSpec, cs: ContactStructure, brackets) -> Tensor11:
     """Half the Lie derivative of phi along xi, columnwise on frame fields."""
-    if brackets is None:
-        brackets = compute_brackets(spec)
     dim = spec.dim
     cols = []
     for j in range(dim):
@@ -112,11 +107,8 @@ def h_variants(cs: ContactStructure, h_computed: Tensor11):
     return [("declared", cs.h_declared), ("computed", h_computed)]
 
 
-def deta_tensor(spec: FrameSpec, cs: ContactStructure,
-                factor: Fraction = Fraction(1, 2),
-                brackets=None) -> Tensor02:
-    if brackets is None:
-        brackets = compute_brackets(spec)
+def deta_tensor(spec: FrameSpec, cs: ContactStructure, brackets,
+                factor: Fraction = Fraction(1, 2)) -> Tensor02:
     dim = spec.dim
     f = Expr.const(factor)
     m = [[None] * dim for _ in range(dim)]
@@ -133,10 +125,8 @@ def deta_tensor(spec: FrameSpec, cs: ContactStructure,
     return Tensor02(tuple(tuple(r) for r in m))
 
 
-def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets=None) -> Tensor02:
+def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets) -> Tensor02:
     """(Lie_xi g)(E_i, E_j), the Killing residual of xi."""
-    if brackets is None:
-        brackets = compute_brackets(spec)
     dim = spec.dim
     vecs = [basis_vector(dim, i) for i in range(dim)]
     br_xi = [lie_bracket(spec, cs.xi, v, brackets) for v in vecs]
@@ -193,15 +183,13 @@ def contact_volume(cs: ContactStructure, deta: Tensor02) -> Expr:
     return acc
 
 
-def axiom_suite(spec: FrameSpec, conn: Connection, cs: ContactStructure,
-                sampler=None, deta_factor: Fraction = Fraction(1, 2)):
-    """One CheckReport per defining relation of the structure."""
+def axiom_suite(ws):
+    """One CheckReport per defining relation of the workspace's structure."""
+    spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
     dim = spec.dim
     vecs = [basis_vector(dim, i) for i in range(dim)]
-    brackets = compute_brackets(spec)
-    deta = deta_tensor(spec, cs, deta_factor, brackets)
-    h_comp = compute_h(spec, cs, brackets)
-    variants = h_variants(cs, h_comp)
+    deta = ws.deta
+    h_comp = ws.h_computed
     reports = []
 
     res = []
@@ -239,7 +227,7 @@ def axiom_suite(spec: FrameSpec, conn: Connection, cs: ContactStructure,
         "I2.3", res, sampler,
         notes="g(phi X, phi Y) - g(X,Y) + eta(X) eta(Y)"))
 
-    for label, h in variants:
+    for label, h in ws.variants:
         res = []
         for i in range(dim):
             nabla_xi = covariant_derivative_vector(spec, conn, i, cs.xi)
@@ -250,7 +238,7 @@ def axiom_suite(spec: FrameSpec, conn: Connection, cs: ContactStructure,
             "I2.4", res, sampler,
             notes=f"nabla_X xi + phi X + phi h X; h = {label}"))
 
-    for label, h in variants:
+    for label, h in ws.variants:
         anticommute = h.compose(cs.phi) + cs.phi.compose(h)
         reports.append(residual_check(
             "H1", [("h phi + phi h", c) for row in anticommute.m
@@ -282,7 +270,7 @@ def axiom_suite(spec: FrameSpec, conn: Connection, cs: ContactStructure,
             notes="declared h minus (1/2) Lie_xi phi",
             pass_notes="declared h matches the computed operator"))
 
-    lie_g = lie_xi_g(spec, cs, brackets)
+    lie_g = lie_xi_g(spec, cs, ws.brackets)
     killing = lie_g.is_zero
     h_zero = h_comp.is_zero
     if killing == h_zero:
@@ -293,8 +281,7 @@ def axiom_suite(spec: FrameSpec, conn: Connection, cs: ContactStructure,
                      if not c.is_zero) if not killing else "0"
     reports.append(CheckReport(
         "KILLING", verdict, shown,
-        sampler.max_abs([c for row in lie_g.m for c in row])
-        if sampler else None,
+        sampler.max_abs([c for row in lie_g.m for c in row]),
         notes=f"computed h {'=' if h_zero else '!='} 0 and Lie_xi g "
               f"{'=' if killing else '!='} 0"))
 
@@ -304,10 +291,9 @@ def axiom_suite(spec: FrameSpec, conn: Connection, cs: ContactStructure,
             "CONTACT", FAIL, "0",
             notes="eta wedge (d-eta)^n vanishes identically"))
     else:
-        worst = sampler.min_abs(vol) if sampler else None
-        tol = sampler.tol if sampler else 1e-9
-        nondeg = worst is None or worst > tol
+        worst = sampler.min_abs(vol)
+        verdict = PASS if worst > sampler.tol else FAIL
         reports.append(CheckReport(
-            "CONTACT", PASS if nondeg else FAIL, str(vol), worst,
+            "CONTACT", verdict, str(vol), worst,
             notes="min |eta wedge (d-eta)^n| over sample points"))
     return reports

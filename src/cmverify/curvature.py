@@ -6,45 +6,48 @@ Tables store R[i][j][k][l], the E_l-component of R(E_i,E_j)E_k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .frames import (Connection, FrameSpec, Tensor02, Tensor11, VectorField,
-                     compute_brackets, covariant_derivative_vector,
-                     frame_apply, metric_inverse)
+                     covariant_derivative_tensor02,
+                     covariant_derivative_vector)
 from .symcore import Expr, esum
 
 ZERO = Expr.const(0)
 
 
-def riemann(spec: FrameSpec, conn: Connection, brackets=None):
-    if brackets is None:
-        brackets = compute_brackets(spec)
+def _skew_planes(dim: int, plane):
+    """table[i][j] of a tensor skew in (i, j), from `plane(i, j)` for
+    i < j only: the diagonal is zero and j < i is the negation."""
+    zero = tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
+    table = [[zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            p = plane(i, j)
+            table[i][j] = p
+            table[j][i] = tuple(tuple(-x for x in row) for row in p)
+    return tuple(tuple(row) for row in table)
+
+
+def riemann(spec: FrameSpec, conn: Connection, brackets):
     dim = spec.dim
     gamma = conn.gamma
-    table = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
-    zero_vec = tuple(ZERO for _ in range(dim))
-    for i in range(dim):
-        for j in range(dim):
-            if j < i:
-                for k in range(dim):
-                    table[i][j][k] = tuple(-x for x in table[j][i][k])
-                continue
-            if j == i:
-                for k in range(dim):
-                    table[i][j][k] = zero_vec
-                continue
-            for k in range(dim):
-                d_jk = VectorField(gamma[j][k])
-                d_ik = VectorField(gamma[i][k])
-                first = covariant_derivative_vector(spec, conn, i, d_jk)
-                second = covariant_derivative_vector(spec, conn, j, d_ik)
-                comps = []
-                for l in range(dim):
-                    comps.append(esum(
-                        [first.components[l], -second.components[l]]
-                        + [-(brackets[i][j][m] * gamma[m][k][l])
-                           for m in range(dim)]))
-                table[i][j][k] = tuple(comps)
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+    def plane(i, j):
+        out = []
+        for k in range(dim):
+            first = covariant_derivative_vector(spec, conn, i,
+                                                VectorField(gamma[j][k]))
+            second = covariant_derivative_vector(spec, conn, j,
+                                                 VectorField(gamma[i][k]))
+            out.append(tuple(
+                esum([first.components[l], -second.components[l]]
+                     + [-(brackets[i][j][m] * gamma[m][k][l])
+                        for m in range(dim) if not brackets[i][j][m].is_zero])
+                for l in range(dim)))
+        return tuple(out)
+
+    return _skew_planes(dim, plane)
 
 
 def riemann_apply(r_table, x: VectorField, y: VectorField,
@@ -71,62 +74,36 @@ def riemann_apply(r_table, x: VectorField, y: VectorField,
     return VectorField(tuple(esum(c) for c in comps))
 
 
-def nabla_riemann(spec: FrameSpec, conn: Connection, r_table, w,
-                  x: VectorField, y: VectorField, z: VectorField) -> VectorField:
-    """(nabla_w R)(X,Y)Z; `w` is a frame index or a VectorField."""
-    dim = spec.dim
-    if isinstance(w, VectorField):
-        acc = VectorField(tuple(ZERO for _ in range(dim)))
-        for i in range(dim):
-            if w.components[i].is_zero:
-                continue
-            acc = acc + nabla_riemann(spec, conn, r_table, i, x, y, z).scale(
-                w.components[i])
-        return acc
-    i = w
-    rxyz = riemann_apply(r_table, x, y, z)
-    lead = covariant_derivative_vector(spec, conn, i, rxyz)
-    dx = covariant_derivative_vector(spec, conn, i, x)
-    dy = covariant_derivative_vector(spec, conn, i, y)
-    dz = covariant_derivative_vector(spec, conn, i, z)
-    return (lead
-            - riemann_apply(r_table, dx, y, z)
-            - riemann_apply(r_table, x, dy, z)
-            - riemann_apply(r_table, x, y, dz))
+def nabla_riemann(nr_table, w: int, x: VectorField, y: VectorField,
+                  z: VectorField) -> VectorField:
+    """(nabla_{E_w} R)(X,Y)Z for arbitrary fields.  nabla R is tensorial in
+    X, Y and Z, so this contracts the table's plane for w."""
+    return riemann_apply(nr_table[w], x, y, z)
 
 
 def nabla_riemann_table(spec: FrameSpec, conn: Connection, r_table):
     """(nabla_{E_w} R)(E_i,E_j)E_k components, indexed [w][i][j][k][l]."""
     dim = spec.dim
     gamma = conn.gamma
-    out = []
-    for w in range(dim):
-        plane_w = []
-        for i in range(dim):
-            plane_i = []
-            for j in range(dim):
-                plane_j = []
-                for k in range(dim):
-                    lead = covariant_derivative_vector(
-                        spec, conn, w, VectorField(r_table[i][j][k]))
-                    comps = []
-                    for l in range(dim):
-                        corr = [
-                            -(gamma[w][i][m] * r_table[m][j][k][l])
-                            for m in range(dim)
-                        ] + [
-                            -(gamma[w][j][m] * r_table[i][m][k][l])
-                            for m in range(dim)
-                        ] + [
-                            -(gamma[w][k][m] * r_table[i][j][m][l])
-                            for m in range(dim)
-                        ]
-                        comps.append(esum([lead.components[l]] + corr))
-                    plane_j.append(tuple(comps))
-                plane_i.append(tuple(plane_j))
-            plane_w.append(tuple(plane_i))
-        out.append(tuple(plane_w))
-    return tuple(out)
+
+    def plane(w, i, j):
+        out = []
+        for k in range(dim):
+            lead = covariant_derivative_vector(
+                spec, conn, w, VectorField(r_table[i][j][k]))
+            # nabla_w of R(E_i,E_j)E_k, minus R with nabla_w applied to
+            # each argument in turn
+            corr = ([(gamma[w][i][m], r_table[m][j][k]) for m in range(dim)]
+                    + [(gamma[w][j][m], r_table[i][m][k]) for m in range(dim)]
+                    + [(gamma[w][k][m], r_table[i][j][m]) for m in range(dim)])
+            corr = [(c, r) for c, r in corr if not c.is_zero]
+            out.append(tuple(
+                esum([lead.components[l]]
+                     + [-(c * r[l]) for c, r in corr if not r[l].is_zero])
+                for l in range(dim)))
+        return tuple(out)
+
+    return tuple(_skew_planes(dim, partial(plane, w)) for w in range(dim))
 
 
 @dataclass
@@ -136,11 +113,9 @@ class RicciData:
     Q: Tensor11
 
 
-def ricci(spec: FrameSpec, r_table, ginv=None) -> RicciData:
+def ricci(spec: FrameSpec, r_table, ginv) -> RicciData:
     """Ricci tensor S(Y,Z) = g^{ab} g(R(E_a,Y)Z, E_b), its g-trace r, and
     the raised operator Q."""
-    if ginv is None:
-        ginv = metric_inverse(spec)
     dim = spec.dim
     g = spec.metric
     s_rows = []
@@ -186,6 +161,5 @@ def g_tensor_table(spec: FrameSpec):
 
 def covariant_ricci_table(spec: FrameSpec, conn: Connection, s: Tensor02):
     """(nabla_{E_w} S) for each frame direction w."""
-    from .frames import covariant_derivative_tensor02
     return tuple(covariant_derivative_tensor02(spec, conn, w, s)
                  for w in range(spec.dim))

@@ -173,15 +173,6 @@ class Connection:
     gamma: tuple
 
 
-def zero_tensor11(dim: int) -> Tensor11:
-    return Tensor11(tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim)))
-
-
-def identity_tensor11(dim: int) -> Tensor11:
-    return Tensor11(tuple(tuple(ONE if i == j else ZERO for j in range(dim))
-                          for i in range(dim)))
-
-
 def basis_vector(dim: int, i: int) -> VectorField:
     return VectorField(tuple(ONE if j == i else ZERO for j in range(dim)))
 
@@ -249,9 +240,7 @@ def compute_brackets(spec: FrameSpec):
 
 
 def lie_bracket(spec: FrameSpec, v: VectorField, w: VectorField,
-                brackets=None) -> VectorField:
-    if brackets is None:
-        brackets = compute_brackets(spec)
+                brackets) -> VectorField:
     dim = spec.dim
     comps = []
     for l in range(dim):
@@ -357,21 +346,15 @@ def lower_index(spec: FrameSpec, v: VectorField) -> OneForm:
         for i in range(dim)))
 
 
-def raise_index(spec: FrameSpec, w: OneForm, ginv=None) -> VectorField:
-    if ginv is None:
-        ginv = metric_inverse(spec)
+def raise_index(spec: FrameSpec, w: OneForm, ginv) -> VectorField:
     dim = spec.dim
     return VectorField(tuple(
         esum(ginv[i][j] * w.components[j] for j in range(dim))
         for i in range(dim)))
 
 
-def koszul_connection(spec: FrameSpec, brackets=None, ginv=None) -> Connection:
+def koszul_connection(spec: FrameSpec, brackets, ginv) -> Connection:
     """Levi-Civita connection of the frame metric via the Koszul formula."""
-    if brackets is None:
-        brackets = compute_brackets(spec)
-    if ginv is None:
-        ginv = metric_inverse(spec)
     g = spec.metric
     dim = spec.dim
     half = Expr.const(Fraction(1, 2))
@@ -398,18 +381,9 @@ def koszul_connection(spec: FrameSpec, brackets=None, ginv=None) -> Connection:
 
 
 def covariant_derivative_vector(spec: FrameSpec, conn: Connection,
-                                w, v: VectorField) -> VectorField:
-    """nabla_w v; `w` is a frame index or a VectorField."""
+                                i: int, v: VectorField) -> VectorField:
+    """nabla_{E_i} v."""
     dim = spec.dim
-    if isinstance(w, VectorField):
-        acc = VectorField(tuple(ZERO for _ in range(dim)))
-        for i in range(dim):
-            if w.components[i].is_zero:
-                continue
-            acc = acc + covariant_derivative_vector(spec, conn, i, v).scale(
-                w.components[i])
-        return acc
-    i = w
     return VectorField(tuple(
         esum([frame_apply(spec, i, v.components[k])]
              + [v.components[j] * conn.gamma[i][j][k] for j in range(dim)])
@@ -454,12 +428,3 @@ def covariant_derivative_tensor02(spec: FrameSpec, conn: Connection,
         rows.append(tuple(row))
     return Tensor02(tuple(rows))
 
-
-def to_bracket_mode(spec: FrameSpec) -> FrameSpec:
-    """Re-express a CoordinateMode spec through its structure functions."""
-    if isinstance(spec.mode, BracketMode):
-        return spec
-    c = compute_brackets(spec)
-    act = tuple(tuple(row) for row in spec.mode.a)
-    return FrameSpec(spec.name, spec.coords, spec.params,
-                     BracketMode(c, act), spec.metric)

@@ -57,11 +57,6 @@ def mat_inv(m):
     return tuple(tuple(row[n:]) for row in rows)
 
 
-def mat_vec(m, v):
-    return tuple(sum((m[i][j] * v[j] for j in range(len(v))), ZERO)
-                 for i in range(len(m)))
-
-
 @dataclass
 class TwoUnknownSolution:
     """Exact solution of rows alpha*ca + beta*cb = rhs.

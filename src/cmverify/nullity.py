@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .curvature import riemann_apply
 from .frames import (
-    Connection,
     FrameSpec,
     Tensor11,
     VectorField,
@@ -141,10 +140,11 @@ def param_check(check_id, params: NullityParams, builder, sampler=None,
     return residual_check(check_id, residuals, sampler, notes=notes)
 
 
-def identity_battery(spec: FrameSpec, conn: Connection, r_table, nr_table,
-                     ric, cs, h: Tensor11, params: NullityParams,
-                     sampler=None, h_label="") -> list:
+def identity_battery(ws, h: Tensor11, params: NullityParams,
+                     h_label="") -> list:
     """Checks I3.1 through I3.13 for one h choice."""
+    spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
+    r_table, nr_table, ric = ws.r_table, ws.nr_table, ws.ric
     dim = spec.dim
     n = spec.n
     vecs = [basis_vector(dim, i) for i in range(dim)]

@@ -10,22 +10,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curvature import covariant_ricci_table, g_tensor_table, riemann_apply
+from .contact import phi2_project
+from .curvature import g_tensor, g_tensor_table, nabla_riemann, riemann_apply
 from .frames import (
-    Connection,
     FrameSpec,
     OneForm,
     Tensor11,
     VectorField,
     basis_vector,
-    metric_inverse,
     metric_pairing,
     raise_index,
 )
 from .linalg import solve_two_unknowns
 from .nullity import NullityParams, param_check
 from .report import DEGENERATE, FAIL, PASS, CheckReport, residual_check
-from .symcore import Expr, esum
+from .symcore import Expr, esum, parse_expr
 
 KINDS = ("full", "ricci", "phi")
 
@@ -56,32 +55,24 @@ class RecurrenceSolution:
         return all(d.status != "inconsistent" for d in self.directions)
 
 
-def _projector(cs, flavor: str):
-    if flavor == "identity":
-        return lambda v: v
-    if flavor == "phi2":
-        from .contact import phi2_project
-        return lambda v: phi2_project(cs, v)
-    raise ValueError(f"unknown projector {flavor!r}")
-
-
-def solve_recurrence(kind: str, spec: FrameSpec, conn: Connection,
-                     r_table=None, nr_table=None, ric=None, cs=None,
-                     projector: str = "phi2") -> RecurrenceSolution:
+def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
     if kind not in KINDS:
         raise ValueError(f"unknown recurrence kind {kind!r}")
+    spec = ws.spec
     dim = spec.dim
     if kind == "ricci":
-        nabla_s = covariant_ricci_table(spec, conn, ric.S)
+        ric, nabla_s = ws.ric, ws.nabla_s
         model = [(ric.S.m[i][j], spec.metric[i][j])
                  for i in range(dim) for j in range(dim)]
         derivs = [[nabla_s[w].m[i][j] for i in range(dim)
                    for j in range(dim)] for w in range(dim)]
         model_zero = ric.S.is_zero
     else:
+        r_table, nr_table = ws.r_table, ws.nr_table
         g_table = g_tensor_table(spec)
         if kind == "phi":
-            proj = _projector(cs, projector)
+            cs = ws.cs
+            proj = lambda v: phi2_project(cs, v)
         else:
             proj = lambda v: v
         model = []
@@ -127,12 +118,12 @@ def solve_recurrence(kind: str, spec: FrameSpec, conn: Connection,
         dirs.append(DirectionResult(sol.status, sol.kernel, worst))
     a_form = OneForm(tuple(a_comps))
     b_form = OneForm(tuple(b_comps))
-    ginv = metric_inverse(spec)
     classification = _classify(kind, a_form, b_form, lhs_zero, model_zero,
                                dirs)
     return RecurrenceSolution(
         kind, a_form, b_form,
-        raise_index(spec, a_form, ginv), raise_index(spec, b_form, ginv),
+        raise_index(spec, a_form, ws.ginv),
+        raise_index(spec, b_form, ws.ginv),
         tuple(dirs), classification, model_zero, lhs_zero)
 
 
@@ -187,10 +178,10 @@ def recurrence_report(sol: RecurrenceSolution, sampler=None) -> CheckReport:
 # -- derived-relation checks ------------------------------------------
 
 
-def theorem_checks(spec: FrameSpec, conn: Connection, r_table, ric, cs,
-                   h: Tensor11, params: NullityParams,
-                   sol: RecurrenceSolution, sampler=None,
-                   h_label="") -> list:
+def theorem_checks(ws, h: Tensor11, params: NullityParams,
+                   sol: RecurrenceSolution, h_label="") -> list:
+    spec, cs, sampler = ws.spec, ws.cs, ws.sampler
+    r_table, ric, nabla_s = ws.r_table, ws.ric, ws.nabla_s
     dim = spec.dim
     n = spec.n
     vecs = [basis_vector(dim, i) for i in range(dim)]
@@ -239,7 +230,6 @@ def theorem_checks(spec: FrameSpec, conn: Connection, r_table, ric, cs,
         return out
     reports.append(param_check("T4.12", params, b_412, sampler, notes=note))
 
-    nabla_s = covariant_ricci_table(spec, conn, ric.S)
     hphi = h.compose(phi)
     phih = phi.compose(h)
 
@@ -346,19 +336,18 @@ def pipeline_available(spec: FrameSpec) -> bool:
         spec.coords.names and spec.dim == 3
 
 
-def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
-                     cs, sampler=None) -> list:
+def example_pipeline(ws) -> list:
     """Reproduce the audited computational chain step by step against the
     stored formulas, then test the closing recurrence relation."""
+    spec = ws.spec
     if not pipeline_available(spec):
         return [CheckReport(
             f"PIPE-5.{i}", "needs-input", "", None,
             "requires a 3-dimensional frame with parameters "
             + ", ".join(PIPELINE_PARAMS))
             for i in (1, 2, 3, 4, 5, 6, 7, 8, 9)]
-    from .curvature import g_tensor, nabla_riemann
-    from .symcore import parse_expr
-
+    r_table, nr_table, cs, sampler = ws.r_table, ws.nr_table, ws.cs, \
+        ws.sampler
     symbols = spec.symbols()
     ex = lambda s: parse_expr(s, symbols)
     fields = []
@@ -366,6 +355,8 @@ def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
         fields.append(VectorField((Expr.sym(f"a{i}"), Expr.sym(f"b{i}"),
                                    Expr.sym(f"c{i}"))))
     x_f, y_f, z_f = fields
+    # (nabla_{E_w} R)(X,Y)Z on the generic fields, for w = 1, 2, 3
+    nabla_rv = [nabla_riemann(nr_table, w, x_f, y_f, z_f) for w in range(3)]
     reports = []
 
     rv = riemann_apply(r_table, x_f, y_f, z_f)
@@ -387,7 +378,7 @@ def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
         sampler, notes="constant-curvature model on generic fields"))
 
     for step, w in (("5.3", 0), ("5.4", 1), ("5.5", 2)):
-        dv = nabla_riemann(spec, conn, r_table, w, x_f, y_f, z_f)
+        dv = nabla_rv[w]
         if step == "5.3":
             expect = [ex(s) for s in _EXPECTED["5.3"]]
         else:
@@ -398,7 +389,6 @@ def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
             sampler,
             notes=f"derivative of the curvature along E{w + 1}"))
 
-    from .contact import phi2_project
     u = phi2_project(cs, rv)
     v = phi2_project(cs, gv)
     res = [("u1", u.components[0] - ex(_EXPECTED["u1"])),
@@ -411,11 +401,10 @@ def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
         "PIPE-5.6", res, sampler,
         notes="projected curvature and model coefficients"))
 
+    projected = [phi2_project(cs, dv) for dv in nabla_rv]
     pq = []
     res = []
-    for w in range(3):
-        dv = nabla_riemann(spec, conn, r_table, w, x_f, y_f, z_f)
-        pr = phi2_project(cs, dv)
+    for w, pr in enumerate(projected):
         pq.append((pr.components[0], pr.components[1]))
         if w == 0:
             res.append(("p1", pr.components[0] - ex(_EXPECTED["p1"])))
@@ -457,7 +446,7 @@ def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
             ok = False
     reports.append(CheckReport(
         "PIPE-5.8", PASS if ok else FAIL, str(num_b),
-        sampler.max_abs([num_b]) if sampler else None, "; ".join(notes)))
+        sampler.max_abs([num_b]), "; ".join(notes)))
 
     if a1_val is None:
         reports.append(CheckReport(
@@ -467,9 +456,7 @@ def example_pipeline(spec: FrameSpec, conn: Connection, r_table, nr_table,
     a_vals = [a1_val, Expr.const(0), Expr.const(0)]
     b_vals = [b1_val, Expr.const(0), Expr.const(0)]
     res = []
-    for w in range(3):
-        dv = nabla_riemann(spec, conn, r_table, w, x_f, y_f, z_f)
-        pr = phi2_project(cs, dv)
+    for w, pr in enumerate(projected):
         diff = pr - u.scale(a_vals[w]) - v.scale(b_vals[w])
         res += [(f"(i={w + 1}, E{l + 1})", c)
                 for l, c in enumerate(diff.components)]

@@ -5,8 +5,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .symcore import Expr
-
 VERSION = "0.1.0"
 
 PASS = "pass"
@@ -126,11 +124,3 @@ def file_hash(path) -> str:
 
 def render_oneform(omega) -> list:
     return [str(c) for c in omega.components]
-
-
-def render_value(v) -> str:
-    if v is None:
-        return "indeterminate"
-    if isinstance(v, Expr):
-        return str(v)
-    return str(v)

@@ -2,8 +2,8 @@
 
 from .expr import (Add, Const, Div, DivisionByZeroExpr, DomainError, Expr,
                    ExprSyntaxError, Mul, Neg, Point, Pow, Sym, UnknownSymbol,
-                   differentiate, esum, eval_rational, evaluate,
-                   is_identically_zero, normalize, render, substitute)
+                   differentiate, esum, eval_rational, evaluate, normalize,
+                   render, substitute)
 from .parse import parse_expr, parse_tokens, tokenize
 
 ZERO = Expr.const(0)
@@ -14,6 +14,6 @@ __all__ = [
     "Expr", "Point", "ZERO", "ONE",
     "ExprSyntaxError", "UnknownSymbol", "DivisionByZeroExpr", "DomainError",
     "parse_expr", "parse_tokens", "tokenize",
-    "normalize", "differentiate", "is_identically_zero", "evaluate",
+    "normalize", "differentiate", "evaluate",
     "eval_rational", "substitute", "render", "esum",
 ]

@@ -18,7 +18,7 @@ __all__ = [
     "Const", "Sym", "Neg", "Add", "Mul", "Div", "Pow",
     "Expr", "Point", "ExprSyntaxError", "UnknownSymbol",
     "DivisionByZeroExpr", "DomainError",
-    "normalize", "differentiate", "is_identically_zero", "evaluate",
+    "normalize", "differentiate", "evaluate",
     "substitute", "render", "esum",
 ]
 
@@ -301,10 +301,6 @@ def _rat_to_node(rat: RationalFunction) -> object:
 def normalize(e: Expr) -> Expr:
     """Canonical p/q form: gcd(p, q) = 1, q monic under graded lex."""
     return Expr.from_rat(e.rat)
-
-
-def is_identically_zero(e: Expr) -> bool:
-    return e.rat.is_zero
 
 
 def differentiate(e: Expr, coord: str) -> Expr:

@@ -1,0 +1,112 @@
+"""The geometry of one manifold file, built lazily and once.
+
+A Workspace is the one place tensors are built.  Every suite reads the
+brackets, connection, curvature, nabla R, Ricci data, contact structure
+and h operators from it instead of rebuilding them, and each is built on
+first use, so a command builds only what its suites read: `check axioms`
+never builds R or nabla R.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from functools import cached_property
+
+from .contact import build_structure, compute_h, deta_tensor, h_variants
+from .curvature import (covariant_ricci_table, nabla_riemann_table, ricci,
+                        riemann)
+from .frames import (compute_brackets, koszul_connection, metric_inverse,
+                     validate_frame)
+from .nullity import extract_k_mu, resolve_params
+from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
+from .symcore import parse_expr
+
+
+class FrameInvalid(ValueError):
+    """Frame validation reported an error."""
+
+
+class Workspace:
+    """Lazily built geometric state shared by every suite.
+
+    `k` and `mu` are override expressions (text) and are parsed here, so a
+    malformed override fails before any suite runs.
+    """
+
+    def __init__(self, parsed, k=None, mu=None, seed=DEFAULT_SEED,
+                 points=DEFAULT_POINTS, tol=DEFAULT_TOL,
+                 deta_factor=Fraction(1, 2)):
+        self.parsed = parsed
+        self.spec = parsed.spec
+        symbols = self.spec.symbols()
+        self.declared = (
+            parsed.declared_k if k is None else parse_expr(k, symbols),
+            parsed.declared_mu if mu is None else parse_expr(mu, symbols))
+        self.sampler = Sampler(self.spec, seed=seed, points=points, tol=tol)
+        self.deta_factor = deta_factor
+
+    @cached_property
+    def validation(self):
+        rep = validate_frame(self.spec)
+        if not rep.ok:
+            bad = "; ".join(f"{i.name}: {i.detail}" for i in rep.issues
+                            if i.level == "error")
+            raise FrameInvalid(f"frame validation failed ({bad})")
+        return rep
+
+    @cached_property
+    def brackets(self):
+        self.validation
+        return compute_brackets(self.spec)
+
+    @cached_property
+    def ginv(self):
+        self.validation
+        return metric_inverse(self.spec)
+
+    @cached_property
+    def conn(self):
+        return koszul_connection(self.spec, self.brackets, self.ginv)
+
+    @cached_property
+    def r_table(self):
+        return riemann(self.spec, self.conn, self.brackets)
+
+    @cached_property
+    def nr_table(self):
+        return nabla_riemann_table(self.spec, self.conn, self.r_table)
+
+    @cached_property
+    def ric(self):
+        return ricci(self.spec, self.r_table, self.ginv)
+
+    @cached_property
+    def nabla_s(self):
+        """(nabla_{E_w} S) for each frame direction w."""
+        return covariant_ricci_table(self.spec, self.conn, self.ric.S)
+
+    @cached_property
+    def cs(self):
+        return build_structure(self.spec, self.parsed.decl)
+
+    @cached_property
+    def h_computed(self):
+        return compute_h(self.spec, self.cs, self.brackets)
+
+    @cached_property
+    def variants(self):
+        return h_variants(self.cs, self.h_computed)
+
+    @cached_property
+    def deta(self):
+        return deta_tensor(self.spec, self.cs, self.brackets,
+                           self.deta_factor)
+
+    @cached_property
+    def params(self):
+        """Per h-variant: (label, h, extracted, used)."""
+        k, mu = self.declared
+        out = []
+        for label, h in self.variants:
+            ext = extract_k_mu(self.spec, self.r_table, self.cs, h)
+            out.append((label, h, ext, resolve_params(ext, k, mu)))
+        return out

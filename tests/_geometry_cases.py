@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from cmverify.frames import (CoordSystem, CoordinateMode, FrameSpec,
                              compute_brackets, frame_apply,
-                             koszul_connection)
+                             koszul_connection, metric_inverse)
 from cmverify.curvature import nabla_riemann_table, riemann
 from cmverify.symcore import Expr, Point, esum, evaluate
 
@@ -140,7 +140,7 @@ def sampled_max(exprs, points):
 def build_case(seed):
     spec = random_spec(seed)
     brackets = compute_brackets(spec)
-    conn = koszul_connection(spec, brackets)
+    conn = koszul_connection(spec, brackets, metric_inverse(spec))
     r_table = riemann(spec, conn, brackets)
     nr_table = nabla_riemann_table(spec, conn, r_table)
     return spec, brackets, conn, r_table, nr_table

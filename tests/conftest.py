@@ -1,42 +1,29 @@
 import pytest
 
-from cmverify.contact import build_structure, compute_h
-from cmverify.curvature import nabla_riemann_table, ricci, riemann
-from cmverify.frames import compute_brackets, koszul_connection
 from cmverify.specfile import load_spec, resolve_spec_path
+from cmverify.workspace import Workspace
 
 import _acceptance_log
 
 
-class Geometry:
-    """Everything the checks need for one bundled manifold file."""
-
-    def __init__(self, name):
-        self.parsed = load_spec(resolve_spec_path(name))
-        self.spec = self.parsed.spec
-        self.brackets = compute_brackets(self.spec)
-        self.conn = koszul_connection(self.spec, self.brackets)
-        self.r_table = riemann(self.spec, self.conn, self.brackets)
-        self.nr_table = nabla_riemann_table(self.spec, self.conn,
-                                            self.r_table)
-        self.ric = ricci(self.spec, self.r_table)
-        self.cs = build_structure(self.spec, self.parsed.decl)
-        self.h_computed = compute_h(self.spec, self.cs, self.brackets)
+def bundled(name, **options):
+    """Library workspace of a bundled manifold file."""
+    return Workspace(load_spec(resolve_spec_path(name)), **options)
 
 
 @pytest.fixture(scope="session")
 def ex3():
-    return Geometry("example3d")
+    return bundled("example3d")
 
 
 @pytest.fixture(scope="session")
 def sph():
-    return Geometry("sphere3")
+    return bundled("sphere3")
 
 
 @pytest.fixture(scope="session")
 def flat():
-    return Geometry("flat3")
+    return bundled("flat3")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,12 +8,13 @@ import _geometry_cases as gc
 from cmverify.cli import run as cli_run
 from cmverify.contact import axiom_suite
 from cmverify.curvature import riemann
-from cmverify.frames import FrameDependent, koszul_connection, validate_frame
+from cmverify.frames import FrameDependent, validate_frame
 from cmverify.nullity import extract_k_mu, identity_battery, resolve_params
 from cmverify.recurrence import (KINDS, classification_phrase,
                                  example_pipeline, solve_recurrence)
 from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import Expr, parse_expr, render
+from cmverify.workspace import Workspace
 
 
 def criterion(tag, body):
@@ -26,15 +27,13 @@ def criterion(tag, body):
 
 
 def _solve(geo, kind):
-    return solve_recurrence(kind, geo.spec, geo.conn, geo.r_table,
-                            geo.nr_table, geo.ric, geo.cs)
+    return solve_recurrence(kind, geo)
 
 
 def test_criterion_1_connection_table():
     def body():
         t0 = time.perf_counter()
-        spec = load_spec(resolve_spec_path("example3d")).spec
-        conn = koszul_connection(spec)
+        conn = Workspace(load_spec(resolve_spec_path("example3d"))).conn
         elapsed = time.perf_counter() - t0
         table = {(i, j): [render(c) for c in conn.gamma[i][j]]
                  for i in range(3) for j in range(3)}
@@ -67,8 +66,7 @@ def test_criterion_2_curvature_table(ex3):
 
 def test_criterion_3_parametric_pipeline(ex3):
     def body():
-        reports = example_pipeline(ex3.spec, ex3.conn, ex3.r_table,
-                                   ex3.nr_table, ex3.cs)
+        reports = example_pipeline(ex3)
         verdicts = {r.check_id: r.verdict for r in reports}
         for i in (1, 2, 3, 4, 5, 6, 7):
             assert verdicts[f"PIPE-5.{i}"] == "pass", i
@@ -85,8 +83,7 @@ def test_criterion_4_recurrence_solve(ex3):
         assert [render(c) for c in sol.A.components] == ["-2/y", "0", "0"]
         assert sol.B.is_zero
         assert classification_phrase(sol) == "φ-recurrent, not φ-symmetric"
-        pipe = example_pipeline(ex3.spec, ex3.conn, ex3.r_table,
-                                ex3.nr_table, ex3.cs)
+        pipe = example_pipeline(ex3)
         p58 = next(r for r in pipe if r.check_id == "PIPE-5.8")
         assert p58.verdict == "fail"
         assert "u1*q1 - u2*p1 = 0 identically" in p58.notes
@@ -96,7 +93,7 @@ def test_criterion_4_recurrence_solve(ex3):
 
 def test_criterion_5_golden_sphere(sph):
     def body():
-        reports = axiom_suite(sph.spec, sph.conn, sph.cs)
+        reports = axiom_suite(sph)
         assert reports and all(r.verdict == "pass" for r in reports)
         p = extract_k_mu(sph.spec, sph.r_table, sph.cs, sph.h_computed)
         assert render(p.k) == "1" and p.mu is None
@@ -106,9 +103,7 @@ def test_criterion_5_golden_sphere(sph):
                 assert (sph.ric.S.m[i][j] - want).is_zero
         assert render(sph.ric.r) == "6"
         used = resolve_params(p, None, parse_expr("-2", set()))
-        battery = identity_battery(sph.spec, sph.conn, sph.r_table,
-                                   sph.nr_table, sph.ric, sph.cs,
-                                   sph.h_computed, used)
+        battery = identity_battery(sph, sph.h_computed, used)
         verdicts = {r.check_id: r.verdict for r in battery}
         assert verdicts["I3.9"] == "pass"
         assert verdicts["I3.10"] == "pass"
@@ -136,7 +131,7 @@ def test_criterion_6_flat_baseline(flat):
 
 def test_criterion_7_audit_findings(ex3, capsys):
     def body():
-        reports = axiom_suite(ex3.spec, ex3.conn, ex3.cs)
+        reports = axiom_suite(ex3)
         by = {}
         for r in reports:
             by.setdefault(r.check_id, []).append(r.verdict)

@@ -53,6 +53,20 @@ class TestExitCodes:
     def test_bad_override_expression(self, capsys):
         assert run(["check", "identities", "sphere3", "--mu", "2 +"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "axioms", "sphere3"],
+        ["check", "identities", "sphere3"],
+        ["solve", "recurrence", "sphere3"],
+        ["pipeline", "sphere3"],
+        ["all", "sphere3"],
+    ])
+    def test_bad_override_fails_every_command(self, capsys, argv):
+        assert run(argv + ["--k", "x+("]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == "cmverify: error: unexpected end of expression " \
+                      "(at position 3)\n"
+
     def test_unknown_symbol_in_override(self, capsys):
         assert run(["check", "identities", "sphere3", "--mu", "w"]) == 1
 

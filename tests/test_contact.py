@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 from cmverify.contact import (InconsistentEta, axiom_suite, build_structure,
-                              compute_h, contact_volume, deta_tensor,
-                              h_variants, lie_xi_g, phi2_project)
+                              contact_volume, deta_tensor, h_variants,
+                              lie_xi_g, phi2_project)
 from cmverify.frames import ShapeError, basis_vector
 from cmverify.specfile import parse_spec_text
 from cmverify.symcore import render
+from cmverify.workspace import Workspace
 
 def _sphere_text():
     from cmverify.specfile import resolve_spec_path
@@ -62,33 +63,35 @@ def test_h_variant_labels(ex3, sph):
     assert [lab for lab, _ in h_variants(sph.cs, sph.h_computed)] \
         == ["computed"]
     agreed = parse_spec_text(_sphere_text() + "contact h : E1 -> 0\n", "t")
-    cs = build_structure(agreed.spec, agreed.decl)
-    assert [lab for lab, _ in h_variants(cs, compute_h(agreed.spec, cs))] \
+    assert [lab for lab, _ in Workspace(agreed).variants] \
         == ["declared (= computed)"]
 
 
 def test_deta_halved_bracket_convention(sph):
-    deta = deta_tensor(sph.spec, sph.cs)
+    deta = deta_tensor(sph.spec, sph.cs, sph.brackets)
     assert render(deta.m[0][1]) == "-1"
     assert render(deta.m[1][0]) == "1"
-    doubled = deta_tensor(sph.spec, sph.cs, factor=Fraction(1))
+    doubled = deta_tensor(sph.spec, sph.cs, sph.brackets,
+                          factor=Fraction(1))
     assert render(doubled.m[0][1]) == "-2"
 
 
 def test_contact_volume(sph, flat):
-    vol = contact_volume(sph.cs, deta_tensor(sph.spec, sph.cs))
+    vol = contact_volume(sph.cs, deta_tensor(sph.spec, sph.cs,
+                                             sph.brackets))
     assert render(vol) == "-1"
-    flat_vol = contact_volume(flat.cs, deta_tensor(flat.spec, flat.cs))
+    flat_vol = contact_volume(flat.cs, deta_tensor(flat.spec, flat.cs,
+                                                   flat.brackets))
     assert flat_vol.is_zero
 
 
 def test_xi_killing_on_sphere(sph):
-    assert lie_xi_g(sph.spec, sph.cs).is_zero
+    assert lie_xi_g(sph.spec, sph.cs, sph.brackets).is_zero
 
 
 def test_xi_not_killing_under_declared_h_example(ex3):
     # example frame: Lie_xi g = 0 as well, which is what H-COMP flags
-    assert lie_xi_g(ex3.spec, ex3.cs).is_zero
+    assert lie_xi_g(ex3.spec, ex3.cs, ex3.brackets).is_zero
 
 
 def test_phi2_projection(sph):
@@ -101,13 +104,13 @@ def test_phi2_projection(sph):
 
 class TestAxiomSuiteVerdicts:
     def test_sphere_all_pass(self, sph):
-        reports = axiom_suite(sph.spec, sph.conn, sph.cs)
+        reports = axiom_suite(sph)
         assert reports, "empty suite"
         assert all(r.verdict == "pass" for r in reports)
         assert by_id(reports, "CONTACT").residual_symbolic == "-1"
 
     def test_example_audit_findings(self, ex3):
-        reports = axiom_suite(ex3.spec, ex3.conn, ex3.cs)
+        reports = axiom_suite(ex3)
         assert by_id(reports, "I2.1").verdict == "fail"
         assert by_id(reports, "I2.1").residual_symbolic == "(E1,E2): -1"
         assert by_id(reports, "I2.4", "declared").verdict == "fail"
@@ -122,7 +125,7 @@ class TestAxiomSuiteVerdicts:
         assert by_id(reports, "CONTACT").verdict == "fail"
 
     def test_flat_baseline_fails_structure_axioms(self, flat):
-        reports = axiom_suite(flat.spec, flat.conn, flat.cs)
+        reports = axiom_suite(flat)
         assert by_id(reports, "I2.2").verdict == "fail"
         assert "phi^2 E1: 1" in by_id(reports, "I2.2").residual_symbolic
         assert by_id(reports, "I2.3").verdict == "fail"
@@ -131,6 +134,6 @@ class TestAxiomSuiteVerdicts:
         assert by_id(reports, "KILLING").verdict == "pass"
 
     def test_deta_factor_one_breaks_sphere(self, sph):
-        reports = axiom_suite(sph.spec, sph.conn, sph.cs,
-                              deta_factor=Fraction(1))
+        reports = axiom_suite(Workspace(sph.parsed,
+                                        deta_factor=Fraction(1)))
         assert by_id(reports, "I2.1").verdict == "fail"

@@ -13,8 +13,7 @@ def ex(text, syms=("x", "y", "z")):
 
 
 def battery(geo, h, params, label=""):
-    return identity_battery(geo.spec, geo.conn, geo.r_table, geo.nr_table,
-                            geo.ric, geo.cs, h, params, h_label=label)
+    return identity_battery(geo, h, params, h_label=label)
 
 
 def by_id(reports, check_id):

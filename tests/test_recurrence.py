@@ -12,8 +12,7 @@ from cmverify.symcore import parse_expr, render
 
 
 def solve(geo, kind):
-    return solve_recurrence(kind, geo.spec, geo.conn, geo.r_table,
-                            geo.nr_table, geo.ric, geo.cs)
+    return solve_recurrence(kind, geo)
 
 
 def used_params(geo, h, k=None, mu=None):
@@ -32,7 +31,7 @@ class TestSolver:
     def test_kinds(self):
         assert KINDS == ("full", "ricci", "phi")
         with pytest.raises(ValueError):
-            solve_recurrence("weird", None, None)
+            solve_recurrence("weird", None)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_example_unique_solution(self, ex3, kind):
@@ -99,8 +98,7 @@ class TestTheoremChecks:
     def run(self, geo, h, label, **kw):
         params = used_params(geo, h, **kw)
         sol = solve(geo, "phi")
-        return theorem_checks(geo.spec, geo.conn, geo.r_table, geo.ric,
-                              geo.cs, h, params, sol, h_label=label)
+        return theorem_checks(geo, h, params, sol, h_label=label)
 
     def test_example_declared_values_break_every_relation(self, ex3):
         reports = self.run(ex3, ex3.cs.h_declared, "declared",
@@ -148,28 +146,24 @@ class TestPipeline:
         assert not pipeline_available(flat.spec)
 
     def test_unavailable_marks_all_steps(self, sph):
-        reports = example_pipeline(sph.spec, sph.conn, sph.r_table,
-                                   sph.nr_table, sph.cs)
+        reports = example_pipeline(sph)
         assert [r.check_id for r in reports] \
             == [f"PIPE-5.{i}" for i in range(1, 10)]
         assert all(r.verdict == "needs-input" for r in reports)
 
     def test_example_chain(self, ex3):
-        reports = example_pipeline(ex3.spec, ex3.conn, ex3.r_table,
-                                   ex3.nr_table, ex3.cs)
+        reports = example_pipeline(ex3)
         verdicts = {r.check_id: r.verdict for r in reports}
         for i in (1, 2, 3, 4, 5, 6, 7, 9):
             assert verdicts[f"PIPE-5.{i}"] == "pass", i
         assert verdicts["PIPE-5.8"] == "fail"
 
     def test_blocked_quotient_is_spelled_out(self, ex3):
-        rep = by_id(example_pipeline(ex3.spec, ex3.conn, ex3.r_table,
-                                     ex3.nr_table, ex3.cs), "PIPE-5.8")
+        rep = by_id(example_pipeline(ex3), "PIPE-5.8")
         assert "A(E1) = (v2*p1 - v1*q1)/(u1*v2 - u2*v1) = -2/y" in rep.notes
         assert "u1*q1 - u2*p1 = 0 identically" in rep.notes
         assert rep.residual_symbolic == "0"
 
     def test_projected_derivative_coefficients_note(self, ex3):
-        rep = by_id(example_pipeline(ex3.spec, ex3.conn, ex3.r_table,
-                                     ex3.nr_table, ex3.cs), "PIPE-5.7")
+        rep = by_id(example_pipeline(ex3), "PIPE-5.7")
         assert "p2 = q2 = p3 = q3 = 0" in rep.notes

@@ -1,0 +1,119 @@
+"""The library workspace: byte-identical CLI output against the bench
+goldens, each tensor built once per invocation, and a first run at n = 2."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from cmverify import cli
+from cmverify.recurrence import solve_recurrence
+from cmverify.report import ReportDocument
+from cmverify.specfile import load_spec
+from cmverify.workspace import Workspace
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_corpus():
+    spec = importlib.util.spec_from_file_location("bench_corpus",
+                                                  BENCH / "corpus.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+corpus = _load_corpus()
+EXIT_CODES = json.loads((corpus.GOLDEN_DIR / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("cmd,spec", corpus.WORKLOADS["bundled"],
+                         ids=[corpus.key(c, s)
+                              for c, s in corpus.WORKLOADS["bundled"]])
+def test_bundled_output_matches_golden(capsys, cmd, spec):
+    rc = cli.run(corpus.argv(cmd, spec))
+    out = capsys.readouterr().out
+    golden = (corpus.GOLDEN_DIR / f"{corpus.slug(cmd, spec)}.json")
+    assert out.encode() == golden.read_bytes()
+    assert rc == EXIT_CODES[corpus.key(cmd, spec)]
+
+
+BUILDERS = {"frames": ("compute_brackets", "metric_inverse"),
+            "contact": ("compute_h",),
+            "curvature": ("covariant_ricci_table", "riemann",
+                          "nabla_riemann_table")}
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Count calls of each builder, wherever a cmverify module looks it
+    up."""
+    counts = {}
+    for defining, names in BUILDERS.items():
+        for name in names:
+            original = getattr(sys.modules[f"cmverify.{defining}"], name)
+            counts[name] = 0
+
+            def counted(*args, _name=name, _fn=original, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            for modname, mod in list(sys.modules.items()):
+                if modname.startswith("cmverify") and mod is not None \
+                        and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted)
+    return counts
+
+
+def test_all_builds_each_tensor_once(capsys, build_counts):
+    assert cli.run(["all", "example3d"]) == 2
+    assert build_counts == dict.fromkeys(build_counts, 1)
+
+
+def test_check_axioms_builds_no_curvature(capsys, build_counts):
+    assert cli.run(["check", "axioms", "sphere3"]) == 0
+    assert build_counts["riemann"] == 0
+    assert build_counts["nabla_riemann_table"] == 0
+
+
+HEIS5 = """\
+manifold heis5
+coords x1 x2 y1 y2 z
+frame-mode vector
+vector E1 = 1 dx1 + 2*y1 dz
+vector E2 = 1 dx2 + 2*y2 dz
+vector E3 = 1 dy1
+vector E4 = 1 dy2
+vector E5 = 1 dz
+metric identity
+contact xi = E5
+contact phi : E1 -> -1 E3
+contact phi : E2 -> -1 E4
+contact phi : E3 -> 1 E1
+contact phi : E4 -> 1 E2
+contact phi : E5 -> 0
+"""
+
+
+def test_heisenberg_dim5_is_sasakian_with_unit_k(tmp_path):
+    # E_i = dx_i + 2 y_i dz, E_{2+i} = dy_i, E_5 = dz with the identity
+    # metric: [E_i, E_{2+i}] = -2 xi, so d-eta = g(., phi .), xi is
+    # Killing, h = 0 and R(X,Y)xi = eta(Y)X - eta(X)Y, while nabla R != 0.
+    path = tmp_path / "heis5.cmspec"
+    path.write_text(HEIS5)
+    ws = Workspace(load_spec(path))
+    assert ws.spec.n == 2
+    doc = ReportDocument(str(path), "")
+    cli.run_all(ws, doc)
+    verdicts = {}
+    for c in doc.checks:
+        verdicts.setdefault(c.check_id, []).append(c.verdict)
+    for cid in ("I2.1", "I2.2", "I2.3", "I2.4", "H1", "H2", "H3", "H4",
+                "KILLING"):
+        assert verdicts[cid] == ["pass"], cid
+    assert doc.solutions["k"] == "1"
+    assert doc.solutions["mu"] is None
+    assert solve_recurrence("full", ws).classification \
+        not in ("symmetric", "degenerate-symmetric")
