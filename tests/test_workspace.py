@@ -1,5 +1,6 @@
-"""The library workspace: byte-identical CLI output against the bench
-goldens, each tensor built once per invocation, and a first run at n = 2."""
+"""The library workspace: byte-identical CLI output against the bench and
+test goldens, each tensor built once per invocation, and a first run at
+n = 2."""
 
 import importlib.util
 import json
@@ -14,7 +15,8 @@ from cmverify.report import ReportDocument
 from cmverify.specfile import load_spec
 from cmverify.workspace import Workspace
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+TESTS = Path(__file__).resolve().parent
+BENCH = TESTS.parent / "bench"
 
 
 def _load_corpus():
@@ -29,15 +31,31 @@ corpus = _load_corpus()
 EXIT_CODES = json.loads((corpus.GOLDEN_DIR / "exit_codes.json").read_text())
 
 
-@pytest.mark.parametrize("cmd,spec", corpus.WORKLOADS["bundled"],
-                         ids=[corpus.key(c, s)
-                              for c, s in corpus.WORKLOADS["bundled"]])
+# The bundled workload, plus the corpus invocations that reach n = 2 and a
+# non-orthonormal metric while staying about a second each.
+PINNED = corpus.WORKLOADS["bundled"] + [
+    ("all", "heis5"), ("check axioms", "heis5"), ("all", "polymetric3")]
+
+
+@pytest.mark.parametrize("cmd,spec", PINNED,
+                         ids=[corpus.key(c, s) for c, s in PINNED])
 def test_bundled_output_matches_golden(capsys, cmd, spec):
     rc = cli.run(corpus.argv(cmd, spec))
     out = capsys.readouterr().out
     golden = (corpus.GOLDEN_DIR / f"{corpus.slug(cmd, spec)}.json")
     assert out.encode() == golden.read_bytes()
     assert rc == EXIT_CODES[corpus.key(cmd, spec)]
+
+
+def test_asymmetric_structure_output_matches_golden(capsys):
+    # phi is not g-skew and the declared h is not g-symmetric, so a suite
+    # that silently used either symmetry would change these bytes.
+    rc = cli.run(["all", str(TESTS / "specs" / "asym3.cmspec"),
+                  "--format", "json"])
+    out = capsys.readouterr().out
+    assert out.encode() == (TESTS / "goldens" / "asym3.all.json").read_bytes()
+    codes = json.loads((TESTS / "goldens" / "exit_codes.json").read_text())
+    assert rc == codes["all asym3"]
 
 
 BUILDERS = {"frames": ("compute_brackets", "metric_inverse"),
