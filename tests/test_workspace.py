@@ -47,15 +47,21 @@ def test_bundled_output_matches_golden(capsys, cmd, spec):
     assert rc == EXIT_CODES[corpus.key(cmd, spec)]
 
 
-def test_asymmetric_structure_output_matches_golden(capsys):
+@pytest.mark.parametrize("overrides", [[], ["--k", "2", "--mu", "3"]],
+                         ids=["extracted", "k=2,mu=3"])
+def test_asymmetric_structure_output_matches_golden(capsys, overrides):
     # phi is not g-skew and the declared h is not g-symmetric, so a suite
-    # that silently used either symmetry would change these bytes.
+    # that silently used either symmetry would change these bytes.  The
+    # extracted k and mu are 0, which hides every mu- and most k-weighted
+    # term; the override run keeps them.
     rc = cli.run(["all", str(TESTS / "specs" / "asym3.cmspec"),
-                  "--format", "json"])
+                  "--format", "json"] + overrides)
     out = capsys.readouterr().out
-    assert out.encode() == (TESTS / "goldens" / "asym3.all.json").read_bytes()
+    name = "-".join(["all"] + [w.lstrip("-") for w in overrides])
+    golden = TESTS / "goldens" / f"asym3.{name}.json"
+    assert out.encode() == golden.read_bytes()
     codes = json.loads((TESTS / "goldens" / "exit_codes.json").read_text())
-    assert rc == codes["all asym3"]
+    assert rc == codes[" ".join(["all", "asym3"] + overrides)]
 
 
 BUILDERS = {"frames": ("compute_brackets", "metric_inverse"),
