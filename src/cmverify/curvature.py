@@ -10,7 +10,7 @@ from functools import partial
 
 from .frames import (Connection, FrameSpec, Tensor02, Tensor11, VectorField,
                      covariant_derivative_tensor02,
-                     covariant_derivative_vector)
+                     covariant_derivative_vector, dot)
 from .symcore import Expr, esum
 
 ZERO = Expr.const(0)
@@ -72,6 +72,13 @@ def riemann_apply(r_table, x: VectorField, y: VectorField,
                     if not r_table[i][j][k][l].is_zero:
                         comps[l].append(coef * r_table[i][j][k][l])
     return VectorField(tuple(esum(c) for c in comps))
+
+
+def riemann_on(table, z: VectorField):
+    """R(E_i,E_j)Z for every frame pair, indexed [i][j][l]; `table` is the
+    R table or one direction's plane nr_table[w] of the nabla R table."""
+    return tuple(tuple(tuple(dot(z.components, col) for col in zip(*plane))
+                       for plane in row) for row in table)
 
 
 def nabla_riemann(nr_table, w: int, x: VectorField, y: VectorField,

@@ -6,6 +6,10 @@ Index conventions used throughout:
   Connection       nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k
   Tensor11         (T E_j)^i = m[i][j]
   Tensor02         T(E_i, E_j) = m[i][j]
+
+Checks read frame components by index: g(E_i, E_j) is metric[i][j], and a
+value such as g(h E_i, phi E_j) is entry [i][j] of
+`frame_pairing(h, metric, phi)`.
 """
 from __future__ import annotations
 
@@ -13,10 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import SingularMatrix, mat_det, mat_inv
-from .symcore import Expr, differentiate, esum, render
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
+from .symcore import ONE, ZERO, Expr, differentiate, esum, render
 
 
 class FrameDependent(ValueError):
@@ -29,6 +30,18 @@ class SingularMetric(ValueError):
 
 class ShapeError(ValueError):
     pass
+
+
+def dot(u, v) -> Expr:
+    """sum_a u_a v_a over two component sequences, skipping zero
+    products."""
+    return esum(a * b for a, b in zip(u, v)
+                if not (a.is_zero or b.is_zero))
+
+
+def _matmul(p, q):
+    cols = tuple(zip(*q))
+    return tuple(tuple(dot(row, col) for col in cols) for row in p)
 
 
 @dataclass(frozen=True)
@@ -102,7 +115,7 @@ class OneForm:
     components: tuple
 
     def __call__(self, v: VectorField) -> Expr:
-        return esum(a * b for a, b in zip(self.components, v.components))
+        return dot(self.components, v.components)
 
     @property
     def is_zero(self) -> bool:
@@ -114,19 +127,13 @@ class Tensor11:
     m: tuple
 
     def apply(self, v: VectorField) -> VectorField:
-        return VectorField(tuple(
-            esum(row[j] * v.components[j] for j in range(len(row)))
-            for row in self.m))
+        return VectorField(tuple(dot(row, v.components) for row in self.m))
 
     def column(self, j: int) -> VectorField:
         return VectorField(tuple(row[j] for row in self.m))
 
     def compose(self, other: "Tensor11") -> "Tensor11":
-        n = len(self.m)
-        return Tensor11(tuple(
-            tuple(esum(self.m[i][k] * other.m[k][j] for k in range(n))
-                  for j in range(n))
-            for i in range(n)))
+        return Tensor11(_matmul(self.m, other.m))
 
     def trace(self) -> Expr:
         return esum(self.m[i][i] for i in range(len(self.m)))
@@ -150,14 +157,18 @@ class Tensor11:
         return all(a.is_zero for r in self.m for a in r)
 
 
+def identity_tensor11(dim: int) -> Tensor11:
+    return Tensor11(tuple(tuple(ONE if i == j else ZERO for j in range(dim))
+                          for i in range(dim)))
+
+
 @dataclass(frozen=True)
 class Tensor02:
     m: tuple
 
     def apply(self, x: VectorField, y: VectorField) -> Expr:
-        n = len(self.m)
-        return esum(self.m[i][j] * x.components[i] * y.components[j]
-                    for i in range(n) for j in range(n))
+        return dot(x.components,
+                   [dot(row, y.components) for row in self.m])
 
     def __sub__(self, other):
         return Tensor02(tuple(tuple(a - b for a, b in zip(r1, r2))
@@ -171,10 +182,6 @@ class Tensor02:
 @dataclass(frozen=True)
 class Connection:
     gamma: tuple
-
-
-def basis_vector(dim: int, i: int) -> VectorField:
-    return VectorField(tuple(ONE if j == i else ZERO for j in range(dim)))
 
 
 @dataclass
@@ -204,13 +211,14 @@ def frame_apply(spec: FrameSpec, i: int, f: Expr) -> Expr:
     """Directional derivative E_i(f)."""
     coeffs = spec.mode.a[i] if isinstance(spec.mode, CoordinateMode) \
         else spec.mode.act[i]
-    return esum(coeffs[j] * differentiate(f, name)
-                for j, name in enumerate(spec.coords.names))
+    return esum(c * differentiate(f, name)
+                for c, name in zip(coeffs, spec.coords.names)
+                if not c.is_zero)
 
 
 def apply_vector(spec: FrameSpec, v: VectorField, f: Expr) -> Expr:
-    return esum(v.components[i] * frame_apply(spec, i, f)
-                for i in range(spec.dim))
+    return esum(c * frame_apply(spec, i, f)
+                for i, c in enumerate(v.components) if not c.is_zero)
 
 
 def compute_brackets(spec: FrameSpec):
@@ -335,22 +343,19 @@ def metric_inverse(spec: FrameSpec):
         raise SingularMetric("metric is singular") from None
 
 
-def metric_pairing(spec: FrameSpec, x: VectorField, y: VectorField) -> Expr:
-    return Tensor02(spec.metric).apply(x, y)
+def frame_pairing(a: Tensor11 | None, t, b: Tensor11 | None):
+    """T(A E_i, B E_j), indexed [i][j], for a (0,2) table t such as the
+    metric or S, and (1,1) operators a and b; None is the identity."""
+    tb = t if b is None else _matmul(t, b.m)
+    return tb if a is None else _matmul(tuple(zip(*a.m)), tb)
 
 
 def lower_index(spec: FrameSpec, v: VectorField) -> OneForm:
-    dim = spec.dim
-    return OneForm(tuple(
-        esum(spec.metric[i][j] * v.components[j] for j in range(dim))
-        for i in range(dim)))
+    return OneForm(tuple(dot(row, v.components) for row in spec.metric))
 
 
 def raise_index(spec: FrameSpec, w: OneForm, ginv) -> VectorField:
-    dim = spec.dim
-    return VectorField(tuple(
-        esum(ginv[i][j] * w.components[j] for j in range(dim))
-        for i in range(dim)))
+    return VectorField(tuple(dot(row, w.components) for row in ginv))
 
 
 def koszul_connection(spec: FrameSpec, brackets, ginv) -> Connection:
@@ -373,9 +378,7 @@ def koszul_connection(spec: FrameSpec, brackets, ginv) -> Connection:
                      - brackets[j][k][m] * g[m][i]
                      for m in range(dim)])
                 rhs.append(half * val)
-            gi.append(tuple(
-                esum(ginv[l][k] * rhs[k] for k in range(dim))
-                for l in range(dim)))
+            gi.append(tuple(dot(row, rhs) for row in ginv))
         gamma.append(tuple(gi))
     return Connection(tuple(gamma))
 
@@ -383,48 +386,39 @@ def koszul_connection(spec: FrameSpec, brackets, ginv) -> Connection:
 def covariant_derivative_vector(spec: FrameSpec, conn: Connection,
                                 i: int, v: VectorField) -> VectorField:
     """nabla_{E_i} v."""
-    dim = spec.dim
     return VectorField(tuple(
-        esum([frame_apply(spec, i, v.components[k])]
-             + [v.components[j] * conn.gamma[i][j][k] for j in range(dim)])
-        for k in range(dim)))
+        frame_apply(spec, i, vk) + dot(v.components, gamma_k)
+        for vk, gamma_k in zip(v.components, zip(*conn.gamma[i]))))
 
 
 def covariant_derivative_oneform(spec: FrameSpec, conn: Connection,
                                  i: int, w: OneForm) -> OneForm:
-    dim = spec.dim
     return OneForm(tuple(
         frame_apply(spec, i, w.components[j])
-        - esum(conn.gamma[i][j][m] * w.components[m] for m in range(dim))
-        for j in range(dim)))
+        - dot(conn.gamma[i][j], w.components)
+        for j in range(spec.dim)))
 
 
 def covariant_derivative_tensor11(spec: FrameSpec, conn: Connection,
                                   i: int, t: Tensor11) -> Tensor11:
     dim = spec.dim
-    rows = []
-    for k in range(dim):
-        row = []
-        for j in range(dim):
-            row.append(esum(
-                [frame_apply(spec, i, t.m[k][j])]
-                + [conn.gamma[i][m][k] * t.m[m][j] for m in range(dim)]
-                + [-(conn.gamma[i][j][m] * t.m[k][m]) for m in range(dim)]))
-        rows.append(tuple(row))
-    return Tensor11(tuple(rows))
+    gamma = conn.gamma[i]
+    gamma_t, cols = tuple(zip(*gamma)), tuple(zip(*t.m))
+    return Tensor11(tuple(
+        tuple(frame_apply(spec, i, t.m[k][j]) + dot(gamma_t[k], cols[j])
+              - dot(gamma[j], t.m[k])
+              for j in range(dim))
+        for k in range(dim)))
 
 
 def covariant_derivative_tensor02(spec: FrameSpec, conn: Connection,
                                   i: int, t: Tensor02) -> Tensor02:
     dim = spec.dim
-    rows = []
-    for j in range(dim):
-        row = []
-        for k in range(dim):
-            row.append(esum(
-                [frame_apply(spec, i, t.m[j][k])]
-                + [-(conn.gamma[i][j][m] * t.m[m][k]) for m in range(dim)]
-                + [-(conn.gamma[i][k][m] * t.m[j][m]) for m in range(dim)]))
-        rows.append(tuple(row))
-    return Tensor02(tuple(rows))
+    gamma = conn.gamma[i]
+    cols = tuple(zip(*t.m))
+    return Tensor02(tuple(
+        tuple(frame_apply(spec, i, t.m[j][k]) - dot(gamma[j], cols[k])
+              - dot(gamma[k], t.m[j])
+              for k in range(dim))
+        for j in range(dim)))
 

@@ -9,19 +9,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curvature import riemann_apply
+from .curvature import riemann_on
 from .frames import (
     FrameSpec,
     Tensor11,
-    VectorField,
-    basis_vector,
     covariant_derivative_oneform,
     covariant_derivative_tensor11,
-    metric_pairing,
+    dot,
+    frame_pairing,
+    identity_tensor11,
 )
 from .linalg import solve_two_unknowns
 from .report import FAIL, NEEDS_INPUT, PASS, CheckReport, residual_check
-from .symcore import Expr, esum
+from .symcore import ZERO, Expr
 
 K_NAME = "k"
 MU_NAME = "mu"
@@ -41,25 +41,29 @@ class NullityParams:
     kernel: str = ""
 
 
+def _nullity_terms(r_table, cs, h: Tensor11) -> list:
+    """(label, a, b, c) per pair i < j and component l, where c is the
+    E_l-component of R(E_i,E_j)xi, and a and b are those of
+    eta(E_j)E_i - eta(E_i)E_j and eta(E_j) h E_i - eta(E_i) h E_j."""
+    dim = len(r_table)
+    eta = cs.eta.components
+    r_xi = riemann_on(r_table, cs.xi)
+    out = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ei, ej = eta[i], eta[j]
+            out += [(f"(E{i + 1},E{j + 1})",
+                     (ej if l == i else ZERO) - (ei if l == j else ZERO),
+                     h.m[l][i] * ej - h.m[l][j] * ei, r_xi[i][j][l])
+                    for l in range(dim)]
+    return out
+
+
 def extract_k_mu(spec: FrameSpec, r_table, cs, h: Tensor11) -> NullityParams:
     """Solve R(E_i,E_j)xi = k [eta(E_j)E_i - eta(E_i)E_j]
     + mu [eta(E_j) h E_i - eta(E_i) h E_j] exactly over all pairs."""
-    dim = spec.dim
-    vecs = [basis_vector(dim, i) for i in range(dim)]
-    eta = cs.eta
-    rows = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            lhs = riemann_apply(r_table, vecs[i], vecs[j], cs.xi)
-            ei, ej = eta.components[i], eta.components[j]
-            ka = vecs[i].scale(ej) - vecs[j].scale(ei)
-            ma = h.column(i).scale(ej) - h.column(j).scale(ei)
-            for l in range(dim):
-                ca, cb = ka.components[l], ma.components[l]
-                rhs = lhs.components[l]
-                if ca.is_zero and cb.is_zero and rhs.is_zero:
-                    continue
-                rows.append((ca, cb, rhs))
+    rows = [(ca, cb, rhs) for _, ca, cb, rhs in _nullity_terms(r_table, cs, h)
+            if not (ca.is_zero and cb.is_zero and rhs.is_zero)]
     if not rows:
         return NullityParams(None, None, "extracted", "underdetermined",
                              notes="nullity equation is vacuous",
@@ -147,38 +151,34 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
     r_table, nr_table, ric = ws.r_table, ws.nr_table, ws.ric
     dim = spec.dim
     n = spec.n
-    vecs = [basis_vector(dim, i) for i in range(dim)]
-    eta = cs.eta
+    g = spec.metric
+    xi, eta = cs.xi.components, cs.eta.components
     phi = cs.phi
-    g = lambda x, y: metric_pairing(spec, x, y)
+    one = Expr.const(1)
+    idh = identity_tensor11(dim) + h            # X -> X + hX
+    hphi = h.compose(phi)
+    phih = phi.compose(h)
+    phi_idh = phi.compose(idh)
+    # frame tables, indexed [i][j]
+    g_phi = ws.g_phi                            # g(E_i, phi E_j)
+    g_h = frame_pairing(h, g, None)             # g(h E_i, E_j)
+    g_hphi = frame_pairing(None, g, hphi)       # g(E_i, h phi E_j)
+    g_idh = frame_pairing(idh, g, None)         # g(E_i + h E_i, E_j)
+    g_idh_phi = frame_pairing(idh, g, phi)      # g(E_i + h E_i, phi E_j)
     note = f"h = {h_label}" if h_label else ""
     extra = f"; {params.notes}" if params.notes else ""
     reports = []
 
-    def vaddmul(*pairs):
-        acc = VectorField(tuple(Expr.const(0) for _ in range(dim)))
-        for coef, vec in pairs:
-            acc = acc + vec.scale(coef)
-        return acc
+    nullity = _nullity_terms(r_table, cs, h)
 
     def b_31(k, mu):
-        out = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                lhs = riemann_apply(r_table, vecs[i], vecs[j], cs.xi)
-                ei, ej = eta.components[i], eta.components[j]
-                rhs = vaddmul((k * ej, vecs[i]), (-(k * ei), vecs[j]),
-                              (mu * ej, h.column(i)),
-                              (-(mu * ei), h.column(j)))
-                diff = lhs - rhs
-                out += [(f"(E{i + 1},E{j + 1})", c) for c in diff.components]
-        return out
+        return [(label, c - (k * a + mu * b)) for label, a, b, c in nullity]
     reports.append(param_check("I3.1", params, b_31, sampler,
                                notes=(note + extra).strip("; ")))
 
     def b_32(k, mu):
         lhs = h.compose(h)
-        rhs = phi.compose(phi).scale(k - Expr.const(1))
+        rhs = phi.compose(phi).scale(k - one)
         diff = lhs - rhs
         return [(f"(E{i + 1},E{j + 1})", diff.m[i][j])
                 for i in range(dim) for j in range(dim)]
@@ -187,44 +187,44 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
     res = []
     for i in range(dim):
         nabla_phi = covariant_derivative_tensor11(spec, conn, i, phi)
-        xh = vecs[i] + h.column(i)
+        xh = idh.column(i)
         for j in range(dim):
-            rhs = cs.xi.scale(g(xh, vecs[j])) - xh.scale(eta.components[j])
+            rhs = cs.xi.scale(g_idh[i][j]) - xh.scale(eta[j])
             diff = nabla_phi.column(j) - rhs
             res += [(f"(E{i + 1},E{j + 1})", c) for c in diff.components]
     reports.append(residual_check("I3.3", res, sampler, notes=note))
 
+    h_phi_idh = h.compose(phi_idh)             # X -> h(phi X + phi h X)
+
     def b_34(k, mu):
         out = []
-        one = Expr.const(1)
-        hphi = h.compose(phi)
-        phih = phi.compose(h)
         for i in range(dim):
             nabla_h = covariant_derivative_tensor11(spec, conn, i, h)
             for j in range(dim):
-                coef = ((one - k) * g(vecs[i], phi.column(j))
-                        + g(vecs[i], hphi.column(j)))
+                coef = (one - k) * g_phi[i][j] + g_hphi[i][j]
                 rhs = (cs.xi.scale(coef)
-                       + h.apply(phi.column(i)
-                                 + phih.column(i)).scale(eta.components[j])
-                       - phih.column(j).scale(mu * eta.components[i]))
+                       + h_phi_idh.column(i).scale(eta[j])
+                       - phih.column(j).scale(mu * eta[i]))
                 diff = nabla_h.column(j) - rhs
                 out += [(f"(E{i + 1},E{j + 1})", c) for c in diff.components]
         return out
     reports.append(param_check("I3.4", params, b_34, sampler, notes=note))
 
+    # R(xi, E_i)E_j, indexed [i][j][l]
+    r_of_xi = [[[dot(xi, [r_table[a][i][j][l] for a in range(dim)])
+                 for l in range(dim)] for j in range(dim)]
+               for i in range(dim)]
+
     def b_35(k, mu):
         out = []
         for i in range(dim):
             for j in range(dim):
-                lhs = riemann_apply(r_table, cs.xi, vecs[i], vecs[j])
-                rhs = vaddmul(
-                    (k * g(vecs[i], vecs[j]), cs.xi),
-                    (-(k * eta.components[j]), vecs[i]),
-                    (mu * g(h.column(i), vecs[j]), cs.xi),
-                    (-(mu * eta.components[j]), h.column(i)))
-                diff = lhs - rhs
-                out += [(f"(E{i + 1},E{j + 1})", c) for c in diff.components]
+                c_xi = k * g[i][j] + mu * g_h[i][j]
+                out += [(f"(E{i + 1},E{j + 1})", r_of_xi[i][j][l]
+                         - (c_xi * xi[l] - eta[j]
+                            * (k * (one if l == i else ZERO)
+                               + mu * h.m[l][i])))
+                        for l in range(dim)]
         return out
     reports.append(param_check("I3.5", params, b_35, sampler, notes=note))
 
@@ -232,50 +232,39 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
         out = []
         for i in range(dim):
             for j in range(i + 1, dim):
+                ei, ej = eta[i], eta[j]
                 for l in range(dim):
-                    lhs = eta(riemann_apply(r_table, vecs[i], vecs[j],
-                                            vecs[l]))
-                    ei, ej = eta.components[i], eta.components[j]
-                    rhs = (k * (g(vecs[j], vecs[l]) * ei
-                                - g(vecs[i], vecs[l]) * ej)
-                           + mu * (g(h.column(j), vecs[l]) * ei
-                                   - g(h.column(i), vecs[l]) * ej))
-                    out.append((f"(E{i + 1},E{j + 1},E{l + 1})", lhs - rhs))
+                    rhs = (k * (g[j][l] * ei - g[i][l] * ej)
+                           + mu * (g_h[j][l] * ei - g_h[i][l] * ej))
+                    out.append((f"(E{i + 1},E{j + 1},E{l + 1})",
+                                dot(eta, r_table[i][j][l]) - rhs))
         return out
     reports.append(param_check("I3.6", params, b_36, sampler, notes=note))
 
     two_n = Expr.const(2 * n)
 
     def b_37(k, mu):
-        return [(f"X=E{i + 1}",
-                 ric.S.apply(vecs[i], cs.xi)
-                 - two_n * k * eta.components[i])
+        return [(f"X=E{i + 1}", dot(ric.S.m[i], xi) - two_n * k * eta[i])
                 for i in range(dim)]
     reports.append(param_check("I3.7", params, b_37, sampler, notes=note))
 
     def b_38(k, mu):
         lhs = ric.Q.compose(phi) - phi.compose(ric.Q)
         coef = Expr.const(2) * (Expr.const(2 * (n - 1)) + mu)
-        rhs = h.compose(phi).scale(coef)
+        rhs = hphi.scale(coef)
         diff = lhs - rhs
         return [(f"(E{i + 1},E{j + 1})", diff.m[i][j])
                 for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.8", params, b_38, sampler, notes=note))
 
     def b_39(k, mu):
-        out = []
         c1 = Expr.const(2 * (n - 1)) - Expr.const(n) * mu
         c2 = Expr.const(2 * (n - 1)) + mu
         c3 = (Expr.const(2 * (1 - n))
               + Expr.const(n) * (Expr.const(2) * k + mu))
-        for i in range(dim):
-            for j in range(dim):
-                rhs = (c1 * g(vecs[i], vecs[j])
-                       + c2 * g(h.column(i), vecs[j])
-                       + c3 * eta.components[i] * eta.components[j])
-                out.append((f"(E{i + 1},E{j + 1})",
-                            ric.S.m[i][j] - rhs))
-        return out
+        return [(f"(E{i + 1},E{j + 1})", ric.S.m[i][j]
+                 - (c1 * g[i][j] + c2 * g_h[i][j] + c3 * eta[i] * eta[j]))
+                for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.9", params, b_39, sampler, notes=note))
 
     def b_310(k, mu):
@@ -283,72 +272,55 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
         return [("r", ric.r - rhs)]
     reports.append(param_check("I3.10", params, b_310, sampler, notes=note))
 
+    s_phi_phi = frame_pairing(phi, ric.S.m, phi)
+
     def b_311(k, mu):
-        out = []
-        for i in range(dim):
-            for j in range(dim):
-                lhs = ric.S.apply(phi.column(i), phi.column(j))
-                rhs = (ric.S.m[i][j]
-                       - two_n * k * eta.components[i] * eta.components[j]
-                       - Expr.const(2) * (Expr.const(2 * n - 2) + mu)
-                       * g(h.column(i), vecs[j]))
-                out.append((f"(E{i + 1},E{j + 1})", lhs - rhs))
-        return out
+        return [(f"(E{i + 1},E{j + 1})", s_phi_phi[i][j]
+                 - (ric.S.m[i][j] - two_n * k * eta[i] * eta[j]
+                    - Expr.const(2) * (Expr.const(2 * n - 2) + mu)
+                    * g_h[i][j]))
+                for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.11", params, b_311, sampler, notes=note))
 
     res = []
     for i in range(dim):
-        nabla_eta = covariant_derivative_oneform(spec, conn, i, eta)
-        xh = vecs[i] + h.column(i)
-        for j in range(dim):
-            res.append((f"(E{i + 1},E{j + 1})",
-                        nabla_eta.components[j] - g(xh, phi.column(j))))
+        nabla_eta = covariant_derivative_oneform(spec, conn, i, cs.eta)
+        res += [(f"(E{i + 1},E{j + 1})",
+                 nabla_eta.components[j] - g_idh_phi[i][j])
+                for j in range(dim)]
     reports.append(residual_check(
         "I3.12", res, sampler,
         notes=(note + "; " if note else "")
               + "stated relation lacks the second argument; "
                 "measured as g(X+hX, phi Y)"))
 
+    # (nabla_W R)(E_i,E_j)xi and R(E_i,E_j)(phi W + phi h W), indexed
+    # [w][i][j][l]
+    nr_xi = [riemann_on(nr_table[w], cs.xi) for w in range(dim)]
+    r_phi_idh = [riemann_on(r_table, phi_idh.column(w)) for w in range(dim)]
+
     def b_313(k, mu):
         out = []
-        one = Expr.const(1)
-        hphi = h.compose(phi)
-        phih = phi.compose(h)
         for w in range(dim):
-            ew = vecs[w]
-            wh = ew + h.column(w)
+            ew = eta[w]
             for i in range(dim):
                 for j in range(dim):
                     if i == j:
                         continue
-                    lhs_comp = [esum(cs.xi.components[m]
-                                     * nr_table[w][i][j][m][l]
-                                     for m in range(dim))
-                                for l in range(dim)]
-                    lhs = VectorField(tuple(lhs_comp))
-                    a_y = g(wh, phi.column(j))
-                    a_x = g(wh, phi.column(i))
-                    cx = ((one - k) * g(ew, phi.column(i))
-                          + g(ew, hphi.column(i)))
-                    cy = ((one - k) * g(ew, phi.column(j))
-                          + g(ew, hphi.column(j)))
-                    inner = vaddmul(
-                        (a_y, h.column(i)), (-a_x, h.column(j)),
-                        (cx * eta.components[j], cs.xi),
-                        (-(cy * eta.components[i]), cs.xi),
-                        (mu * eta.components[w] * eta.components[i],
-                         phih.column(j)),
-                        (-(mu * eta.components[w] * eta.components[j]),
-                         phih.column(i)))
-                    rhs = (vaddmul((k * a_y, vecs[i]), (-(k * a_x), vecs[j]))
-                           + inner.scale(mu)
-                           + riemann_apply(r_table, vecs[i], vecs[j],
-                                           phi.column(w))
-                           + riemann_apply(r_table, vecs[i], vecs[j],
-                                           phih.column(w)))
-                    diff = lhs - rhs
-                    out += [(f"(E{w + 1};E{i + 1},E{j + 1})", c)
-                            for c in diff.components]
+                    a_y = g_idh_phi[w][j]
+                    a_x = g_idh_phi[w][i]
+                    cx = (one - k) * g_phi[w][i] + g_hphi[w][i]
+                    cy = (one - k) * g_phi[w][j] + g_hphi[w][j]
+                    for l in range(dim):
+                        inner = (a_y * h.m[l][i] - a_x * h.m[l][j]
+                                 + (cx * eta[j] - cy * eta[i]) * xi[l]
+                                 + mu * ew * (eta[i] * phih.m[l][j]
+                                              - eta[j] * phih.m[l][i]))
+                        rhs = ((k * a_y if l == i else ZERO)
+                               - (k * a_x if l == j else ZERO)
+                               + mu * inner + r_phi_idh[w][i][j][l])
+                        out.append((f"(E{w + 1};E{i + 1},E{j + 1})",
+                                    nr_xi[w][i][j][l] - rhs))
         return out
     reports.append(param_check("I3.13", params, b_313, sampler, notes=note))
     return reports

@@ -9,22 +9,24 @@ about consistency, since auditing that is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .contact import phi2_project
-from .curvature import g_tensor, g_tensor_table, nabla_riemann, riemann_apply
+from .curvature import (g_tensor, g_tensor_table, nabla_riemann,
+                        riemann_apply, riemann_on)
 from .frames import (
     FrameSpec,
     OneForm,
     Tensor11,
     VectorField,
-    basis_vector,
-    metric_pairing,
+    frame_pairing,
+    identity_tensor11,
     raise_index,
 )
 from .linalg import solve_two_unknowns
 from .nullity import NullityParams, param_check
 from .report import DEGENERATE, FAIL, PASS, CheckReport, residual_check
-from .symcore import Expr, esum, parse_expr
+from .symcore import ZERO, Expr, esum, parse_expr
 
 KINDS = ("full", "ricci", "phi")
 
@@ -184,11 +186,22 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
     r_table, ric, nabla_s = ws.r_table, ws.ric, ws.nabla_s
     dim = spec.dim
     n = spec.n
-    vecs = [basis_vector(dim, i) for i in range(dim)]
-    eta = cs.eta
+    g = spec.metric
+    xi, eta = cs.xi.components, cs.eta.components
     phi = cs.phi
-    g = lambda x, y: metric_pairing(spec, x, y)
-    a_of = lambda v: sol.A(v)
+    a_w, b_w = sol.A.components, sol.B.components
+    idh = identity_tensor11(dim) + h            # X -> X + hX
+    phih = phi.compose(h)
+    phi_idh = phi.compose(idh)
+    eta_h = [cs.eta(h.column(j)) for j in range(dim)]    # eta(h E_j)
+    # frame tables, indexed [i][j]
+    g_phi = ws.g_phi                            # g(E_i, phi E_j)
+    g_h = frame_pairing(h, g, None)             # g(h E_i, E_j)
+    g_e_h = frame_pairing(None, g, h)           # g(E_i, h E_j)
+    g_idh = frame_pairing(idh, g, None)         # g(E_i + h E_i, E_j)
+    g_hphi = frame_pairing(None, g, h.compose(phi))     # g(E_i, h phi E_j)
+    g_h_phi_idh = frame_pairing(h, g, phi_idh)  # g(h E_i, phi(E_j + h E_j))
+    g_phih = frame_pairing(phih, g, None)       # g(phi h E_i, E_j)
     note = f"h = {h_label}" if h_label else ""
     two_n = Expr.const(2 * n)
     one = Expr.const(1)
@@ -196,9 +209,7 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
     reports = []
 
     def b_47(k, mu):
-        return [(f"W=E{w + 1}",
-                 k * sol.A.components[w] + sol.B.components[w])
-                for w in range(dim)]
+        return [(f"W=E{w + 1}", k * a_w[w] + b_w[w]) for w in range(dim)]
     reports.append(param_check("T4.7", params, b_47, sampler,
                                notes=_join(note, "k A(W) + B(W)")))
 
@@ -206,12 +217,11 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
         out = []
         c2 = Expr.const(2 * n - 2) + mu
         for j in range(dim):
-            etahy = eta(h.column(j))
             for w in range(dim):
                 lhs = k * ric.S.m[j][w]
-                rhs = (two_n * k * k * g(vecs[j], vecs[w])
-                       + two * k * c2 * g(h.column(j), vecs[w])
-                       - two * (k - one) * c2 * eta.components[w] * etahy)
+                rhs = (two_n * k * k * g[j][w]
+                       + two * k * c2 * g_h[j][w]
+                       - two * (k - one) * c2 * eta[w] * eta_h[j])
                 out.append((f"(Y=E{j + 1},W=E{w + 1})", lhs - rhs))
         return out
     reports.append(param_check(
@@ -220,47 +230,40 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
                           "with W in both slots")))
 
     def b_412(k, mu):
-        out = []
         coef = ric.r - two_n * Expr.const(2 * n - 1)
-        for w in range(dim):
-            out.append((f"W=E{w + 1}",
-                        two * a_of(ric.Q.column(w))
-                        - coef * sol.A.components[w]
-                        - mu * a_of(h.column(w))))
-        return out
+        return [(f"W=E{w + 1}",
+                 two * sol.A(ric.Q.column(w)) - coef * a_w[w]
+                 - mu * sol.A(h.column(w)))
+                for w in range(dim)]
     reports.append(param_check("T4.12", params, b_412, sampler, notes=note))
 
-    hphi = h.compose(phi)
-    phih = phi.compose(h)
-
-    def cond_term(k, mu, w, j, l):
-        wh = vecs[w] + h.column(w)
-        brace = (sol.A.components[w] * eta(h.column(j))
-                 - (one - k) * g(vecs[w], phi.column(j))
-                 - g(vecs[w], hphi.column(j))
-                 + g(h.column(j), phi.apply(wh)))
-        return (brace * eta.components[l]
-                - sol.A.components[w] * g(h.column(j), vecs[l])
-                + mu * eta.components[w] * g(phih.column(j), vecs[l]))
-
-    def b_414(k, mu):
+    @cache
+    def cond_table(k, mu):
+        """The bracketed term of T4.14, indexed [w][j][l]."""
         out = []
         for w in range(dim):
+            plane = []
             for j in range(dim):
-                for l in range(dim):
-                    lhs = nabla_s[w].m[j][l]
-                    rhs = (sol.A.components[w] * ric.S.m[j][l]
-                           - two_n * k * sol.A.components[w]
-                           * g(vecs[j], vecs[l])
-                           + mu * cond_term(k, mu, w, j, l))
-                    out.append((f"(W=E{w + 1},E{j + 1},E{l + 1})",
-                                lhs - rhs))
+                brace = (a_w[w] * eta_h[j] - (one - k) * g_phi[w][j]
+                         - g_hphi[w][j] + g_h_phi_idh[j][w])
+                plane.append([brace * eta[l] - a_w[w] * g_h[j][l]
+                              + mu * eta[w] * g_phih[j][l]
+                              for l in range(dim)])
+            out.append(plane)
         return out
+
+    def b_414(k, mu):
+        cond = cond_table(k, mu)
+        return [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
+                 nabla_s[w].m[j][l]
+                 - (a_w[w] * ric.S.m[j][l] - two_n * k * a_w[w] * g[j][l]
+                    + mu * cond[w][j][l]))
+                for w in range(dim) for j in range(dim) for l in range(dim)]
     reports.append(param_check("T4.14", params, b_414, sampler, notes=note))
 
     def b_414c(k, mu):
-        return [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
-                 cond_term(k, mu, w, j, l))
+        cond = cond_table(k, mu)
+        return [(f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
                 for w in range(dim) for j in range(dim)
                 for l in range(dim)]
     reports.append(param_check(
@@ -268,40 +271,35 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
         notes=_join(note, "bracketed criterion for generalized "
                           "Ricci recurrence")))
 
+    # R(E_i,E_j)(W + hW), indexed [w][i][j][l]
+    r_idh = [riemann_on(r_table, idh.column(w)) for w in range(dim)]
+    a_phi = [sol.A(phi.column(w)) for w in range(dim)]
+    b_phi = [sol.B(phi.column(w)) for w in range(dim)]
+
     def b_417(k, mu):
         out = []
         for i in range(dim):
             for j in range(i + 1, dim):
                 for w in range(dim):
-                    ew = vecs[w]
-                    wh = ew + h.column(w)
-                    lhs = (riemann_apply(r_table, vecs[i], vecs[j], ew)
-                           + riemann_apply(r_table, vecs[i], vecs[j],
-                                           h.column(w)))
-                    gy = g(wh, vecs[j])
-                    gx = g(wh, vecs[i])
-                    kterm = (h.column(i).scale(k * gy)
-                             - h.column(j).scale(k * gx))
-                    bx = ((one - k) * g(ew, vecs[i]) - g(ew, h.column(i))
-                          + eta.components[w] * eta(h.column(i)))
-                    by = ((one - k) * g(ew, vecs[i]) - g(ew, h.column(j))
-                          + eta.components[w] * eta(h.column(j)))
-                    inner = (h.column(i).scale(gy) - h.column(j).scale(gx)
-                             + cs.xi.scale(bx * eta.components[j])
-                             - cs.xi.scale(by * eta.components[i]))
-                    aphi = a_of(phi.column(w))
-                    bphi = sol.B(phi.column(w))
-                    ax_term = (vecs[i].scale(eta.components[j])
-                               - vecs[j].scale(eta.components[i]))
-                    ah_term = (h.column(i).scale(eta.components[j])
-                               - h.column(j).scale(eta.components[i]))
-                    rhs = (kterm + inner.scale(mu)
-                           - ax_term.scale(bphi)
-                           - (ax_term.scale(k * aphi)
-                              + ah_term.scale(mu * aphi)))
-                    diff = lhs - rhs
-                    out += [(f"(E{i + 1},E{j + 1};W=E{w + 1})", c)
-                            for c in diff.components]
+                    gy = g_idh[w][j]
+                    gx = g_idh[w][i]
+                    bx = ((one - k) * g[w][i] - g_e_h[w][i]
+                          + eta[w] * eta_h[i])
+                    by = ((one - k) * g[w][i] - g_e_h[w][j]
+                          + eta[w] * eta_h[j])
+                    for l in range(dim):
+                        kterm = h.m[l][i] * (k * gy) - h.m[l][j] * (k * gx)
+                        inner = (h.m[l][i] * gy - h.m[l][j] * gx
+                                 + xi[l] * (bx * eta[j])
+                                 - xi[l] * (by * eta[i]))
+                        ax_term = ((eta[j] if l == i else ZERO)
+                                   - (eta[i] if l == j else ZERO))
+                        ah_term = h.m[l][i] * eta[j] - h.m[l][j] * eta[i]
+                        rhs = (kterm + mu * inner - b_phi[w] * ax_term
+                               - (k * a_phi[w] * ax_term
+                                  + mu * a_phi[w] * ah_term))
+                        out.append((f"(E{i + 1},E{j + 1};W=E{w + 1})",
+                                    r_idh[w][i][j][l] - rhs))
         return out
     reports.append(param_check(
         "T4.17", params, b_417, sampler,

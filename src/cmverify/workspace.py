@@ -1,10 +1,10 @@
 """The geometry of one manifold file, built lazily and once.
 
 A Workspace is the one place tensors are built.  Every suite reads the
-brackets, connection, curvature, nabla R, Ricci data, contact structure
-and h operators from it instead of rebuilding them, and each is built on
-first use, so a command builds only what its suites read: `check axioms`
-never builds R or nabla R.
+brackets, connection, curvature, nabla R, Ricci data, contact structure,
+g(E_i, phi E_j) and h operators from it instead of rebuilding them, and
+each is built on first use, so a command builds only what its suites
+read: `check axioms` never builds R or nabla R.
 """
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ from functools import cached_property
 from .contact import build_structure, compute_h, deta_tensor, h_variants
 from .curvature import (covariant_ricci_table, nabla_riemann_table, ricci,
                         riemann)
-from .frames import (compute_brackets, koszul_connection, metric_inverse,
-                     validate_frame)
+from .frames import (compute_brackets, frame_pairing, koszul_connection,
+                     metric_inverse, validate_frame)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
 from .symcore import parse_expr
@@ -87,6 +87,11 @@ class Workspace:
     @cached_property
     def cs(self):
         return build_structure(self.spec, self.parsed.decl)
+
+    @cached_property
+    def g_phi(self):
+        """g(E_i, phi E_j), indexed [i][j]."""
+        return frame_pairing(None, self.spec.metric, self.cs.phi)
 
     @cached_property
     def h_computed(self):

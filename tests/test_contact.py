@@ -5,7 +5,7 @@ import pytest
 from cmverify.contact import (InconsistentEta, axiom_suite, build_structure,
                               contact_volume, deta_tensor, h_variants,
                               lie_xi_g, phi2_project)
-from cmverify.frames import ShapeError, basis_vector
+from cmverify.frames import ShapeError, identity_tensor11
 from cmverify.specfile import parse_spec_text
 from cmverify.symcore import render
 from cmverify.workspace import Workspace
@@ -95,7 +95,7 @@ def test_xi_not_killing_under_declared_h_example(ex3):
 
 
 def test_phi2_projection(sph):
-    e1 = basis_vector(3, 0)
+    e1 = identity_tensor11(3).column(0)
     assert [render(c) for c in phi2_project(sph.cs, e1).components] \
         == ["-1", "0", "0"]
     xi = sph.cs.xi

@@ -3,8 +3,10 @@ for the bundled manifolds before any solver consumes them."""
 
 from cmverify.curvature import (covariant_ricci_table, g_tensor,
                                 g_tensor_table, riemann_apply)
-from cmverify.frames import basis_vector
+from cmverify.frames import identity_tensor11
 from cmverify.symcore import Expr, render
+
+basis = identity_tensor11(3).column
 
 
 def _nonzero_gamma(conn, dim=3):
@@ -44,7 +46,7 @@ def test_riemann_flat_baseline(flat):
 
 def test_riemann_constant_curvature_sphere(sph):
     # R(X,Y)Z = g(Y,Z)X - g(X,Z)Y at curvature one
-    vecs = [basis_vector(3, i) for i in range(3)]
+    vecs = [basis(i) for i in range(3)]
     for i in range(3):
         for j in range(3):
             for k in range(3):
@@ -55,7 +57,7 @@ def test_riemann_constant_curvature_sphere(sph):
 
 def test_riemann_apply_is_multilinear(ex3):
     y = Expr.sym("y")
-    e1, e2 = basis_vector(3, 0), basis_vector(3, 1)
+    e1, e2 = basis(0), basis(1)
     scaled = riemann_apply(ex3.r_table, e1.scale(y), e2, e1)
     plain = riemann_apply(ex3.r_table, e1, e2, e1).scale(y)
     assert (scaled - plain).is_zero
@@ -112,7 +114,7 @@ def test_covariant_ricci_frozen(ex3):
 
 
 def test_g_tensor_model(ex3):
-    e1, e2 = basis_vector(3, 0), basis_vector(3, 1)
+    e1, e2 = basis(0), basis(1)
     got = g_tensor(ex3.spec, e1, e2, e1)
     assert [render(c) for c in got.components] == ["0", "-1", "0"]
     table = g_tensor_table(ex3.spec)

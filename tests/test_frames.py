@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import pytest
 
-from cmverify.frames import (FrameDependent, VectorField, basis_vector,
+from cmverify.frames import (FrameDependent, Tensor02, Tensor11, VectorField,
                              compute_brackets, covariant_derivative_vector,
-                             frame_apply, koszul_connection, lie_bracket,
-                             lower_index, metric_pairing, validate_frame)
+                             frame_apply, frame_pairing, identity_tensor11,
+                             lie_bracket, lower_index, validate_frame)
 from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import Expr, parse_expr, render
+
+basis = identity_tensor11(3).column
 
 
 def test_bracket_mode_structure_constants(ex3):
@@ -30,14 +34,14 @@ def test_frame_apply_uses_declared_actions(ex3):
 
 def test_lie_bracket_leibniz_rule(ex3):
     # [E1, y E2] = y [E1,E2] + E1(y) E2 = E2 + E2
-    e1 = basis_vector(3, 0)
-    ye2 = basis_vector(3, 1).scale(Expr.sym("y"))
+    e1 = basis(0)
+    ye2 = basis(1).scale(Expr.sym("y"))
     got = lie_bracket(ex3.spec, e1, ye2, ex3.brackets)
     assert [render(c) for c in got.components] == ["0", "2", "0"]
 
 
 def test_lie_bracket_antisymmetry(sph):
-    e1, e2 = basis_vector(3, 0), basis_vector(3, 1)
+    e1, e2 = basis(0), basis(1)
     assert (lie_bracket(sph.spec, e1, e2, sph.brackets)
             + lie_bracket(sph.spec, e2, e1, sph.brackets)).is_zero
 
@@ -52,16 +56,16 @@ def test_koszul_bi_invariant_metric(sph):
 
 def test_koszul_metric_compatibility(ex3):
     spec, conn = ex3.spec, ex3.conn
-    vecs = [basis_vector(3, i) for i in range(3)]
+    g = spec.metric
     for k in range(3):
+        # column i of nabla_k is nabla_{E_k} E_i
+        nabla_k = Tensor11(tuple(zip(*conn.gamma[k])))
+        left = frame_pairing(nabla_k, g, None)
+        right = frame_pairing(None, g, nabla_k)
         for i in range(3):
             for j in range(3):
-                lhs = frame_apply(spec, k, metric_pairing(spec, vecs[i],
-                                                          vecs[j]))
-                di = VectorField(conn.gamma[k][i])
-                dj = VectorField(conn.gamma[k][j])
-                rhs = (metric_pairing(spec, di, vecs[j])
-                       + metric_pairing(spec, vecs[i], dj))
+                lhs = frame_apply(spec, k, g[i][j])
+                rhs = left[i][j] + right[i][j]
                 assert (lhs - rhs).is_zero
 
 
@@ -76,15 +80,15 @@ def test_koszul_torsion_free(sph):
 
 def test_covariant_derivative_leibniz(ex3):
     # nabla_{E2}(y E1) = E2(y) E1 + y nabla_{E2}E1 = -E2
-    v = basis_vector(3, 0).scale(Expr.sym("y"))
+    v = basis(0).scale(Expr.sym("y"))
     got = covariant_derivative_vector(ex3.spec, ex3.conn, 1, v)
     assert [render(c) for c in got.components] == ["0", "-1", "0"]
 
 
 def test_lower_index_identity_metric(ex3):
-    omega = lower_index(ex3.spec, basis_vector(3, 2))
+    omega = lower_index(ex3.spec, basis(2))
     assert [render(c) for c in omega.components] == ["0", "0", "1"]
-    assert omega(basis_vector(3, 2)) == Expr.const(1)
+    assert omega(basis(2)) == Expr.const(1)
 
 
 def test_metric_pairing_symmetric_bilinear():
@@ -92,8 +96,9 @@ def test_metric_pairing_symmetric_bilinear():
     syms = ps.spec.symbols()
     x = VectorField(tuple(parse_expr(s, syms) for s in ("1", "y", "0")))
     w = VectorField(tuple(parse_expr(s, syms) for s in ("x", "0", "2")))
-    assert metric_pairing(ps.spec, x, w) == metric_pairing(ps.spec, w, x)
-    assert render(metric_pairing(ps.spec, x, w)) == "x"
+    g = Tensor02(ps.spec.metric)
+    assert g.apply(x, w) == g.apply(w, x)
+    assert render(g.apply(x, w)) == "x"
 
 
 def test_validate_frame_clean_specs(ex3, sph, flat):
@@ -135,3 +140,18 @@ def test_validate_frame_warns_on_jacobi_failure():
             "bracket [E1,E2] = x E3\nact E3 : x -> 1\n")
     rep = validate_frame(parse_spec_text(text, "t").spec)
     assert any(i.name == "jacobi" for i in rep.warnings)
+
+
+def test_frame_pairing_pairs_operator_columns():
+    # asym3's phi is not g-skew and its h is not g-symmetric, so a
+    # transposed operator would change the table
+    ps = load_spec(Path(__file__).parent / "specs" / "asym3.cmspec")
+    g, phi, h = ps.spec.metric, ps.decl.phi, ps.decl.h
+    eye = identity_tensor11(3)
+    for a, b in ((h, phi), (phi, h), (None, h), (h, None), (None, None)):
+        got = frame_pairing(a, g, b)
+        for i in range(3):
+            for j in range(3):
+                x = (a or eye).column(i)
+                y = (b or eye).column(j)
+                assert got[i][j] == Tensor02(g).apply(x, y)
