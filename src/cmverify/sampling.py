@@ -50,29 +50,30 @@ class Sampler:
         self._points = out
         return out
 
-    def max_abs(self, exprs) -> float:
+    def max_abs(self, exprs) -> float | None:
         """Largest |value| over all expressions and sample points; poles at
-        individual points are skipped."""
+        individual points are skipped.  None when some expression that is
+        not identically zero has a pole at every sample point."""
         worst = 0.0
         for e in exprs:
             if isinstance(e, Expr) and e.is_zero:
                 continue
-            for bindings in self.points():
-                try:
-                    v = eval_rational(e, bindings)
-                except DomainError:
-                    continue
-                worst = max(worst, abs(float(v)))
+            values = self._abs_values(e)
+            if not values:
+                return None
+            worst = max(worst, *values)
         return worst
 
-    def min_abs(self, e) -> float:
-        """Smallest |value| over sample points (for nonvanishing checks)."""
-        best = None
+    def min_abs(self, e) -> float | None:
+        """Smallest |value| over sample points (for nonvanishing checks);
+        None when every sample point is a pole."""
+        return min(self._abs_values(e), default=None)
+
+    def _abs_values(self, e) -> list:
+        out = []
         for bindings in self.points():
             try:
-                v = eval_rational(e, bindings)
+                out.append(abs(float(eval_rational(e, bindings))))
             except DomainError:
                 continue
-            a = abs(float(v))
-            best = a if best is None else min(best, a)
-        return 0.0 if best is None else best
+        return out

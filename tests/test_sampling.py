@@ -1,0 +1,54 @@
+"""The sampler reports no value, rather than 0.0, for a residual it could
+not evaluate at any sample point."""
+
+from cmverify.contact import axiom_suite
+from cmverify.sampling import Sampler
+from cmverify.specfile import parse_spec_text
+from cmverify.symcore import Expr
+from cmverify.workspace import Workspace
+
+# The 3-dim Heisenberg frame with g33 = 1/(x - X0): eta = g(., xi) then
+# has a pole at x = X0, and so does the contact volume.
+POLE_SPEC = """\
+manifold pole3
+coords x y z
+frame-mode vector
+vector E1 = 1 dx + 2*y dz
+vector E2 = 1 dy
+vector E3 = 1 dz
+metric g11 = 1
+metric g22 = 1
+metric g33 = 1/(x - X0)
+contact xi = E3
+contact phi : E1 -> -1 E2
+contact phi : E2 -> 1 E1
+contact phi : E3 -> 0
+"""
+
+
+def _pole_spec():
+    """The spec above with X0 the x-coordinate of the one sample point."""
+    probe = parse_spec_text(POLE_SPEC.replace("X0", "0"))
+    x0 = Sampler(probe.spec, points=1).points()[0]["x"]
+    return parse_spec_text(POLE_SPEC.replace("X0", str(x0))), x0
+
+
+def test_every_point_a_pole_gives_no_value():
+    ps, x0 = _pole_spec()
+    sampler = Sampler(ps.spec, points=1)
+    pole = Expr.const(1) / (Expr.sym("x") - Expr.const(x0))
+    assert sampler.max_abs([pole]) is None
+    assert sampler.max_abs([Expr.sym("y"), pole]) is None
+    assert sampler.min_abs(pole) is None
+    # an identically zero residual needs no sample point
+    assert sampler.max_abs([Expr.const(0)]) == 0.0
+    assert sampler.max_abs([Expr.sym("y")]) > 0.0
+
+
+def test_contact_without_admissible_point_says_so():
+    ps, _ = _pole_spec()
+    report = next(r for r in axiom_suite(Workspace(ps, points=1))
+                  if r.check_id == "CONTACT")
+    assert report.verdict == "fail"
+    assert report.residual_sampled_max is None
+    assert report.notes.endswith("no admissible sample point")
