@@ -84,6 +84,20 @@ def _attach_solution(ws: Workspace, doc: ReportDocument, sol):
         doc.classification = classification_phrase(sol)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not >= 1")
+    return value
+
+
+def nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"{text} is not >= 0")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -106,8 +120,8 @@ def build_parser() -> _Parser:
         p.add_argument("--mu", metavar="EXPR", default=None,
                        help="override the nullity constant mu")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--points", type=int, default=DEFAULT_POINTS)
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--points", type=positive_int, default=DEFAULT_POINTS)
+        p.add_argument("--tol", type=nonnegative_float, default=DEFAULT_TOL)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--deta-factor", choices=("half", "one"),
                        default="half",

@@ -75,6 +75,22 @@ class TestExitCodes:
             run(["check", "nonsense", "sphere3"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize("option", [
+        ["--points", "0"], ["--points", "-3"], ["--points", "two"],
+        ["--tol", "-0.5"], ["--tol", "nan"],
+    ])
+    def test_out_of_range_sampling_option_exits_one(self, capsys, option):
+        with pytest.raises(SystemExit) as info:
+            run(["check", "axioms", "sphere3"] + option)
+        assert info.value.code == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert f"argument {option[0]}" in err
+
+    def test_smallest_sampling_options_are_accepted(self, capsys):
+        assert run(["check", "axioms", "sphere3", "--points", "1",
+                    "--tol", "0"]) == 0
+
 
 def test_negative_overrides_survive_option_parsing(capsys):
     assert run(["check", "identities", "example3d",
