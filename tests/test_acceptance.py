@@ -7,7 +7,6 @@ import _acceptance_log
 import _geometry_cases as gc
 from cmverify.cli import run as cli_run
 from cmverify.contact import axiom_suite
-from cmverify.curvature import riemann
 from cmverify.frames import FrameDependent, validate_frame
 from cmverify.nullity import extract_k_mu, identity_battery, resolve_params
 from cmverify.recurrence import (KINDS, classification_phrase,

@@ -1,0 +1,46 @@
+"""No module under src/ or tests/ imports a name it never uses.  Names
+listed in a module's `__all__` are exports, and `from __future__` imports
+are compiler directives, so neither counts as unused."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name the module never reads."""
+    tree = ast.parse(source)
+    imported, used, exported = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            exported |= {e.value for e in node.value.elts}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used and name not in exported)
+
+
+def test_unused_import_is_found():
+    src = "import os\nimport sys as system\nfrom a import b, c\nprint(c)\n"
+    assert unused_imports(src) == [(1, "os"), (2, "system"), (3, "b")]
+    assert unused_imports("from __future__ import annotations\n"
+                          "from a import b\n__all__ = ['b']\n") == []
+
+
+def test_no_unused_imports():
+    paths = sorted([*(ROOT / "src").rglob("*.py"),
+                    *(ROOT / "tests").rglob("*.py")])
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in paths
+                 for line, name in unused_imports(path.read_text())]
+    assert offenders == []

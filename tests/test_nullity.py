@@ -1,10 +1,8 @@
 """Extraction of the nullity functions and the curvature identity battery."""
 
-import pytest
-
 from cmverify.nullity import (RESERVED_NAMES, extract_k_mu,
                               extraction_report, identity_battery,
-                              param_check, resolve_params)
+                              resolve_params)
 from cmverify.symcore import parse_expr, render
 
 

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _geometry_cases as gc
-from cmverify.symcore import (DomainError, Expr, differentiate, eval_rational,
-                              evaluate, normalize, parse_expr, render,
-                              Point)
+from cmverify.symcore import (Expr, differentiate, eval_rational, evaluate,
+                              normalize, parse_expr, render, Point)
 
 SYMS = ("x", "y")
 

@@ -2,7 +2,7 @@ import json
 
 from cmverify.report import (CheckReport, ReportDocument, residual_check,
                              render_oneform)
-from cmverify.symcore import Expr, parse_expr
+from cmverify.symcore import parse_expr
 
 
 def ex(s):
