@@ -146,12 +146,12 @@ def build_parser() -> _Parser:
 
 
 def _fuse_value_flags(argv):
-    """Join --k/--mu with their value so negative expressions survive
-    option parsing."""
+    """Join --k/--mu/--tol with their value so negative values survive
+    option parsing: argparse takes "-1/y" or "-1e-9" for an option."""
     out = []
     it = iter(argv)
     for tok in it:
-        if tok in ("--k", "--mu"):
+        if tok in ("--k", "--mu", "--tol"):
             nxt = next(it, None)
             out.append(tok if nxt is None else f"{tok}={nxt}")
         else:

@@ -2,11 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from cmverify.cli import run
 from cmverify.specfile import resolve_spec_path
+
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
 
 
 def out_of(capsys):
@@ -87,9 +90,19 @@ class TestExitCodes:
         assert out == ""
         assert f"argument {option[0]}" in err
 
+    @pytest.mark.parametrize("option", [["--tol", "-1e-9"], ["--tol=-1e-9"]])
+    def test_negative_exponent_tol_is_a_range_error(self, capsys, option):
+        # argparse alone reads "-1e-9" as an option, not as a value.
+        with pytest.raises(SystemExit) as info:
+            run(["check", "axioms", "sphere3"] + option)
+        assert info.value.code == 1
+        _, err = out_of(capsys)
+        assert "argument --tol: -1e-9 is not >= 0" in err
+
     def test_smallest_sampling_options_are_accepted(self, capsys):
         assert run(["check", "axioms", "sphere3", "--points", "1",
                     "--tol", "0"]) == 0
+        assert run(["check", "axioms", "sphere3", "--tol", "1e-9"]) == 0
 
 
 def test_negative_overrides_survive_option_parsing(capsys):
@@ -168,6 +181,17 @@ class TestJson:
         run(["all", "example3d", "--format", "json", "--seed", "7"])
         third, _ = out_of(capsys)
         assert third != first  # sampling is seed-controlled
+
+    def test_byte_identical_reruns_of_a_gcd_heavy_spec(self, capsys):
+        # Most gcds of polyboth3 are decided from images at points drawn
+        # from one generator, which the second run continues.
+        argv = ["all", str(BENCH_SPECS / "polyboth3.cmspec"),
+                "--format", "json"]
+        run(argv)
+        first, _ = out_of(capsys)
+        run(argv)
+        second, _ = out_of(capsys)
+        assert first == second
 
     def test_verdicts_by_id(self, capsys):
         doc = self.doc(capsys, ["all", "example3d", "--format", "json"])
