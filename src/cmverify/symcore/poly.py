@@ -3,13 +3,40 @@ Fraction coefficients.
 
 A monomial is a tuple of (symbol, exponent) pairs sorted by symbol name,
 with every exponent positive.  The empty tuple is the constant monomial.
-Term order is graded lexicographic with symbols compared alphabetically;
-this order fixes leading terms, hence the monic scaling of denominators.
+Term order is graded lexicographic with symbols compared alphabetically:
+higher total degree first, then the higher exponent of the first symbol
+where two monomials differ.  This order fixes leading terms, hence the
+monic scaling of gcds and denominators.
+
+A `RationalFunction` is kept canonical, num/den with gcd(num, den) = 1
+and den monic, so equal functions have equal terms.  `poly_gcd` decides
+each gcd from univariate images modulo word-size primes and does exact
+work over Q only where the images show a common factor:
+
+- Coprimality certificate.  For each variable x the inputs share, every
+  other variable is evaluated at a point mod p.  A common factor of
+  positive degree in x keeps that degree in any image where the leading
+  coefficients in x survive, so when both images keep their degree and
+  their gcd mod p is 1, the true gcd has degree 0 in x.  When that holds
+  for every shared variable the gcd is a constant, an exact proof.  An
+  unlucky image (a coefficient denominator divisible by p, a leading
+  coefficient that vanishes at the point, a nontrivial image gcd) proves
+  nothing and sends the pair to the exact path.
+- Univariate inputs: the monic gcd mod several primes, combined by CRT
+  and rational reconstruction, accepted only when it divides both
+  inputs exactly.
+- Multivariate inputs with a common factor: the primitive polynomial
+  remainder sequence in the first shared variable; its content gcds go
+  through `poly_gcd` and so through the certificate.
+
+Evaluation points come from a private generator with a fixed seed, and
+every answer is unique, so results do not depend on the points drawn.
 """
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from functools import cmp_to_key
+from math import gcd, isqrt, lcm
 
 Monomial = tuple
 
@@ -74,29 +101,15 @@ def mono_degree(m: Monomial) -> int:
     return sum(e for _, e in m)
 
 
-def mono_cmp(m1: Monomial, m2: Monomial) -> int:
-    """Graded lex: total degree first, then earlier symbols with higher
-    exponents win."""
-    if m1 == m2:
-        return 0
-    d1, d2 = mono_degree(m1), mono_degree(m2)
-    if d1 != d2:
-        return 1 if d1 > d2 else -1
-    e1, e2 = dict(m1), dict(m2)
-    for name in sorted(set(e1) | set(e2)):
-        a, b = e1.get(name, 0), e2.get(name, 0)
-        if a != b:
-            return 1 if a > b else -1
-    return 0
-
-
-_MONO_KEY = cmp_to_key(mono_cmp)
+def _grlex_key(m: Monomial):
+    """Sort key under which the graded-lex leading monomial is smallest."""
+    return (-mono_degree(m), tuple([(name, -exp) for name, exp in m]))
 
 
 class Poly:
     """Immutable sparse polynomial over Q."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("terms", "_hash", "_lead")
 
     def __init__(self, terms: dict):
         self.terms = {m: c for m, c in terms.items() if c != 0}
@@ -131,13 +144,16 @@ class Poly:
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
-        m = max(self.terms, key=_MONO_KEY)
-        return m, self.terms[m]
+        try:
+            return self._lead
+        except AttributeError:  # unset until first asked for
+            m = min(self.terms, key=_grlex_key)
+            self._lead = m, self.terms[m]
+            return self._lead
 
     def sorted_terms(self):
         """Terms in descending graded-lex order."""
-        return [(m, self.terms[m]) for m in
-                sorted(self.terms, key=_MONO_KEY, reverse=True)]
+        return [(m, self.terms[m]) for m in sorted(self.terms, key=_grlex_key)]
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.terms == other.terms
@@ -300,15 +316,6 @@ def _coeffs_in(p: Poly, name: str) -> dict:
     return {e: Poly(t) for e, t in out.items()}
 
 
-def _from_coeffs(coeffs: dict, name: str) -> Poly:
-    out = {}
-    for e, cp in coeffs.items():
-        for m, c in cp.terms.items():
-            mono = mono_mul(m, ((name, e),)) if e else m
-            out[mono] = out.get(mono, _ZERO) + c
-    return Poly(out)
-
-
 def _content_in(p: Poly, name: str) -> Poly:
     coeffs = _coeffs_in(p, name)
     acc = None
@@ -346,36 +353,211 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     va, vb = a.variables(), b.variables()
     shared = va & vb
-    if not shared:
+    if not shared or _coprime_images(a, b, sorted(shared), sorted(va | vb)):
         return base
     name = min(shared)
-    if not (va - {name}) and not (vb - {name}):
-        g = _gcd_univariate(a, b, name)
+    if va == vb == {name}:
+        g = _gcd_modular(a, b, name)
     else:
         g = _gcd_recursive(a, b, name)
     return _monic(base * g)
 
 
-def _gcd_univariate(a: Poly, b: Poly, name: str) -> Poly:
-    f, g = a, b
-    if f.degree_in(name) < g.degree_in(name):
+# Moduli of the images: primes below 2^61, from 2^61 - 1 down, found as
+# needed.  Miller-Rabin with the first twelve prime bases is exact for
+# every n < 3.3 * 10^24.
+_PRIMES = [2 ** 61 - 1]
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Evaluation points of the coprimality certificate.  A private generator
+# with a fixed seed leaves the global one and the sampler's alone.
+_POINTS = random.Random(20170101)
+
+
+def _is_prime(n: int) -> bool:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for q in _MR_BASES:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(i: int) -> int:
+    """The i-th prime below 2^61, counting 2^61 - 1 as the 0th."""
+    while len(_PRIMES) <= i:
+        n = _PRIMES[-1] - 2
+        while not _is_prime(n):
+            n -= 2
+        _PRIMES.append(n)
+    return _PRIMES[i]
+
+
+def _coprime_images(a: Poly, b: Poly, shared: list, names: list) -> bool:
+    """True when images mod p prove gcd(a, b) constant: for each shared
+    variable x, both images in x keep their degree and have gcd 1 mod p.
+    False proves nothing."""
+    p = _PRIMES[0]
+    point = {name: _POINTS.randrange(1, p) for name in names}
+    for x in shared:
+        fa = _image(a, x, point, p)
+        if fa is None:
+            return False
+        fb = _image(b, x, point, p)
+        if fb is None or len(_gcd_mod(fa, fb, p)) > 1:
+            return False
+    return True
+
+
+def _image(f: Poly, x: str, point: dict, p: int):
+    """Coefficients mod p, lowest degree first, of f as a univariate in x
+    with every other variable at `point`.  None when a coefficient
+    denominator is divisible by p or the leading coefficient in x
+    vanishes at the point."""
+    coeffs: dict = {}
+    for m, c in f.terms.items():
+        v = _mod(c, p)
+        if v is None:
+            return None
+        e = 0
+        for name, k in m:
+            if name == x:
+                e = k
+            else:
+                v = v * pow(point[name], k, p) % p
+        coeffs[e] = (coeffs.get(e, 0) + v) % p
+    top = max(coeffs)
+    if not coeffs[top]:
+        return None
+    out = [0] * (top + 1)
+    for e, v in coeffs.items():
+        out[e] = v
+    return out
+
+
+def _mod(c: Fraction, p: int):
+    """c mod p, or None when p divides its denominator."""
+    den = c.denominator
+    if den == 1:
+        return c.numerator % p
+    if den % p == 0:
+        return None
+    return c.numerator * pow(den, -1, p) % p
+
+
+def _gcd_mod(f: list, g: list, p: int) -> list:
+    """Monic gcd mod p of nonzero coefficient lists, lowest degree first."""
+    if len(f) < len(g):
         f, g = g, f
-    while not g.is_zero:
-        f, g = g, _poly_rem_univ(f, g, name)
-    return _monic(f)
+    while g:
+        f, g = g, _rem_mod(f, g, p)
+    inv = pow(f[-1], -1, p)
+    return [c * inv % p for c in f]
 
 
-def _poly_rem_univ(f: Poly, g: Poly, name: str) -> Poly:
-    dg = g.degree_in(name)
-    cg = _coeffs_in(g, name)[dg].const_value()
-    while not f.is_zero:
-        df = f.degree_in(name)
-        if df < dg:
-            break
-        cf = _coeffs_in(f, name).get(df, _P_ZERO).const_value()
-        shift = Poly({((name, df - dg),) if df > dg else (): cf / cg})
-        f = f - shift * g
+def _rem_mod(f: list, g: list, p: int) -> list:
+    f = f[:]
+    dg = len(g) - 1
+    inv = pow(g[-1], -1, p)
+    while len(f) > dg:
+        q = f[-1] * inv % p
+        off = len(f) - 1 - dg
+        for i in range(dg):
+            f[off + i] = (f[off + i] - q * g[i]) % p
+        f.pop()
+        while f and not f[-1]:
+            f.pop()
     return f
+
+
+def _gcd_modular(a: Poly, b: Poly, name: str) -> Poly:
+    """Monic gcd of two polynomials in `name` alone.
+
+    Images mod primes that divide neither leading coefficient have degree
+    at least that of the true gcd; images of the least degree seen are
+    combined by CRT and each coefficient is rationally reconstructed.  A
+    candidate that divides both inputs has that degree and is monic, so
+    it is the gcd."""
+    fa, fb = _dense_int(a), _dense_int(b)
+    residues, modulus, degree = None, 1, None
+    i = 0
+    while True:
+        p = _prime(i)
+        i += 1
+        if not fa[-1] % p or not fb[-1] % p:
+            continue
+        image = _gcd_mod([c % p for c in fa], [c % p for c in fb], p)
+        if len(image) == 1:
+            return _P_ONE
+        if degree is None or len(image) - 1 < degree:
+            residues, modulus, degree = image, p, len(image) - 1
+        elif len(image) - 1 > degree:
+            continue
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [r + modulus * ((s - r) * inv % p)
+                        for r, s in zip(residues, image)]
+            modulus *= p
+        coeffs = [_rational(r, modulus) for r in residues]
+        if None in coeffs:
+            continue
+        den = lcm(*(c.denominator for c in coeffs))
+        cand = [c.numerator * (den // c.denominator) for c in coeffs]
+        if _divides(cand, fa) and _divides(cand, fb):
+            return Poly({((name, e),) if e else (): c
+                         for e, c in enumerate(coeffs)})
+
+
+def _dense_int(f: Poly) -> list:
+    """Primitive integer multiple of a univariate f, as a coefficient list
+    lowest degree first."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    out = [0] * (max(map(mono_degree, f.terms)) + 1)
+    for m, c in f.terms.items():
+        out[mono_degree(m)] = c.numerator * (den // c.denominator)
+    content = gcd(*out)
+    return [c // content for c in out]
+
+
+def _rational(r: int, m: int):
+    """n/d with n = r * d mod m and |n|, d <= sqrt(m/2), or None."""
+    bound = isqrt(m // 2)
+    r0, r1, t0, t1 = m, r, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not t1 or abs(t1) > bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _divides(g: list, f: list) -> bool:
+    """True when g divides f in Z[x]; coefficient lists lowest degree
+    first."""
+    f = f[:]
+    dg = len(g) - 1
+    for top in range(len(f) - 1, dg - 1, -1):
+        q, r = divmod(f[top], g[-1])
+        if r:
+            return False
+        if q:
+            off = top - dg
+            for i in range(dg + 1):
+                f[off + i] -= q * g[i]
+    return not any(f[:dg])
 
 
 def _gcd_recursive(a: Poly, b: Poly, name: str) -> Poly:

@@ -1,0 +1,181 @@
+"""poly_gcd and RationalFunction canonicalization against sympy.
+
+Seeded random pairs in one to four variables with Fraction coefficients,
+coprime and with a planted common factor, plus hand-built pairs on which
+an image modulo the certificate's prime is unlucky: a common factor there
+must never be reported as gcd 1."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from cmverify.symcore import poly
+from cmverify.symcore.poly import Poly, RationalFunction, poly_gcd
+
+sympy = pytest.importorskip("sympy")
+
+NAMES = ("w", "x", "y", "z")
+P = 2 ** 61 - 1  # the prime of the coprimality certificate
+
+
+def rand_poly(rng, names, max_terms, max_deg):
+    """Nonzero polynomial with up to max_terms terms."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        mono = tuple((n, e) for n in names
+                     if (e := rng.randint(0, max_deg)))
+        terms[mono] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 6))
+    return Poly(terms)
+
+
+def to_sympy(p, gens):
+    syms = dict(zip(NAMES, gens))
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[syms[n] ** e for n, e in m])
+                for m, c in p.terms.items()), sympy.Integer(0))
+
+
+def from_sympy(expr, gens):
+    out = {}
+    for exps, c in sympy.Poly(expr, *gens, domain="QQ").terms():
+        mono = tuple((n, e) for n, e in zip(NAMES, exps) if e)
+        out[mono] = Fraction(int(c.p), int(c.q))
+    return Poly(out)
+
+
+def monic(p):
+    return p.scale(1 / p.leading()[1])
+
+
+def check_against_sympy(a, b):
+    gens = sympy.symbols(NAMES)
+    sa, sb = to_sympy(a, gens), to_sympy(b, gens)
+    g = poly_gcd(a, b)
+    assert g == monic(from_sympy(sympy.gcd(sa, sb), gens))
+    assert g.leading()[1] == 1
+    num, den = sympy.fraction(sympy.cancel(sa / sb))
+    rf = RationalFunction(a, b)
+    scale = 1 / from_sympy(den, gens).leading()[1]
+    assert rf.num == from_sympy(num, gens).scale(scale)
+    assert rf.den == from_sympy(den, gens).scale(scale)
+
+
+CASES = [(seed, nvars) for nvars in (1, 2, 3, 4) for seed in range(8)]
+
+
+@pytest.mark.parametrize("seed,nvars", CASES)
+def test_random_pairs(seed, nvars):
+    rng = random.Random(1000 * nvars + seed)
+    names = NAMES[:nvars]
+    a = rand_poly(rng, names, 5, 3)
+    b = rand_poly(rng, names, 5, 3)
+    check_against_sympy(a, b)
+
+
+@pytest.mark.parametrize("seed,nvars", CASES)
+def test_planted_common_factor(seed, nvars):
+    rng = random.Random(5000 + 1000 * nvars + seed)
+    names = NAMES[:nvars]
+    f = rand_poly(rng, names, 4, 2)
+    a = f * rand_poly(rng, names, 4, 2)
+    b = f * rand_poly(rng, names, 4, 2)
+    g = poly_gcd(a, b)
+    if not f.is_const:
+        assert not g.is_const
+    check_against_sympy(a, b)
+
+
+def test_univariate_gcd_needing_several_primes():
+    # Coefficients near 2^200 need more than one 61-bit prime before the
+    # CRT image reconstructs.
+    rng = random.Random(7)
+    x = Poly.var("x")
+    big = [Fraction(rng.randrange(2 ** 200), rng.randrange(1, 2 ** 100))
+           for _ in range(4)]
+    f = sum((Poly.const(c) * x ** i for i, c in enumerate(big)), Poly({}))
+    a = f * (x ** 3 + Poly.const(Fraction(2, 3)))
+    b = f * (x ** 2 - Poly.const(5))
+    assert poly_gcd(a, b) == monic(f)
+    check_against_sympy(a, b)
+
+
+X = Poly.var("x")
+UNLUCKY_PRIME = {
+    # The gcd x + P + 1 is x + 1 mod P: the image at the first prime
+    # reconstructs to a candidate that divides neither input.
+    "wrong-candidate": ((X + Poly.const(P + 1)) * (X + Poly.const(2)),
+                        (X + Poly.const(P + 1)) * (X + Poly.const(3)),
+                        X + Poly.const(P + 1)),
+    # x + 1 and x + P + 1 are coprime but equal mod P, so the image at
+    # the first prime has too high a degree.
+    "degree-too-high": ((X + Poly.const(2)) * (X + Poly.const(1)),
+                        (X + Poly.const(2)) * (X + Poly.const(P + 1)),
+                        X + Poly.const(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNLUCKY_PRIME))
+def test_unlucky_first_prime(name):
+    a, b, g = UNLUCKY_PRIME[name]
+    assert poly_gcd(a, b) == g
+    check_against_sympy(a, b)
+
+
+def xy(*terms):
+    """Polynomial in x and y from (coefficient, exp_x, exp_y) triples."""
+    return Poly({tuple((n, e) for n, e in zip("xy", exps) if e): Fraction(c)
+                 for c, *exps in terms})
+
+
+UNLUCKY = {
+    # A coefficient denominator of exactly the prime.
+    "denominator-is-prime": (
+        xy((1, 1, 0), (Fraction(1, P), 0, 1)) * xy((1, 1, 0), (1, 0, 0)),
+        xy((1, 1, 0), (Fraction(1, P), 0, 1)) * xy((1, 1, 0), (-1, 0, 0))),
+    # Common factor P*x*y + 1: its leading coefficients in x and in y are
+    # 0 mod P, so its images are the constant 1 and only the degree drop
+    # of the inputs' images shows it.
+    "leading-coefficient-divisible-by-prime": (
+        xy((P, 1, 1), (1, 0, 0)) * xy((1, 1, 0), (1, 0, 0)),
+        xy((P, 1, 1), (1, 0, 0)) * xy((1, 1, 0), (2, 0, 0))),
+    # Common factor only as monomial content.
+    "monomial-content": (
+        xy((1, 2, 1), (1, 3, 1)) * xy((1, 0, 1), (1, 0, 0)),
+        xy((1, 1, 3), (2, 1, 4)) * xy((1, 1, 0), (3, 0, 0))),
+    "monomial-content-times-constant": (xy((4, 2, 1)), xy((6, 1, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNLUCKY))
+def test_unlucky_images_never_claim_coprime(name):
+    a, b = UNLUCKY[name]
+    assert not poly_gcd(a, b).is_const
+    check_against_sympy(a, b)
+
+
+class _Ones:
+    """Stands in for the point generator: every coordinate is 1."""
+
+    def randrange(self, lo, hi):
+        return 1
+
+
+def test_leading_coefficient_vanishing_at_the_point(monkeypatch):
+    # G = (x - 1)(y - 1) + 1 has leading coefficient y - 1 in x and x - 1
+    # in y, so at the point (1, 1) both its images are the constant 1 and
+    # the images of a and b are coprime; only their lost degree shows G.
+    monkeypatch.setattr(poly, "_POINTS", _Ones())
+    g = xy((1, 1, 1), (-1, 1, 0), (-1, 0, 1), (2, 0, 0))
+    a = g * xy((1, 1, 0), (1, 0, 1))
+    b = g * xy((1, 1, 0), (-1, 0, 1), (3, 0, 0))
+    assert poly_gcd(a, b) == g
+    check_against_sympy(a, b)
+
+
+def test_points_do_not_touch_the_global_generator():
+    state = random.getstate()
+    a = xy((1, 2, 1), (3, 0, 1), (1, 0, 0))
+    b = xy((1, 1, 2), (-1, 1, 0), (5, 0, 0))
+    assert poly_gcd(a, b) == Poly.const(1)
+    assert random.getstate() == state
