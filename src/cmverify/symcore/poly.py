@@ -9,33 +9,36 @@ where two monomials differ.  This order fixes leading terms, hence the
 monic scaling of gcds and denominators.
 
 A `RationalFunction` is kept canonical, num/den with gcd(num, den) = 1
-and den monic, so equal functions have equal terms.  `poly_gcd` decides
-each gcd from univariate images modulo word-size primes and does exact
-work over Q only where the images show a common factor:
+and den monic, so equal functions have equal terms.  `poly_gcd` splits
+off the common monomial content and then tries, in order:
 
 - Coprimality certificate.  For each variable x the inputs share, every
-  other variable is evaluated at a point mod p.  A common factor of
-  positive degree in x keeps that degree in any image where the leading
-  coefficients in x survive, so when both images keep their degree and
-  their gcd mod p is 1, the true gcd has degree 0 in x.  When that holds
-  for every shared variable the gcd is a constant, an exact proof.  An
-  unlucky image (a coefficient denominator divisible by p, a leading
-  coefficient that vanishes at the point, a nontrivial image gcd) proves
-  nothing and sends the pair to the exact path.
-- Univariate inputs: the monic gcd mod several primes, combined by CRT
-  and rational reconstruction, accepted only when it divides both
-  inputs exactly.
-- Multivariate inputs with a common factor: the primitive polynomial
-  remainder sequence in the first shared variable; its content gcds go
-  through `poly_gcd` and so through the certificate.
+  other variable is evaluated at a point mod p = 2^61 - 1.  A common
+  factor of positive degree in x keeps that degree in any image where
+  the leading coefficients in x survive, so when both images keep their
+  degree and their gcd mod p is 1, the true gcd has degree 0 in x.  When
+  that holds for every shared variable the gcd is a constant, an exact
+  proof.  An unlucky image (a coefficient denominator divisible by p, a
+  leading coefficient that vanishes at the point, a nontrivial image
+  gcd) proves nothing and sends the pair on.
+- GCDHEU (Char, Geddes & Gonnet 1989) on the integer primitive parts:
+  one variable at a time is evaluated at a large integer xi down to
+  integers, and a candidate is read off the symmetric base-xi digits of
+  the gcd of the images.  A candidate that divides both inputs over Z is
+  their gcd; after a few values of xi it gives up.
+- The primitive polynomial remainder sequence in the first shared
+  variable, whose content gcds go through `poly_gcd` again.
 
-Evaluation points come from a private generator with a fixed seed, and
-every answer is unique, so results do not depend on the points drawn.
+Exact division makes one pass over a remainder dict, with a heap of
+grlex keys for its leading term.  Evaluation points come from a private
+generator with a fixed seed, and every answer is unique, so results do
+not depend on the points drawn.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt, lcm
 
 Monomial = tuple
@@ -71,30 +74,21 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
     d1 = dict(m1)
-    out = []
-    for name, exp in m2:
-        e = min(exp, d1.get(name, 0))
-        if e > 0:
-            out.append((name, e))
-    return tuple(sorted(out))
+    return tuple((name, min(exp, d1[name])) for name, exp in m2 if name in d1)
 
 
-def mono_divides(m1: Monomial, m2: Monomial) -> bool:
-    """True when m1 divides m2."""
-    d2 = dict(m2)
-    return all(d2.get(name, 0) >= exp for name, exp in m1)
-
-
-def mono_div(m2: Monomial, m1: Monomial) -> Monomial:
-    """m2 / m1, assuming divisibility."""
+def mono_div(m2: Monomial, m1: Monomial):
+    """m2 / m1, or None when m1 does not divide m2."""
     d = dict(m2)
     for name, exp in m1:
-        rem = d[name] - exp
+        rem = d.get(name, 0) - exp
+        if rem < 0:
+            return None
         if rem:
             d[name] = rem
         else:
             del d[name]
-    return tuple(sorted(d.items()))
+    return tuple(d.items())
 
 
 def mono_degree(m: Monomial) -> int:
@@ -136,11 +130,7 @@ class Poly:
         return self.terms.get((), _ZERO)
 
     def variables(self) -> set:
-        out = set()
-        for m in self.terms:
-            for name, _ in m:
-                out.add(name)
-        return out
+        return {name for m in self.terms for name, _ in m}
 
     def leading(self):
         """(monomial, coefficient) of the graded-lex leading term."""
@@ -208,8 +198,8 @@ class Poly:
             return self
         return Poly({m: c * k for m, c in self.terms.items()})
 
-    def mul_mono(self, mono: Monomial, coef: Fraction = _ONE) -> "Poly":
-        return Poly({mono_mul(m, mono): c * coef for m, c in self.terms.items()})
+    def mul_mono(self, mono: Monomial) -> "Poly":
+        return Poly({mono_mul(m, mono): c for m, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -226,20 +216,9 @@ class Poly:
     def derivative(self, name: str) -> "Poly":
         out = {}
         for m, c in self.terms.items():
-            d = dict(m)
-            e = d.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[name]
-            else:
-                d[name] = e - 1
-            mono = tuple(sorted(d.items()))
-            s = out.get(mono, _ZERO) + c * e
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
+            mono = mono_div(m, ((name, 1),))
+            if mono is not None:  # distinct terms have distinct quotients
+                out[mono] = c * dict(m)[name]
         return Poly(out)
 
     def eval(self, bindings: dict):
@@ -257,15 +236,11 @@ class Poly:
 
     def mono_content(self) -> Monomial:
         """Greatest monomial dividing every term."""
-        it = iter(self.terms)
-        try:
-            acc = next(it)
-        except StopIteration:
-            return ()
-        for m in it:
-            acc = mono_gcd(acc, m)
+        acc = next(iter(self.terms), ())
+        for m in self.terms:
             if not acc:
                 break
+            acc = mono_gcd(acc, m)
         return acc
 
     def __repr__(self):
@@ -290,18 +265,50 @@ def poly_divexact(a: Poly, b: Poly) -> Poly:
         return _P_ZERO
     if b.is_const:
         return a.scale(1 / b.const_value())
-    mb, cb = b.leading()
-    rem = a
+    q = _quotient(a.terms, b.terms, integral=False)
+    if q is None:
+        raise ValueError("inexact polynomial division")
+    return Poly(q)
+
+
+def _quotient(a: dict, b: dict, integral: bool):
+    """Terms of a / b for nonzero term dicts, or None when b does not
+    divide a; with `integral`, also when a quotient coefficient is not an
+    integer.  One pass: the remainder is a dict updated in place, and a
+    heap of grlex keys yields its leading term, so each quotient term
+    costs O(|b| log |remainder|)."""
+    mb = min(b, key=_grlex_key)
+    cb = b[mb]
+    tail = [(m, c) for m, c in b.items() if m != mb]
+    rem = dict(a)
+    heap = [(_grlex_key(m), m) for m in rem]
+    heapify(heap)
     out = {}
-    while not rem.is_zero:
-        ma, ca = rem.leading()
-        if not mono_divides(mb, ma):
-            raise ValueError("inexact polynomial division")
-        q_m = mono_div(ma, mb)
-        q_c = ca / cb
-        out[q_m] = out.get(q_m, _ZERO) + q_c
-        rem = rem - b.mul_mono(q_m, q_c)
-    return Poly(out)
+    while heap:
+        m = heappop(heap)[1]
+        c = rem.pop(m, None)
+        if c is None:  # cancelled after it was queued
+            continue
+        qm = mono_div(m, mb)
+        if qm is None:
+            return None
+        if integral:
+            qc, r = divmod(c, cb)
+            if r:
+                return None
+        else:
+            qc = c / cb
+        out[qm] = qc
+        for mt, ct in tail:
+            t = mono_mul(mt, qm)
+            if t not in rem:
+                heappush(heap, (_grlex_key(t), t))
+            s = rem.get(t, 0) - qc * ct
+            if s:
+                rem[t] = s
+            else:
+                del rem[t]
+    return out
 
 
 def _coeffs_in(p: Poly, name: str) -> dict:
@@ -355,19 +362,16 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     shared = va & vb
     if not shared or _coprime_images(a, b, sorted(shared), sorted(va | vb)):
         return base
-    name = min(shared)
-    if va == vb == {name}:
-        g = _gcd_modular(a, b, name)
+    g = _gcd_heuristic(_integral(a), _integral(b))
+    if g is None:
+        g = _gcd_recursive(a, b, min(shared))
     else:
-        g = _gcd_recursive(a, b, name)
+        g = Poly({m: Fraction(c) for m, c in g.items()})
     return _monic(base * g)
 
 
-# Moduli of the images: primes below 2^61, from 2^61 - 1 down, found as
-# needed.  Miller-Rabin with the first twelve prime bases is exact for
-# every n < 3.3 * 10^24.
-_PRIMES = [2 ** 61 - 1]
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The modulus of the images.
+_P = 2 ** 61 - 1
 
 # Evaluation points of the coprimality certificate.  A private generator
 # with a fixed seed leaves the global one and the sampler's alone.
@@ -409,7 +413,7 @@ def _coprime_images(a: Poly, b: Poly, shared: list, names: list) -> bool:
     """True when images mod p prove gcd(a, b) constant: for each shared
     variable x, both images in x keep their degree and have gcd 1 mod p.
     False proves nothing."""
-    p = _PRIMES[0]
+    p = _P
     point = {name: _POINTS.randrange(1, p) for name in names}
     for x in shared:
         fa = _image(a, x, point, p)
@@ -482,82 +486,79 @@ def _rem_mod(f: list, g: list, p: int) -> list:
     return f
 
 
-def _gcd_modular(a: Poly, b: Poly, name: str) -> Poly:
-    """Monic gcd of two polynomials in `name` alone.
-
-    Images mod primes that divide neither leading coefficient have degree
-    at least that of the true gcd; images of the least degree seen are
-    combined by CRT and each coefficient is rationally reconstructed.  A
-    candidate that divides both inputs has that degree and is monic, so
-    it is the gcd."""
-    fa, fb = _dense_int(a), _dense_int(b)
-    residues, modulus, degree = None, 1, None
-    i = 0
-    while True:
-        p = _prime(i)
-        i += 1
-        if not fa[-1] % p or not fb[-1] % p:
-            continue
-        image = _gcd_mod([c % p for c in fa], [c % p for c in fb], p)
-        if len(image) == 1:
-            return _P_ONE
-        if degree is None or len(image) - 1 < degree:
-            residues, modulus, degree = image, p, len(image) - 1
-        elif len(image) - 1 > degree:
-            continue
-        else:
-            inv = pow(modulus, -1, p)
-            residues = [r + modulus * ((s - r) * inv % p)
-                        for r, s in zip(residues, image)]
-            modulus *= p
-        coeffs = [_rational(r, modulus) for r in residues]
-        if None in coeffs:
-            continue
-        den = lcm(*(c.denominator for c in coeffs))
-        cand = [c.numerator * (den // c.denominator) for c in coeffs]
-        if _divides(cand, fa) and _divides(cand, fb):
-            return Poly({((name, e),) if e else (): c
-                         for e, c in enumerate(coeffs)})
-
-
-def _dense_int(f: Poly) -> list:
-    """Primitive integer multiple of a univariate f, as a coefficient list
-    lowest degree first."""
+def _integral(f: Poly) -> dict:
+    """Terms of an integer multiple of f."""
     den = lcm(*(c.denominator for c in f.terms.values()))
-    out = [0] * (max(map(mono_degree, f.terms)) + 1)
-    for m, c in f.terms.items():
-        out[mono_degree(m)] = c.numerator * (den // c.denominator)
-    content = gcd(*out)
-    return [c // content for c in out]
+    return {m: c.numerator * (den // c.denominator)
+            for m, c in f.terms.items()}
 
 
-def _rational(r: int, m: int):
-    """n/d with n = r * d mod m and |n|, d <= sqrt(m/2), or None."""
-    bound = isqrt(m // 2)
-    r0, r1, t0, t1 = m, r, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if not t1 or abs(t1) > bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
+# Evaluation points GCDHEU tries per level before it gives up.
+_HEU_TRIES = 6
 
 
-def _divides(g: list, f: list) -> bool:
-    """True when g divides f in Z[x]; coefficient lists lowest degree
-    first."""
-    f = f[:]
-    dg = len(g) - 1
-    for top in range(len(f) - 1, dg - 1, -1):
-        q, r = divmod(f[top], g[-1])
-        if r:
-            return False
-        if q:
-            off = top - dg
-            for i in range(dg + 1):
-                f[off + i] -= q * g[i]
-    return not any(f[:dg])
+def _gcd_heuristic(f: dict, g: dict):
+    """gcd over Z of nonzero integer term dicts by GCDHEU (Char, Geddes &
+    Gonnet 1989), up to sign; None when it gives up.
+
+    The common integer content is split off and multiplied back into the
+    result.  The first variable is evaluated at an integer
+    xi > 2 min(|f|, |g|) + 2, the gcd of the two images is found
+    recursively, and a candidate is read off from its symmetric base-xi
+    digits.  A primitive candidate that divides both primitive parts is
+    their gcd (the theorem needs only that bound on xi); otherwise xi
+    grows and the next one is tried."""
+    cf, cg = gcd(*f.values()), gcd(*g.values())
+    content = gcd(cf, cg)
+    f = {m: c // cf for m, c in f.items()}
+    g = {m: c // cg for m, c in g.items()}
+    if () in f and len(f) == 1 or () in g and len(g) == 1:
+        return {(): content}
+    x = min(name for m in (*f, *g) for name, _ in m)
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(_HEU_TRIES):
+        ff, gg = _evaluate(f, x, xi), _evaluate(g, x, xi)
+        if ff and gg:
+            h = _gcd_heuristic(ff, gg)
+            if h is None:
+                return None
+            h = _interpolate(h, x, xi)
+            ch = gcd(*h.values())
+            h = {m: c // ch for m, c in h.items()}
+            if (_quotient(f, h, integral=True) is not None
+                    and _quotient(g, h, integral=True) is not None):
+                return {m: c * content for m, c in h.items()}
+        xi = 73794 * xi * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _evaluate(f: dict, x: str, xi: int) -> dict:
+    """Terms of f with x set to xi."""
+    out: dict = {}
+    for m, c in f.items():
+        d = dict(m)
+        e = d.pop(x, 0)
+        m = tuple(d.items())
+        out[m] = out.get(m, 0) + c * xi ** e
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(h: dict, x: str, xi: int) -> dict:
+    """The polynomial in x whose coefficients, in symmetric base-xi
+    digits, read off h: each coefficient c becomes sum(d_e x^e) with
+    c = sum(d_e xi^e) and |d_e| <= xi/2."""
+    out = {}
+    for m, c in h.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > xi // 2:
+                d -= xi
+            if d:
+                out[tuple(sorted((*m, (x, e)))) if e else m] = d
+            c = (c - d) // xi
+            e += 1
+    return out
 
 
 def _gcd_recursive(a: Poly, b: Poly, name: str) -> Poly:
@@ -606,15 +607,11 @@ class RationalFunction:
         if num.is_zero:
             self.num, self.den = _P_ZERO, _P_ONE
             return
-        if not reduced:
-            if den.is_const:
-                num = num.scale(1 / den.const_value())
-                den = _P_ONE
-            else:
-                g = poly_gcd(num, den)
-                if not (g.is_const and g.const_value() == 1):
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
+        if not reduced and not den.is_const:
+            g = poly_gcd(num, den)
+            if not g.is_const:
+                num = poly_divexact(num, g)
+                den = poly_divexact(den, g)
         if not den.is_const:
             _, lc = den.leading()
             if lc != 1:
@@ -681,7 +678,7 @@ class RationalFunction:
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return self * RationalFunction(other.den, other.num)
+        return self * RationalFunction(other.den, other.num, reduced=True)
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n == 0:
@@ -689,7 +686,8 @@ class RationalFunction:
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("zero to a negative power")
-            return RationalFunction(self.den ** -n, self.num ** -n)
+            return RationalFunction(self.den ** -n, self.num ** -n,
+                                    reduced=True)
         return RationalFunction(self.num ** n, self.den ** n, reduced=True)
 
     def derivative(self, name: str) -> "RationalFunction":
@@ -711,7 +709,7 @@ def _cancel(num: Poly, den: Poly):
     if den.is_const or num.is_zero:
         return num, den
     g = poly_gcd(num, den)
-    if g.is_const and g.const_value() == 1:
+    if g.is_const:
         return num, den
     return poly_divexact(num, g), poly_divexact(den, g)
 

@@ -70,7 +70,7 @@ def compatibility_residuals(spec, conn):
     return out
 
 
-def _lowered(spec, r_table, i, j, k, l):
+def lowered(spec, r_table, i, j, k, l):
     return esum(r_table[i][j][k][m] * spec.metric[m][l]
                 for m in range(DIM))
 
@@ -82,14 +82,14 @@ def antisymmetry_residuals(spec, r_table):
         for j in range(i + 1, DIM):
             for k in range(DIM):
                 for l in range(k, DIM):
-                    out.append(_lowered(spec, r_table, i, j, k, l)
-                               + _lowered(spec, r_table, i, j, l, k))
+                    out.append(lowered(spec, r_table, i, j, k, l)
+                               + lowered(spec, r_table, i, j, l, k))
     for i in range(DIM):
         for j in range(i + 1, DIM):
             for k in range(DIM):
                 for l in range(k + 1, DIM):
-                    out.append(_lowered(spec, r_table, i, j, k, l)
-                               - _lowered(spec, r_table, k, l, i, j))
+                    out.append(lowered(spec, r_table, i, j, k, l)
+                               - lowered(spec, r_table, k, l, i, j))
     return out
 
 

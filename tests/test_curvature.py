@@ -1,10 +1,18 @@
 """Connection and curvature tables are frozen against hand-derived values
 for the bundled manifolds before any solver consumes them."""
 
+from pathlib import Path
+
+import _geometry_cases as gc
 from cmverify.curvature import (covariant_ricci_table, g_tensor,
                                 g_tensor_table, riemann_apply)
 from cmverify.frames import identity_tensor11
+from cmverify.specfile import load_spec
 from cmverify.symcore import Expr, render
+from cmverify.workspace import Workspace
+
+CONF3 = (Path(__file__).resolve().parent.parent / "bench" / "specs"
+         / "conf3.cmspec")
 
 basis = identity_tensor11(3).column
 
@@ -119,3 +127,20 @@ def test_g_tensor_model(ex3):
     assert [render(c) for c in got.components] == ["0", "-1", "0"]
     table = g_tensor_table(ex3.spec)
     assert (riemann_apply(table, e1, e2, e1) - got).is_zero
+
+
+def test_conf3_riemann_identities():
+    # conf3 has a polynomial frame, a non-orthonormal polynomial metric and
+    # a parameter.  Its R table is built skew in the first pair; skewness
+    # of the lowered R in the last pair, the first Bianchi identity and
+    # pair symmetry hold only if the connection and the kernel are exact.
+    ws = Workspace(load_spec(CONF3))
+    rt = ws.r_table
+    lowered = {(i, j, k, l): gc.lowered(ws.spec, rt, i, j, k, l)
+               for i in range(3) for j in range(3)
+               for k in range(3) for l in range(3)}
+    assert any(not v.is_zero for v in lowered.values())
+    for (i, j, k, l), v in lowered.items():
+        assert (v + lowered[i, j, l, k]).is_zero, ("last pair", i, j, k, l)
+        assert (v - lowered[k, l, i, j]).is_zero, ("pair symmetry", i, j, k, l)
+    assert all(e.is_zero for e in gc.first_bianchi_residuals(rt))

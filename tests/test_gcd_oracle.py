@@ -7,11 +7,13 @@ must never be reported as gcd 1."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from cmverify.symcore import poly
-from cmverify.symcore.poly import Poly, RationalFunction, poly_gcd
+from cmverify.symcore.poly import (Poly, RationalFunction, poly_divexact,
+                                   poly_gcd)
 
 sympy = pytest.importorskip("sympy")
 
@@ -179,3 +181,113 @@ def test_points_do_not_touch_the_global_generator():
     b = xy((1, 1, 2), (-1, 1, 0), (5, 0, 0))
     assert poly_gcd(a, b) == Poly.const(1)
     assert random.getstate() == state
+
+
+# GCDHEU: integer primitive parts, one variable at a time evaluated at a
+# point xi, the gcd of the images found recursively and read back from
+# its base-xi digits, accepted only when it divides both inputs.
+
+@pytest.fixture
+def prs_calls(monkeypatch):
+    """Records the inputs of every fallback to the remainder sequence."""
+    calls = []
+    prs = poly._gcd_recursive
+
+    def recording(a, b, name):
+        calls.append((a, b))
+        return prs(a, b, name)
+
+    monkeypatch.setattr(poly, "_gcd_recursive", recording)
+    return calls
+
+
+def xyz(*terms):
+    """Polynomial in x, y and z from (coefficient, exp_x, exp_y, exp_z)
+    tuples."""
+    return Poly({tuple((n, e) for n, e in zip("xyz", exps) if e): Fraction(c)
+                 for c, *exps in terms})
+
+
+def int_poly(rng, names, max_terms, max_deg, bits=4):
+    """Nonzero polynomial with integer coefficients below 2^bits and
+    monomials of total degree at most max_deg."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = dict.fromkeys(names, 0)
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.choice(names)] += 1
+        mono = tuple((n, e) for n, e in exps.items() if e)
+        terms[mono] = Fraction(rng.randrange(-2 ** bits, 2 ** bits) or 1)
+    return Poly(terms)
+
+
+def test_images_sharing_an_integer_content(monkeypatch, prs_calls):
+    # The planted factor x^2 y + x y + 2z + 2 has even images for every
+    # integer x, so once x is evaluated the images share the content 2
+    # whatever xi is.  The gcd of the images must carry it: the digits of
+    # half an image read off a polynomial that divides nothing.
+    rng = random.Random(116)
+    f = xyz((1, 2, 1, 0), (1, 1, 1, 0), (2, 0, 0, 1), (2, 0, 0, 0))
+    a, b = (f * int_poly(rng, NAMES[1:], 3, 2) for _ in range(2))
+    contents = []
+    heuristic = poly._gcd_heuristic
+
+    def recording(f, g):
+        if any(m for m in (*f, *g)):
+            contents.append(gcd(*f.values(), *g.values()))
+        return heuristic(f, g)
+
+    monkeypatch.setattr(poly, "_gcd_heuristic", recording)
+    poly_divexact(poly_gcd(a, b), f)  # ValueError unless f divides the gcd
+    assert contents[1] % 2 == 0
+    check_against_sympy(a, b)
+    assert prs_calls == []
+
+
+def test_first_xi_fails_trial_division(monkeypatch, prs_calls):
+    # Seeded univariate pair with planted factor 3w + 14: gcd(a(xi),
+    # b(xi)) at the first xi has a spurious integer factor, so the first
+    # candidate divides neither input and a second xi is needed.
+    rng = random.Random(73)
+    f = int_poly(rng, NAMES[:1], 3, 3)
+    a, b = (f * int_poly(rng, NAMES[:1], 3, 3) for _ in range(2))
+    points = []
+    interpolate = poly._interpolate
+
+    def recording(h, x, xi):
+        points.append(xi)
+        return interpolate(h, x, xi)
+
+    monkeypatch.setattr(poly, "_interpolate", recording)
+    assert poly_gcd(a, b) == monic(f)
+    assert len(points) == 2 and points[0] < points[1]
+    check_against_sympy(a, b)
+    assert prs_calls == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_four_variables_with_large_coefficients(seed, prs_calls):
+    # Degree up to 6 in four variables, coefficients near 2^100.
+    rng = random.Random(seed)
+    f, u, v = (int_poly(rng, NAMES, 5, 6, bits=100) for _ in range(3))
+    a, b = f * u, f * v
+    poly_divexact(poly_gcd(a, b), f)  # ValueError unless f divides the gcd
+    check_against_sympy(a, b)
+    assert prs_calls == []
+
+
+@pytest.mark.parametrize("seed,nvars", CASES)
+def test_remainder_sequence_when_heuristic_gives_up(seed, nvars, monkeypatch,
+                                                    prs_calls):
+    # With no evaluation point to try, every planted case that the
+    # images do not prove coprime goes through the remainder sequence;
+    # a gcd with more than one term is never a monomial content.
+    monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+    rng = random.Random(5000 + 1000 * nvars + seed)
+    names = NAMES[:nvars]
+    f = rand_poly(rng, names, 4, 2)
+    a = f * rand_poly(rng, names, 4, 2)
+    b = f * rand_poly(rng, names, 4, 2)
+    check_against_sympy(a, b)
+    if len(poly_gcd(a, b).terms) > 1:
+        assert prs_calls

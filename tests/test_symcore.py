@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from cmverify.symcore import (DivisionByZeroExpr, DomainError, Expr,
                               differentiate, esum, eval_rational, evaluate,
                               normalize, parse_expr, render, substitute,
                               tokenize)
+from cmverify.symcore.poly import Poly, poly_divexact
 
 SYMS = {"x", "y", "z"}
 
@@ -157,3 +159,52 @@ def test_expr_constructors():
     assert Expr.const(Fraction(3, 2)) == ex("3/2")
     assert Expr.sym("x") == ex("x")
     assert (Expr.sym("x") ** 3) == ex("x^3")
+
+
+def _seeded_poly(rng, terms, max_deg):
+    """Polynomial in x, y, z with up to `terms` terms and small Fraction
+    coefficients."""
+    out = {}
+    for _ in range(terms):
+        mono = tuple((n, e) for n in ("x", "y", "z")
+                     if (e := rng.randint(0, max_deg)))
+        out[mono] = Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 4))
+    return Poly(out)
+
+
+class TestDivexact:
+    X = Poly.var("x")
+    ONE = Poly.const(1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_products_give_back_their_cofactor(self, seed):
+        rng = random.Random(seed)
+        a = _seeded_poly(rng, 20, 5)
+        b = _seeded_poly(rng, 20, 5)
+        product = a * b
+        assert len(product.terms) > 100
+        assert poly_divexact(product, b) == a
+        assert poly_divexact(product, a) == b
+
+    def test_leading_monomial_not_divisible(self):
+        y = Poly.var("y")
+        with pytest.raises(ValueError):
+            poly_divexact(self.X * self.X + y, y * y + self.X)
+
+    def test_nonzero_remainder(self):
+        # x^2 + 1 = (x - 1)(x + 1) + 2: every step divides, the
+        # remainder 2 does not.
+        with pytest.raises(ValueError):
+            poly_divexact(self.X * self.X + self.ONE, self.X + self.ONE)
+
+    def test_constant_divisor(self):
+        p = self.X * self.X + Poly.const(3)
+        assert poly_divexact(p, Poly.const(Fraction(3, 2))) \
+            == p.scale(Fraction(2, 3))
+
+    def test_zero_dividend(self):
+        assert poly_divexact(Poly({}), self.X + self.ONE).is_zero
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            poly_divexact(self.X, Poly({}))
