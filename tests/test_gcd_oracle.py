@@ -201,13 +201,6 @@ def prs_calls(monkeypatch):
     return calls
 
 
-def xyz(*terms):
-    """Polynomial in x, y and z from (coefficient, exp_x, exp_y, exp_z)
-    tuples."""
-    return Poly({tuple((n, e) for n, e in zip("xyz", exps) if e): Fraction(c)
-                 for c, *exps in terms})
-
-
 def int_poly(rng, names, max_terms, max_deg, bits=4):
     """Nonzero polynomial with integer coefficients below 2^bits and
     monomials of total degree at most max_deg."""
@@ -227,7 +220,8 @@ def test_images_sharing_an_integer_content(monkeypatch, prs_calls):
     # whatever xi is.  The gcd of the images must carry it: the digits of
     # half an image read off a polynomial that divides nothing.
     rng = random.Random(116)
-    f = xyz((1, 2, 1, 0), (1, 1, 1, 0), (2, 0, 0, 1), (2, 0, 0, 0))
+    x, y, z = map(Poly.var, "xyz")
+    f = x * x * y + x * y + Poly.const(2) * (z + Poly.const(1))
     a, b = (f * int_poly(rng, NAMES[1:], 3, 2) for _ in range(2))
     contents = []
     heuristic = poly._gcd_heuristic
