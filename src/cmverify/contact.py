@@ -120,7 +120,7 @@ def deta_tensor(spec: FrameSpec, cs: ContactStructure, brackets,
     f = Expr.const(factor)
     m = [[None] * dim for _ in range(dim)]
     for i in range(dim):
-        m[i][i] = Expr.const(0)
+        m[i][i] = ZERO
     for i in range(dim):
         for j in range(i + 1, dim):
             br = VectorField(brackets[i][j])
@@ -151,10 +151,10 @@ def phi2_project(cs: ContactStructure, v: VectorField) -> VectorField:
 
 def _pfaffian(m, rows):
     if not rows:
-        return Expr.const(1)
+        return ONE
     i = rows[0]
     rest = rows[1:]
-    acc = Expr.const(0)
+    acc = ZERO
     for pos, j in enumerate(rest):
         entry = m[i][j]
         if entry.is_zero:
@@ -170,7 +170,7 @@ def contact_volume(cs: ContactStructure, deta: Tensor02) -> Expr:
     """eta wedge (d eta)^n evaluated on the frame, up to the constant n!
     factor: sum_i (-1)^(i-1) eta_i Pf(deta with row/col i removed)."""
     dim = cs.dim
-    acc = Expr.const(0)
+    acc = ZERO
     for i in range(dim):
         e = cs.eta.components[i]
         if e.is_zero:

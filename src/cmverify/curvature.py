@@ -11,9 +11,7 @@ from functools import partial
 from .frames import (Connection, FrameSpec, Tensor02, Tensor11, VectorField,
                      covariant_derivative_tensor02,
                      covariant_derivative_vector, dot)
-from .symcore import Expr, esum
-
-ZERO = Expr.const(0)
+from .symcore import ZERO, Expr, esum
 
 
 def _skew_planes(dim: int, plane):

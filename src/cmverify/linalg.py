@@ -3,10 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symcore import Expr, render
-
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
+from .symcore import ONE, ZERO, Expr, render
 
 
 class SingularMatrix(ValueError):

@@ -21,7 +21,7 @@ from .frames import (
 )
 from .linalg import solve_two_unknowns
 from .report import FAIL, NEEDS_INPUT, PASS, CheckReport, residual_check
-from .symcore import ZERO, Expr
+from .symcore import ONE, ZERO, Expr
 
 K_NAME = "k"
 MU_NAME = "mu"
@@ -154,7 +154,6 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
     g = spec.metric
     xi, eta = cs.xi.components, cs.eta.components
     phi = cs.phi
-    one = Expr.const(1)
     idh = identity_tensor11(dim) + h            # X -> X + hX
     hphi = h.compose(phi)
     phih = phi.compose(h)
@@ -178,7 +177,7 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
 
     def b_32(k, mu):
         lhs = h.compose(h)
-        rhs = phi.compose(phi).scale(k - one)
+        rhs = phi.compose(phi).scale(k - ONE)
         diff = lhs - rhs
         return [(f"(E{i + 1},E{j + 1})", diff.m[i][j])
                 for i in range(dim) for j in range(dim)]
@@ -201,7 +200,7 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
         for i in range(dim):
             nabla_h = covariant_derivative_tensor11(spec, conn, i, h)
             for j in range(dim):
-                coef = (one - k) * g_phi[i][j] + g_hphi[i][j]
+                coef = (ONE - k) * g_phi[i][j] + g_hphi[i][j]
                 rhs = (cs.xi.scale(coef)
                        + h_phi_idh.column(i).scale(eta[j])
                        - phih.column(j).scale(mu * eta[i]))
@@ -222,7 +221,7 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
                 c_xi = k * g[i][j] + mu * g_h[i][j]
                 out += [(f"(E{i + 1},E{j + 1})", r_of_xi[i][j][l]
                          - (c_xi * xi[l] - eta[j]
-                            * (k * (one if l == i else ZERO)
+                            * (k * (ONE if l == i else ZERO)
                                + mu * h.m[l][i])))
                         for l in range(dim)]
         return out
@@ -309,8 +308,8 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
                         continue
                     a_y = g_idh_phi[w][j]
                     a_x = g_idh_phi[w][i]
-                    cx = (one - k) * g_phi[w][i] + g_hphi[w][i]
-                    cy = (one - k) * g_phi[w][j] + g_hphi[w][j]
+                    cx = (ONE - k) * g_phi[w][i] + g_hphi[w][i]
+                    cy = (ONE - k) * g_phi[w][j] + g_hphi[w][j]
                     for l in range(dim):
                         inner = (a_y * h.m[l][i] - a_x * h.m[l][j]
                                  + (cx * eta[j] - cy * eta[i]) * xi[l]

@@ -26,7 +26,7 @@ from .frames import (
 from .linalg import solve_two_unknowns
 from .nullity import NullityParams, param_check
 from .report import DEGENERATE, FAIL, PASS, CheckReport, residual_check
-from .symcore import ZERO, Expr, esum, parse_expr
+from .symcore import ONE, ZERO, Expr, esum, parse_expr
 
 KINDS = ("full", "ricci", "phi")
 
@@ -107,16 +107,14 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
             lhs_zero = False
         sol = solve_two_unknowns(rows) if rows else None
         if sol is None:
-            a_comps.append(Expr.const(0))
-            b_comps.append(Expr.const(0))
+            a_comps.append(ZERO)
+            b_comps.append(ZERO)
             dirs.append(DirectionResult("underdetermined",
-                                        "alpha free, beta free",
-                                        Expr.const(0)))
+                                        "alpha free, beta free", ZERO))
             continue
         a_comps.append(sol.alpha)
         b_comps.append(sol.beta)
-        worst = next((r for r in sol.residuals if not r.is_zero),
-                     Expr.const(0))
+        worst = next((r for r in sol.residuals if not r.is_zero), ZERO)
         dirs.append(DirectionResult(sol.status, sol.kernel, worst))
     a_form = OneForm(tuple(a_comps))
     b_form = OneForm(tuple(b_comps))
@@ -204,7 +202,6 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
     g_phih = frame_pairing(phih, g, None)       # g(phi h E_i, E_j)
     note = f"h = {h_label}" if h_label else ""
     two_n = Expr.const(2 * n)
-    one = Expr.const(1)
     two = Expr.const(2)
     reports = []
 
@@ -221,7 +218,7 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
                 lhs = k * ric.S.m[j][w]
                 rhs = (two_n * k * k * g[j][w]
                        + two * k * c2 * g_h[j][w]
-                       - two * (k - one) * c2 * eta[w] * eta_h[j])
+                       - two * (k - ONE) * c2 * eta[w] * eta_h[j])
                 out.append((f"(Y=E{j + 1},W=E{w + 1})", lhs - rhs))
         return out
     reports.append(param_check(
@@ -244,7 +241,7 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
         for w in range(dim):
             plane = []
             for j in range(dim):
-                brace = (a_w[w] * eta_h[j] - (one - k) * g_phi[w][j]
+                brace = (a_w[w] * eta_h[j] - (ONE - k) * g_phi[w][j]
                          - g_hphi[w][j] + g_h_phi_idh[j][w])
                 plane.append([brace * eta[l] - a_w[w] * g_h[j][l]
                               + mu * eta[w] * g_phih[j][l]
@@ -283,9 +280,9 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
                 for w in range(dim):
                     gy = g_idh[w][j]
                     gx = g_idh[w][i]
-                    bx = ((one - k) * g[w][i] - g_e_h[w][i]
+                    bx = ((ONE - k) * g[w][i] - g_e_h[w][i]
                           + eta[w] * eta_h[i])
-                    by = ((one - k) * g[w][i] - g_e_h[w][j]
+                    by = ((ONE - k) * g[w][i] - g_e_h[w][j]
                           + eta[w] * eta_h[j])
                     for l in range(dim):
                         kterm = h.m[l][i] * (k * gy) - h.m[l][j] * (k * gx)
@@ -380,7 +377,7 @@ def example_pipeline(ws) -> list:
         if step == "5.3":
             expect = [ex(s) for s in _EXPECTED["5.3"]]
         else:
-            expect = [Expr.const(0)] * 3
+            expect = [ZERO] * 3
         reports.append(residual_check(
             f"PIPE-{step}",
             [(f"E{l + 1}", dv.components[l] - expect[l]) for l in range(3)],
@@ -451,8 +448,8 @@ def example_pipeline(ws) -> list:
             "PIPE-5.9", "needs-input", "", None,
             "quotient solution for A and B unavailable"))
         return reports
-    a_vals = [a1_val, Expr.const(0), Expr.const(0)]
-    b_vals = [b1_val, Expr.const(0), Expr.const(0)]
+    a_vals = [a1_val, ZERO, ZERO]
+    b_vals = [b1_val, ZERO, ZERO]
     res = []
     for w, pr in enumerate(projected):
         diff = pr - u.scale(a_vals[w]) - v.scale(b_vals[w])

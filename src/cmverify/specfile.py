@@ -43,6 +43,9 @@ from .frames import (
 )
 from .nullity import RESERVED_NAMES
 from .symcore import (
+    ONE,
+    ZERO,
+    DivisionByZeroExpr,
     Expr,
     ExprSyntaxError,
     UnknownSymbol,
@@ -108,11 +111,10 @@ class _Loader:
             toks = tokenize(fragment)
             if not toks:
                 self.err("missing expression", line_no, col0 + 1)
-            node = parse_tokens(toks, self.symbols, len(fragment))
-            return Expr.from_node(node)
+            return parse_tokens(toks, self.symbols, len(fragment))
         except ExprSyntaxError as e:
             self.err(str(e), line_no, col0 + e.position + 1)
-        except UnknownSymbol as e:
+        except (UnknownSymbol, DivisionByZeroExpr) as e:
             self.err(str(e), line_no, col0 + 1)
 
     def parse_terms(self, fragment, markers, line_no, col0):
@@ -146,16 +148,15 @@ class _Loader:
                     self.err(f"repeated term {value}", line_no,
                              col0 + pos + 1)
                 if not coef:
-                    coef_expr = Expr.const(1)
+                    coef_expr = ONE
                 elif len(coef) == 1 and coef[0][:2] == ("op", "-"):
                     coef_expr = Expr.const(-1)
                 else:
                     try:
-                        coef_expr = Expr.from_node(
-                            parse_tokens(coef, self.symbols, pos))
+                        coef_expr = parse_tokens(coef, self.symbols, pos)
                     except ExprSyntaxError as e:
                         self.err(str(e), line_no, col0 + e.position + 1)
-                    except UnknownSymbol as e:
+                    except (UnknownSymbol, DivisionByZeroExpr) as e:
                         self.err(str(e), line_no, col0 + coef[0][2] + 1)
                 out.append((value, coef_expr))
                 coef = []
@@ -253,7 +254,6 @@ class _Loader:
                          f"for coordinate {c!r}")
         self.symbols = set(self.coords) | set(self.params)
         dim = len(self.coords)
-        zero = Expr.const(0)
 
         vec_rows: dict = {}
         brackets: dict = {}
@@ -287,7 +287,7 @@ class _Loader:
                     self.err(f"duplicate vector line for E{i + 1}", line_no)
                 terms = self.parse_terms(m.group(2), d_markers, line_no,
                                          m.start(2))
-                row = [zero] * dim
+                row = [ZERO] * dim
                 for marker, coef in terms:
                     row[d_markers[marker]] = coef
                 vec_rows[i] = tuple(row)
@@ -305,14 +305,14 @@ class _Loader:
                 if not (0 <= i < dim and 0 <= j < dim):
                     self.err("bracket frame index out of range", line_no)
                 if i == j:
-                    self.err("bracket of a field with itself is zero",
+                    self.err("bracket of a field with itself is ZERO",
                              line_no)
                 if (i, j) in brackets or (j, i) in brackets:
                     self.err(f"duplicate bracket for [E{i + 1},E{j + 1}]",
                              line_no)
                 terms = self.parse_terms(m.group(2), e_markers, line_no,
                                          m.start(2))
-                row = [zero] * dim
+                row = [ZERO] * dim
                 for marker, coef in terms:
                     row[e_markers[marker]] = coef
                 brackets[(i, j)] = tuple(row)
@@ -373,7 +373,7 @@ class _Loader:
                     i = self.frame_index(m.group(1), line_no,
                                          body.find(m.group(1)) + 1)
                     xi = VectorField(tuple(
-                        Expr.const(1) if w == i else zero
+                        ONE if w == i else ZERO
                         for w in range(dim)))
                 elif sub in ("phi", "h"):
                     m = re.match(r"^contact\s+(?:phi|h)\s*:\s*(\S+)\s*->"
@@ -389,7 +389,7 @@ class _Loader:
                                  f"E{i + 1}", line_no)
                     terms = self.parse_terms(m.group(2), e_markers,
                                              line_no, m.start(2))
-                    col = [zero] * dim
+                    col = [ZERO] * dim
                     for marker, coef in terms:
                         col[e_markers[marker]] = coef
                     target[i] = tuple(col)
@@ -402,7 +402,7 @@ class _Loader:
                         self.err("duplicate contact eta", line_no)
                     terms = self.parse_terms(m.group(1), e_markers,
                                              line_no, m.start(1))
-                    comps = [zero] * dim
+                    comps = [ZERO] * dim
                     for marker, coef in terms:
                         comps[e_markers[marker]] = coef
                     eta = OneForm(tuple(comps))
@@ -426,11 +426,11 @@ class _Loader:
                          + ", ".join(f"E{i + 1}" for i in missing))
             mode = CoordinateMode(tuple(vec_rows[i] for i in range(dim)))
         else:
-            c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+            c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
             for (i, j), row in brackets.items():
                 c[i][j] = list(row)
                 c[j][i] = [-e for e in row]
-            a = [[zero] * dim for _ in range(dim)]
+            a = [[ZERO] * dim for _ in range(dim)]
             for (i, j), val in act.items():
                 a[i][j] = val
             mode = BracketMode(
@@ -438,11 +438,10 @@ class _Loader:
                 tuple(tuple(r) for r in a))
 
         if metric_identity:
-            one = Expr.const(1)
-            metric = tuple(tuple(one if i == j else zero
+            metric = tuple(tuple(ONE if i == j else ZERO
                                  for j in range(dim)) for i in range(dim))
         elif metric_entries:
-            g = [[zero] * dim for _ in range(dim)]
+            g = [[ZERO] * dim for _ in range(dim)]
             for (i, j), val in metric_entries.items():
                 g[i][j] = val
                 g[j][i] = val
@@ -456,13 +455,13 @@ class _Loader:
         phi = None
         if phi_cols:
             phi = Tensor11(tuple(
-                tuple(phi_cols.get(j, (zero,) * dim)[i]
+                tuple(phi_cols.get(j, (ZERO,) * dim)[i]
                       for j in range(dim))
                 for i in range(dim)))
         h = None
         if h_cols:
             h = Tensor11(tuple(
-                tuple(h_cols.get(j, (zero,) * dim)[i] for j in range(dim))
+                tuple(h_cols.get(j, (ZERO,) * dim)[i] for j in range(dim))
                 for i in range(dim)))
         decl = ContactDecl(xi=xi, phi=phi, eta=eta, h=h)
         return ParsedSpec(self.name, spec, decl,

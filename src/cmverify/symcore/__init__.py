@@ -1,19 +1,14 @@
-"""Exact symbolic kernel: expression trees over rational functions."""
+"""Exact symbolic kernel: expressions held as canonical rational
+functions over Q, a parser that builds them, and their canonical text."""
 
-from .expr import (Add, Const, Div, DivisionByZeroExpr, DomainError, Expr,
-                   ExprSyntaxError, Mul, Neg, Point, Pow, Sym, UnknownSymbol,
-                   differentiate, esum, eval_rational, evaluate, normalize,
-                   render, substitute)
+from .expr import (ONE, ZERO, DivisionByZeroExpr, DomainError, Expr,
+                   ExprSyntaxError, UnknownSymbol, differentiate, esum,
+                   eval_rational, render)
 from .parse import parse_expr, parse_tokens, tokenize
 
-ZERO = Expr.const(0)
-ONE = Expr.const(1)
-
 __all__ = [
-    "Add", "Const", "Div", "Mul", "Neg", "Pow", "Sym",
-    "Expr", "Point", "ZERO", "ONE",
+    "Expr", "ZERO", "ONE",
     "ExprSyntaxError", "UnknownSymbol", "DivisionByZeroExpr", "DomainError",
     "parse_expr", "parse_tokens", "tokenize",
-    "normalize", "differentiate", "evaluate",
-    "eval_rational", "substitute", "render", "esum",
+    "differentiate", "eval_rational", "render", "esum",
 ]

@@ -1,17 +1,20 @@
 """Expression parser.
 
 Precedence, tightest first: ^, unary -, * and /, binary + and -.
-Multiplication is always explicit.  Integer literals juxtaposed with /
-form rational constants; identifiers are [A-Za-z][A-Za-z0-9_]*.
+Multiplication is always explicit; identifiers are
+[A-Za-z][A-Za-z0-9_]*.  Each operator is applied as Expr arithmetic while
+parsing, so the result is canonical and a denominator that is
+identically zero raises DivisionByZeroExpr here.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+import operator
 
-from .expr import (Add, Const, Div, Expr, ExprSyntaxError, Mul, Neg, Pow,
-                   Sym, UnknownSymbol)
+from .expr import Expr, ExprSyntaxError, UnknownSymbol
 
 _OPS = set("+-*/^()")
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
 
 
 def tokenize(text: str):
@@ -45,23 +48,6 @@ def tokenize(text: str):
     return tokens
 
 
-def _fold_neg(node):
-    if isinstance(node, Const):
-        return Const(-node.value)
-    if isinstance(node, Mul) and isinstance(node.factors[0], Const):
-        lead = Const(-node.factors[0].value)
-        return Mul((lead,) + node.factors[1:])
-    return Neg(node)
-
-
-def _mk_div(num, den):
-    if isinstance(num, Const) and isinstance(den, Const) \
-            and den.value != 0 \
-            and num.value.denominator == 1 and den.value.denominator == 1:
-        return Const(Fraction(num.value, den.value))
-    return Div(num, den)
-
-
 class _Parser:
     def __init__(self, tokens, symbols, end_pos):
         self.tokens = tokens
@@ -85,43 +71,25 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", at)
 
     def parse_sum(self):
-        terms = []
-        node = self.parse_term()
-        terms.extend(node.terms if isinstance(node, Add) else [node])
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                rhs = self.parse_term()
-                if value == "-":
-                    rhs = _fold_neg(rhs)
-                terms.extend(rhs.terms if isinstance(rhs, Add) else [rhs])
-            else:
-                break
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
+        return self.left_assoc("+-", self.parse_term)
 
     def parse_term(self):
-        node = self.parse_unary()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                self.take()
-                rhs = self.parse_unary()
-                if value == "*":
-                    lhs_f = node.factors if isinstance(node, Mul) else (node,)
-                    rhs_f = rhs.factors if isinstance(rhs, Mul) else (rhs,)
-                    node = Mul(lhs_f + rhs_f)
-                else:
-                    node = _mk_div(node, rhs)
-            else:
-                break
-        return node
+        return self.left_assoc("*/", self.parse_unary)
+
+    def left_assoc(self, ops, operand):
+        value = operand()
+        kind, op, _ = self.peek()
+        while kind == "op" and op in ops:
+            self.take()
+            value = _BINARY[op](value, operand())
+            kind, op, _ = self.peek()
+        return value
 
     def parse_unary(self):
         kind, value, _ = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            return _fold_neg(self.parse_unary())
+            return -self.parse_unary()
         return self.parse_power()
 
     def parse_power(self):
@@ -129,8 +97,7 @@ class _Parser:
         kind, value, _ = self.peek()
         if kind == "op" and value == "^":
             self.take()
-            exp = self.parse_exponent()
-            return Pow(base, exp)
+            return base ** self.parse_exponent()
         return base
 
     def parse_exponent(self):
@@ -146,29 +113,29 @@ class _Parser:
     def parse_atom(self):
         kind, value, at = self.take()
         if kind == "int":
-            return Const(Fraction(value))
+            return Expr.const(value)
         if kind == "name":
             if self.symbols is not None and value not in self.symbols:
                 raise UnknownSymbol(
                     f"symbol {value!r} is not a declared coordinate or parameter")
-            return Sym(value)
+            return Expr.sym(value)
         if kind == "op" and value == "(":
-            node = self.parse_sum()
+            inner = self.parse_sum()
             self.expect_op(")")
-            return node
+            return inner
         if kind == "end":
             raise ExprSyntaxError("unexpected end of expression", at)
         raise ExprSyntaxError(f"unexpected token {value!r}", at)
 
 
 def parse_tokens(tokens, symbols=None, end_pos=0):
-    """Parse a complete token list into a syntax tree node."""
+    """Parse a complete token list into an Expr."""
     parser = _Parser(tokens, symbols, end_pos)
-    node = parser.parse_sum()
-    kind, value, at = parser.peek()
+    value = parser.parse_sum()
+    kind, token, at = parser.peek()
     if kind != "end":
-        raise ExprSyntaxError(f"unexpected token {value!r}", at)
-    return node
+        raise ExprSyntaxError(f"unexpected token {token!r}", at)
+    return value
 
 
 def parse_expr(text: str, symbols=None) -> Expr:
@@ -177,4 +144,4 @@ def parse_expr(text: str, symbols=None) -> Expr:
     tokens = tokenize(text)
     if not tokens:
         raise ExprSyntaxError("empty expression", 0)
-    return Expr.from_node(parse_tokens(tokens, symbols, len(text)))
+    return parse_tokens(tokens, symbols, len(text))

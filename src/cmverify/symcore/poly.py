@@ -378,37 +378,6 @@ _P = 2 ** 61 - 1
 _POINTS = random.Random(20170101)
 
 
-def _is_prime(n: int) -> bool:
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while not d & 1:
-        d >>= 1
-        s += 1
-    for q in _MR_BASES:
-        x = pow(q, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _prime(i: int) -> int:
-    """The i-th prime below 2^61, counting 2^61 - 1 as the 0th."""
-    while len(_PRIMES) <= i:
-        n = _PRIMES[-1] - 2
-        while not _is_prime(n):
-            n -= 2
-        _PRIMES.append(n)
-    return _PRIMES[i]
-
-
 def _coprime_images(a: Poly, b: Poly, shared: list, names: list) -> bool:
     """True when images mod p prove gcd(a, b) constant: for each shared
     variable x, both images in x keep their degree and have gcd 1 mod p.

@@ -14,14 +14,10 @@ from cmverify.frames import (CoordSystem, CoordinateMode, FrameSpec,
                              compute_brackets, frame_apply,
                              koszul_connection, metric_inverse)
 from cmverify.curvature import nabla_riemann_table, riemann
-from cmverify.symcore import Expr, Point, esum, evaluate
+from cmverify.symcore import ONE, ZERO, Expr, esum, eval_rational
 
 COORDS = ("x", "y", "z")
 DIM = 3
-
-_ZERO = Expr.const(0)
-_ONE = Expr.const(1)
-
 
 def _monomial(rng):
     term = Expr.const(rng.choice((1, -1, 2, -2, 3)))
@@ -32,14 +28,14 @@ def _monomial(rng):
 
 def random_spec(seed):
     rng = random.Random(seed)
-    a = [[_ZERO] * DIM for _ in range(DIM)]
+    a = [[ZERO] * DIM for _ in range(DIM)]
     for i in range(DIM):
-        a[i][i] = _ONE
+        a[i][i] = ONE
     for i in range(DIM):
         for j in range(i):
             if rng.random() < 0.7:
                 a[i][j] = _monomial(rng)
-    metric = tuple(tuple(_ONE if i == j else _ZERO for j in range(DIM))
+    metric = tuple(tuple(ONE if i == j else ZERO for j in range(DIM))
                    for i in range(DIM))
     return FrameSpec(name=f"case{seed}", coords=CoordSystem(COORDS, ()),
                      params=(), mode=CoordinateMode(tuple(map(tuple, a))),
@@ -120,20 +116,17 @@ def second_bianchi_residuals(nr_table):
 
 def sample_points(seed, count=2):
     rng = random.Random(seed * 7919 + 13)
-    pts = []
-    for _ in range(count):
-        coords = {name: Fraction(rng.randrange(-300, 301), 100)
-                  for name in COORDS}
-        pts.append(Point(coords, {}))
-    return pts
+    return [{name: Fraction(rng.randrange(-300, 301), 100) for name in COORDS}
+            for _ in range(count)]
 
 
 def sampled_max(exprs, points):
-    """Numeric worst case without canonical normalization."""
+    """Largest absolute value of the expressions at the points, each
+    evaluated exactly and then rounded to a float."""
     worst = 0.0
     for e in exprs:
         for p in points:
-            worst = max(worst, abs(evaluate(e, p)))
+            worst = max(worst, abs(float(eval_rational(e, p))))
     return worst
 
 

@@ -70,6 +70,21 @@ class TestExitCodes:
         assert err == "cmverify: error: unexpected end of expression " \
                       "(at position 3)\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "axioms", "sphere3"],
+        ["check", "identities", "sphere3"],
+        ["solve", "recurrence", "sphere3"],
+        ["pipeline", "sphere3"],
+        ["all", "sphere3"],
+    ])
+    def test_zero_denominator_override_fails_every_command(self, capsys,
+                                                           argv):
+        assert run(argv + ["--k", "1/(x-x)"]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == "cmverify: error: division by an identically zero " \
+                      "expression\n"
+
     def test_unknown_symbol_in_override(self, capsys):
         assert run(["check", "identities", "sphere3", "--mu", "w"]) == 1
 

@@ -1,14 +1,19 @@
 """No module under src/ or tests/ imports a name it never uses.  Names
 listed in a module's `__all__` are exports, and `from __future__` imports
-are compiler directives, so neither counts as unused.
+are compiler directives, so neither counts as unused.  No function under
+src/ reads a global its module never binds, and every name
+`cmverify.symcore` exports is imported somewhere under src/.
 
 The package has no runtime dependencies: modules under src/ import only
 the standard library and cmverify itself, although the tests use sympy
 as an oracle."""
 
 import ast
+import builtins
 import sys
 from pathlib import Path
+
+from cmverify import symcore
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,3 +84,88 @@ def test_src_imports_only_the_standard_library():
                  for path in sorted((ROOT / "src").rglob("*.py"))
                  for line, name in foreign_imports(path.read_text())]
     assert offenders == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scope_nodes(node):
+    """Descendants of `node` in its own scope: nested functions, lambdas
+    and classes are yielded but not entered."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _scope_nodes(child)
+
+
+def _bound_in(node) -> set:
+    """Names that `node`'s own scope binds (comprehension variables
+    included, which only widens what counts as bound)."""
+    names = set()
+    for n in _scope_nodes(node):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load):
+            names.add(n.id)
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            names.add(n.name)
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names |= {a.asname or a.name.split(".")[0] for a in n.names}
+        elif isinstance(n, ast.arg):
+            names.add(n.arg)
+        elif isinstance(n, ast.ExceptHandler) and n.name:
+            names.add(n.name)
+    return names
+
+
+def unbound_globals(source: str) -> list:
+    """(line, name) of each name a function reads that is neither bound
+    in an enclosing function, bound or imported at module level, nor a
+    builtin: such a read can only raise NameError."""
+    tree = ast.parse(source)
+    module = _bound_in(tree) | set(dir(builtins)) | {"__file__"}
+    module |= {name for n in ast.walk(tree) if isinstance(n, ast.Global)
+               for name in n.names}
+    found = set()
+
+    def visit(scope, enclosing):
+        for node in _scope_nodes(scope):
+            if isinstance(node, _FUNCTIONS):
+                local = enclosing | _bound_in(node)
+                found.update(
+                    (n.lineno, n.id) for n in _scope_nodes(node)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    and n.id not in local and n.id not in module)
+                visit(node, local)
+            elif isinstance(node, ast.ClassDef):
+                visit(node, enclosing)  # class names are not visible inside
+
+    visit(tree, set())
+    return sorted(found)
+
+
+def test_unbound_global_is_found():
+    src = ("import os\nLIMIT = 3\n"
+           "def f(a):\n    b = [c for c in a]\n    return os, LIMIT, b, len, _GONE\n"
+           "class K:\n    SIZE = 1\n    def g(self):\n        return SIZE\n"
+           "def h():\n    def inner():\n        return d + e\n    d = 1\n")
+    assert unbound_globals(src) == [(5, "_GONE"), (9, "SIZE"), (12, "e")]
+
+
+def test_functions_read_only_bound_globals():
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in sorted((ROOT / "src").rglob("*.py"))
+                 for line, name in unbound_globals(path.read_text())]
+    assert offenders == []
+
+
+def test_every_symcore_export_is_imported_under_src():
+    """`cmverify.symcore.__all__` lists only names some module under src/
+    imports (the package's own re-export does not count)."""
+    init = ROOT / "src" / "cmverify" / "symcore" / "__init__.py"
+    imported = {alias.asname or alias.name
+                for path in (ROOT / "src").rglob("*.py") if path != init
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert sorted(set(symcore.__all__) - imported) == []

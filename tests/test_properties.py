@@ -2,14 +2,15 @@
 hypothesis, and differential-geometric invariants on seeded random frames.
 Both are fully deterministic run to run."""
 
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _geometry_cases as gc
-from cmverify.symcore import (Expr, differentiate, eval_rational, evaluate,
-                              normalize, parse_expr, render, Point)
+from cmverify.symcore import (DivisionByZeroExpr, Expr, differentiate,
+                              eval_rational, parse_expr, render)
 
 SYMS = ("x", "y")
 
@@ -17,23 +18,46 @@ settings.register_profile("suite", max_examples=40, deadline=None,
                           derandomize=True)
 settings.load_profile("suite")
 
-atoms = st.one_of(
-    st.integers(min_value=-4, max_value=4).map(Expr.const),
-    st.sampled_from(SYMS).map(Expr.sym),
-)
+# A construction is a nested tuple (op, left, right) with op one of
+# "+-*/", or ("neg", arg), over integer and symbol-name leaves.  `fold`
+# evaluates one with the operators of its leaf values: Exprs give the
+# canonical rational function, Fractions at a point give a reference
+# value that never passes through the canonical form.
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv}
+
+
+def fold(tree, leaf):
+    if not isinstance(tree, tuple):
+        return leaf(tree)
+    op, *args = tree
+    vals = [fold(t, leaf) for t in args]
+    return -vals[0] if op == "neg" else _BINARY[op](*vals)
+
+
+def _expr_leaf(leaf):
+    return Expr.const(leaf) if isinstance(leaf, int) else Expr.sym(leaf)
+
+
+def _with_expr(tree):
+    """(Expr, construction), or None when a divisor is identically zero."""
+    try:
+        return fold(tree, _expr_leaf), tree
+    except DivisionByZeroExpr:
+        return None
 
 
 def _combine(children):
-    pairs = st.tuples(children, children)
-    return st.one_of(
-        pairs.map(lambda t: t[0] + t[1]),
-        pairs.map(lambda t: t[0] - t[1]),
-        pairs.map(lambda t: t[0] * t[1]),
-        children.map(lambda e: -e),
-    )
+    return st.one_of(st.tuples(st.sampled_from(sorted(_BINARY)), children,
+                               children),
+                     st.tuples(st.just("neg"), children))
 
 
-exprs = st.recursive(atoms, _combine, max_leaves=10)
+constructions = st.recursive(
+    st.one_of(st.integers(min_value=-4, max_value=4), st.sampled_from(SYMS)),
+    _combine, max_leaves=10)
+built = constructions.map(_with_expr).filter(lambda pair: pair is not None)
+exprs = built.map(lambda pair: pair[0])
 bindings = st.fixed_dictionaries(
     {s: st.fractions(min_value=-3, max_value=3).filter(lambda f: f != 0)
      for s in SYMS})
@@ -69,19 +93,33 @@ class TestRingLaws:
 class TestNormalForm:
     @given(exprs)
     def test_normalize_idempotent(self, a):
-        n1 = normalize(a)
-        assert render(normalize(n1)) == render(n1)
+        """Parsing normalizes, and the canonical text is a fixed point."""
+        n1 = parse_expr(render(a), set(SYMS))
+        assert render(n1) == render(a)
         assert n1 == a
 
-    @given(exprs)
-    def test_render_parse_round_trip(self, a):
-        assert parse_expr(render(a), set(SYMS)) == a
+    @given(exprs, exprs)
+    def test_render_parse_round_trip(self, a, b):
+        quotient = () if b.is_zero else (a / b,)
+        for e in (a, a * b, *quotient):
+            assert parse_expr(render(e), set(SYMS)) == e
 
-    @given(exprs, bindings)
-    def test_tree_and_canonical_evaluation_agree(self, a, bind):
-        tree = evaluate(a, Point(dict(bind), {}))
-        canon = eval_rational(a, {k: Fraction(v) for k, v in bind.items()})
-        assert tree == pytest.approx(float(canon), abs=1e-12)
+    @given(built, built, bindings)
+    def test_tree_and_canonical_evaluation_agree(self, p, q, bind):
+        """Wherever no step of a construction divides by zero, the
+        canonical form has no pole there and takes the same exact value.
+        Small draws rarely divide by a sum, so a / b is checked too."""
+        (a, ta), (b, tb) = p, q
+        cases = [(a, ta), (a * b, ("*", ta, tb))]
+        if not b.is_zero:
+            cases.append((a / b, ("/", ta, tb)))
+        for e, tree in cases:
+            try:
+                expected = fold(tree, lambda leaf: bind[leaf]
+                                if isinstance(leaf, str) else Fraction(leaf))
+            except ZeroDivisionError:
+                continue
+            assert eval_rational(e, bind) == expected
 
 
 class TestCalculusLaws:

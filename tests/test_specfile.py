@@ -140,6 +140,13 @@ class TestErrors:
         e = self.err(MINIMAL + "declare q = 3\n")
         assert "declare must look like" in str(e)
 
+    def test_zero_denominator_names_line_and_column(self):
+        e = self.err(MINIMAL + "contact xi = E3\ndeclare k = 1/(x - x)\n")
+        assert "division by an identically zero expression" in str(e)
+        assert (e.line_no, e.col) == (6, 13)
+        e = self.err(MINIMAL + "bracket [E1,E2] = 1 E1 + 2/(y - y) E3\n")
+        assert (e.line_no, e.col) == (5, 26)
+
     def test_vector_mode_missing_rows(self):
         e = self.err("manifold t\ncoords x y z\nframe-mode vector\n"
                      "metric identity\nvector E1 = 1 dx\n")
