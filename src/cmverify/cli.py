@@ -28,7 +28,7 @@ from .report import ReportDocument, file_hash, render_oneform
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from .specfile import SpecFileError, load_spec, resolve_spec_path
 from .symcore import DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol
-from .workspace import FrameInvalid, Workspace
+from .workspace import BadOverride, FrameInvalid, Workspace
 
 DETA_FACTORS = {"half": Fraction(1, 2), "one": Fraction(1)}
 
@@ -182,7 +182,8 @@ def run(argv=None) -> int:
         warnings = ws.validation.warnings
     except (SpecFileError, FileNotFoundError, FrameInvalid, FrameDependent,
             SingularMetric, SingularMatrix, ShapeError, InconsistentEta,
-            ExprSyntaxError, UnknownSymbol, DivisionByZeroExpr) as exc:
+            ExprSyntaxError, UnknownSymbol, DivisionByZeroExpr,
+            BadOverride) as exc:
         print(f"cmverify: error: {exc}", file=sys.stderr)
         return 1
     for issue in warnings:

@@ -59,29 +59,28 @@ class TwoUnknownSolution:
     """Exact solution of rows alpha*ca + beta*cb = rhs.
 
     `alpha`/`beta` always hold a representative (free unknowns pinned to
-    zero); `residuals` holds per-row defects for that representative and
-    is all-zero unless the status is inconsistent.
+    zero); `worst` is the first nonzero row defect rhs - ca*alpha - cb*beta
+    for that representative, in row order, and ZERO unless the status is
+    inconsistent.
     """
 
     status: str                # unique | underdetermined | inconsistent
     alpha: Expr
     beta: Expr
     kernel: str                # human-readable description, "" when unique
-    residuals: list
+    worst: Expr
 
 
 def solve_two_unknowns(rows) -> TwoUnknownSolution:
     rows = list(rows)
 
-    def residuals_for(alpha, beta):
-        return [rhs - ca * alpha - cb * beta for ca, cb, rhs in rows]
-
     def finish(alpha, beta, kernel):
-        res = residuals_for(alpha, beta)
-        if all(r.is_zero for r in res):
+        defects = (rhs - ca * alpha - cb * beta for ca, cb, rhs in rows)
+        worst = next((r for r in defects if not r.is_zero), None)
+        if worst is None:
             status = "unique" if kernel == "" else "underdetermined"
-            return TwoUnknownSolution(status, alpha, beta, kernel, res)
-        return TwoUnknownSolution("inconsistent", alpha, beta, kernel, res)
+            return TwoUnknownSolution(status, alpha, beta, kernel, ZERO)
+        return TwoUnknownSolution("inconsistent", alpha, beta, kernel, worst)
 
     pa = next((i for i, (ca, _, _) in enumerate(rows) if not ca.is_zero), None)
     if pa is None:
@@ -91,20 +90,19 @@ def solve_two_unknowns(rows) -> TwoUnknownSolution:
         _, cb, rhs = rows[pb]
         return finish(ZERO, rhs / cb, "alpha free")
 
+    # Eliminate alpha from the cb column only, up to the first row that
+    # keeps a nonzero cb: that row is the second pivot.
     ca_p, cb_p, rhs_p = rows[pa]
-    reduced = []
     for i, (ca, cb, rhs) in enumerate(rows):
         if i == pa:
             continue
         f = ca / ca_p
-        reduced.append((cb - f * cb_p, rhs - f * rhs_p))
-    pb = next((i for i, (cb, _) in enumerate(reduced) if not cb.is_zero), None)
-    if pb is None:
-        # second column proportional to the first: one pivot equation only
-        alpha = rhs_p / ca_p
-        kernel = f"t*({render(cb_p)}, {render(-ca_p)})"
-        return finish(alpha, ZERO, kernel)
-    cb_r, rhs_r = reduced[pb]
-    beta = rhs_r / cb_r
-    alpha = (rhs_p - cb_p * beta) / ca_p
-    return finish(alpha, beta, "")
+        cb_r = cb - f * cb_p
+        if not cb_r.is_zero:
+            beta = (rhs - f * rhs_p) / cb_r
+            alpha = (rhs_p - cb_p * beta) / ca_p
+            return finish(alpha, beta, "")
+    # second column proportional to the first: one pivot equation only
+    alpha = rhs_p / ca_p
+    kernel = f"t*({render(cb_p)}, {render(-ca_p)})"
+    return finish(alpha, ZERO, kernel)

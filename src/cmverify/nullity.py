@@ -71,10 +71,9 @@ def extract_k_mu(spec: FrameSpec, r_table, cs, h: Tensor11) -> NullityParams:
     mu_column_zero = all(cb.is_zero for _, cb, _ in rows)
     sol = solve_two_unknowns(rows)
     if sol.status == "inconsistent":
-        worst = next(r for r in sol.residuals if not r.is_zero)
         return NullityParams(
             None, None, "extracted", "inconsistent",
-            notes=f"no exact solution; sample residual {worst}")
+            notes=f"no exact solution; sample residual {sol.worst}")
     if sol.status == "unique":
         return NullityParams(sol.alpha, sol.beta, "extracted", "unique")
     if mu_column_zero:

@@ -114,8 +114,7 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
             continue
         a_comps.append(sol.alpha)
         b_comps.append(sol.beta)
-        worst = next((r for r in sol.residuals if not r.is_zero), ZERO)
-        dirs.append(DirectionResult(sol.status, sol.kernel, worst))
+        dirs.append(DirectionResult(sol.status, sol.kernel, sol.worst))
     a_form = OneForm(tuple(a_comps))
     b_form = OneForm(tuple(b_comps))
     classification = _classify(kind, a_form, b_form, lhs_zero, model_zero,

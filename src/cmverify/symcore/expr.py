@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .poly import Poly, RationalFunction
+from .poly import _P_ONE, Poly, RationalFunction
 
 __all__ = [
     "Expr", "ZERO", "ONE", "ExprSyntaxError", "UnknownSymbol",
@@ -58,7 +58,7 @@ class Expr:
 
     @property
     def is_zero(self) -> bool:
-        return self.rat.is_zero
+        return not self.rat.num.terms
 
     def variables(self) -> set:
         return self.rat.variables()
@@ -73,17 +73,19 @@ class Expr:
         return hash(self.rat)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Expr:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return Expr(self.rat + other.rat)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Expr:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return Expr(self.rat - other.rat)
 
     def __rsub__(self, other):
@@ -93,9 +95,10 @@ class Expr:
         return Expr(other.rat - self.rat)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Expr:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return Expr(self.rat * other.rat)
 
     __rmul__ = __mul__
@@ -144,10 +147,25 @@ def _coerce(x):
 
 
 def esum(items) -> Expr:
-    acc = RationalFunction.const(0)
+    """Sum of Exprs and numbers.  Polynomial summands add into one term
+    dict; the others are folded with `+`, and the two parts added last."""
+    terms = {}
+    rest = None
     for item in items:
-        acc = acc + _coerce(item).rat
-    return Expr(acc)
+        rat = _coerce(item).rat
+        if rat.den is not _P_ONE:
+            rest = rat if rest is None else rest + rat
+            continue
+        for m, c in rat.num.terms.items():
+            s = terms.get(m, 0) + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    if not terms:
+        return ZERO if rest is None else Expr(rest)
+    acc = RationalFunction(Poly(terms), _P_ONE, reduced=True)
+    return Expr(acc if rest is None else acc + rest)
 
 
 def differentiate(e: Expr, coord: str) -> Expr:

@@ -9,7 +9,11 @@ where two monomials differ.  This order fixes leading terms, hence the
 monic scaling of gcds and denominators.
 
 A `RationalFunction` is kept canonical, num/den with gcd(num, den) = 1
-and den monic, so equal functions have equal terms.  `poly_gcd` splits
+and den monic, so equal functions have equal terms.  A constant
+denominator is always the shared `_P_ONE`, so `den is _P_ONE` says a
+value is a polynomial; two polynomials add, subtract and multiply
+without any gcd dispatch, and `expr.esum` accumulates polynomial
+summands in one term dict.  `poly_gcd` splits
 off the common monomial content and then tries, in order:
 
 - Coprimality certificate.  For each variable x the inputs share, every
@@ -171,7 +175,16 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if other.is_zero:
+            return self
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, _ZERO) - c
+            if s:
+                out[m] = s
+            else:
+                del out[m]
+        return Poly(out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         if self.is_zero or other.is_zero:
@@ -571,24 +584,25 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly = _P_ONE, *, reduced: bool = False):
-        if den.is_zero:
+        if not den.terms:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        if not num.terms:
             self.num, self.den = _P_ZERO, _P_ONE
             return
-        if not reduced and not den.is_const:
-            g = poly_gcd(num, den)
-            if not g.is_const:
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-        if not den.is_const:
-            _, lc = den.leading()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
-        elif den.const_value() != 1:
-            num = num.scale(1 / den.const_value())
-            den = _P_ONE
+        if den is not _P_ONE:
+            if not reduced and not den.is_const:
+                g = poly_gcd(num, den)
+                if not g.is_const:
+                    num = poly_divexact(num, g)
+                    den = poly_divexact(den, g)
+            if not den.is_const:
+                _, lc = den.leading()
+                if lc != 1:
+                    num = num.scale(1 / lc)
+                    den = den.scale(1 / lc)
+            else:
+                num = num.scale(1 / den.const_value())
+                den = _P_ONE
         self.num, self.den = num, den
 
     @staticmethod
@@ -601,11 +615,11 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     @property
     def is_const(self) -> bool:
-        return self.num.is_const and self.den.is_const
+        return self.num.is_const and self.den is _P_ONE
 
     def const_value(self) -> Fraction:
         return self.num.const_value()
@@ -621,24 +635,34 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero:
+        if not self.num.terms:
             return other
-        if other.is_zero:
+        if not other.num.terms:
             return self
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return RationalFunction(self.num + other.num, _P_ONE, reduced=True)
         if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
     def __neg__(self) -> "RationalFunction":
+        if not self.num.terms:
+            return self
         return RationalFunction(-self.num, self.den, reduced=True)
 
     def __sub__(self, other):
+        if not other.num.terms:
+            return self
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return RationalFunction(self.num - other.num, _P_ONE, reduced=True)
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if self.is_zero or other.is_zero:
+        if not self.num.terms or not other.num.terms:
             return _RF_ZERO
+        if self.den is _P_ONE and other.den is _P_ONE:
+            return RationalFunction(self.num * other.num, _P_ONE, reduced=True)
         # cross-cancel first to keep intermediate products small
         a, d2 = _cancel(self.num, other.den)
         b, d1 = _cancel(other.num, self.den)
@@ -661,8 +685,10 @@ class RationalFunction:
 
     def derivative(self, name: str) -> "RationalFunction":
         dn = self.num.derivative(name)
-        if self.den is _P_ONE or self.den.is_const:
-            return RationalFunction(dn, self.den, reduced=True)
+        if self.den is _P_ONE:
+            if not dn.terms:
+                return _RF_ZERO
+            return RationalFunction(dn, _P_ONE, reduced=True)
         dd = self.den.derivative(name)
         return RationalFunction(dn * self.den - self.num * dd,
                                 self.den * self.den)

@@ -18,18 +18,25 @@ from .frames import (compute_brackets, frame_pairing, koszul_connection,
                      metric_inverse, validate_frame)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
-from .symcore import parse_expr
+from .symcore import (DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol,
+                      parse_expr)
 
 
 class FrameInvalid(ValueError):
     """Frame validation reported an error."""
 
 
+class BadOverride(ValueError):
+    """A `k` or `mu` override does not parse; the message names the
+    option, as in `--k: ...`."""
+
+
 class Workspace:
     """Lazily built geometric state shared by every suite.
 
     `k` and `mu` are override expressions (text) and are parsed here, so a
-    malformed override fails before any suite runs.
+    malformed override fails before any suite runs, with a `BadOverride`
+    naming its option.
     """
 
     def __init__(self, parsed, k=None, mu=None, seed=DEFAULT_SEED,
@@ -39,8 +46,9 @@ class Workspace:
         self.spec = parsed.spec
         symbols = self.spec.symbols()
         self.declared = (
-            parsed.declared_k if k is None else parse_expr(k, symbols),
-            parsed.declared_mu if mu is None else parse_expr(mu, symbols))
+            parsed.declared_k if k is None else _override("k", k, symbols),
+            parsed.declared_mu if mu is None
+            else _override("mu", mu, symbols))
         self.sampler = Sampler(self.spec, seed=seed, points=points, tol=tol)
         self.deta_factor = deta_factor
 
@@ -115,3 +123,10 @@ class Workspace:
             ext = extract_k_mu(self.spec, self.r_table, self.cs, h)
             out.append((label, h, ext, resolve_params(ext, k, mu)))
         return out
+
+
+def _override(option, text, symbols):
+    try:
+        return parse_expr(text, symbols)
+    except (ExprSyntaxError, UnknownSymbol, DivisionByZeroExpr) as exc:
+        raise BadOverride(f"--{option}: {exc}") from None

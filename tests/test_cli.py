@@ -67,7 +67,7 @@ class TestExitCodes:
         assert run(argv + ["--k", "x+("]) == 1
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "cmverify: error: unexpected end of expression " \
+        assert err == "cmverify: error: --k: unexpected end of expression " \
                       "(at position 3)\n"
 
     @pytest.mark.parametrize("argv", [
@@ -82,11 +82,13 @@ class TestExitCodes:
         assert run(argv + ["--k", "1/(x-x)"]) == 1
         out, err = out_of(capsys)
         assert out == ""
-        assert err == "cmverify: error: division by an identically zero " \
-                      "expression\n"
+        assert err == "cmverify: error: --k: division by an identically " \
+                      "zero expression\n"
 
     def test_unknown_symbol_in_override(self, capsys):
         assert run(["check", "identities", "sphere3", "--mu", "w"]) == 1
+        _, err = out_of(capsys)
+        assert err.startswith("cmverify: error: --mu: ")
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit) as info:

@@ -2,6 +2,7 @@
 hypothesis, and differential-geometric invariants on seeded random frames.
 Both are fully deterministic run to run."""
 
+import functools
 import operator
 from fractions import Fraction
 
@@ -10,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 import _geometry_cases as gc
 from cmverify.symcore import (DivisionByZeroExpr, Expr, differentiate,
-                              eval_rational, parse_expr, render)
+                              esum, eval_rational, parse_expr, render)
+from cmverify.symcore.poly import _P_ONE
 
 SYMS = ("x", "y")
 
@@ -63,31 +65,97 @@ bindings = st.fixed_dictionaries(
      for s in SYMS})
 
 
-class TestRingLaws:
-    @given(exprs, exprs, exprs)
-    def test_associativity_and_distributivity(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+# Quotients whose denominator has two or more terms: `exprs` almost never
+# divides by a sum, so the laws are run on these as well.
+_long_dens = st.lists(
+    st.tuples(st.integers(min_value=-3, max_value=3).filter(bool),
+              st.tuples(st.integers(0, 2), st.integers(0, 2))),
+    min_size=2, max_size=3, unique_by=lambda term: term[1]).map(
+        lambda terms: functools.reduce(operator.add, (
+            c * Expr.sym("x") ** i * Expr.sym("y") ** j
+            for c, (i, j) in terms)))
+quotients = st.builds(operator.truediv, exprs, _long_dens)
 
-    @given(exprs, exprs)
-    def test_commutativity(self, a, b):
-        assert a + b == b + a
-        assert a * b == b * a
 
-    @given(exprs)
-    def test_additive_inverse(self, a):
-        assert (a - a).is_zero
-        assert (a + (-a)).is_zero
+def _long_den(e) -> bool:
+    return len(e.rat.den.terms) >= 2
 
-    @given(exprs, exprs)
-    def test_quotient_cancellation(self, a, b):
-        assume(not b.is_zero)
-        assert (a * b) / b == a
 
-    @given(exprs)
-    def test_hash_respects_equality(self, a):
-        assert hash(a + Expr.const(0)) == hash(a)
+def ring_laws(elems):
+    """The ring laws of the canonical form, on draws from `elems`."""
+
+    class RingLaws:
+        @given(elems, elems, elems)
+        def test_associativity_and_distributivity(self, a, b, c):
+            assert (a + b) + c == a + (b + c)
+            assert (a * b) * c == a * (b * c)
+            assert a * (b + c) == a * b + a * c
+
+        @given(elems, elems)
+        def test_commutativity(self, a, b):
+            assert a + b == b + a
+            assert a * b == b * a
+
+        @given(elems)
+        def test_additive_inverse(self, a):
+            assert (a - a).is_zero
+            assert (a + (-a)).is_zero
+
+        @given(elems, elems)
+        def test_quotient_cancellation(self, a, b):
+            assume(not b.is_zero)
+            assert (a * b) / b == a
+
+        @given(elems)
+        def test_hash_respects_equality(self, a):
+            assert hash(a + Expr.const(0)) == hash(a)
+
+    return RingLaws
+
+
+TestRingLaws = ring_laws(exprs)
+TestRingLawsOnQuotients = ring_laws(quotients)
+
+
+class TestQuotientDraws:
+    def test_most_quotients_have_long_denominators(self):
+        """The quotient laws cannot pass on draws that never meet a
+        denominator of two or more terms."""
+        seen = []
+
+        @given(quotients)
+        def draw(q):
+            seen.append(_long_den(q))
+
+        draw()
+        assert len(seen) >= 40
+        assert sum(seen) >= 0.5 * len(seen)
+
+    @given(st.lists(st.one_of(exprs, quotients), max_size=8))
+    def test_esum_is_the_left_fold(self, items):
+        assert esum(items) == functools.reduce(operator.add, items,
+                                               Expr.const(0))
+
+    def test_esum_draws_mix_both_kinds(self):
+        mixed = []
+
+        @given(st.lists(st.one_of(exprs, quotients), max_size=8))
+        def draw(items):
+            mixed.append(any(_long_den(e) for e in items)
+                         and any(e.rat.den.is_const for e in items))
+
+        draw()
+        assert sum(mixed) >= 0.25 * len(mixed)
+
+    @given(st.one_of(exprs, quotients), st.one_of(exprs, quotients))
+    def test_constant_denominator_is_the_shared_one(self, a, b):
+        results = [a + b, a - b, a * b, -a, a ** 2, esum([a, b]),
+                   differentiate(a, "x")]
+        if not b.is_zero:
+            results += [a / b, b ** -1]
+        for e in results:
+            if e.rat.den.is_const:
+                assert e.rat.den is _P_ONE
 
 
 class TestNormalForm:
@@ -122,27 +190,37 @@ class TestNormalForm:
             assert eval_rational(e, bind) == expected
 
 
-class TestCalculusLaws:
-    @given(exprs, exprs)
-    def test_product_rule(self, a, b):
-        for s in SYMS:
-            lhs = differentiate(a * b, s)
-            rhs = differentiate(a, s) * b + a * differentiate(b, s)
-            assert lhs == rhs
+def calculus_laws(elems):
+    """Differentiation laws of the canonical form, on draws from `elems`."""
 
-    @given(exprs, exprs)
-    def test_quotient_rule(self, a, b):
-        assume(not b.is_zero)
-        q = a / b
-        for s in SYMS:
-            lhs = differentiate(q, s)
-            rhs = (differentiate(a, s) * b - a * differentiate(b, s)) / (b * b)
-            assert lhs == rhs
+    class CalculusLaws:
+        @given(elems, elems)
+        def test_product_rule(self, a, b):
+            for s in SYMS:
+                lhs = differentiate(a * b, s)
+                rhs = differentiate(a, s) * b + a * differentiate(b, s)
+                assert lhs == rhs
 
-    @given(exprs)
-    def test_mixed_partials_commute(self, a):
-        assert differentiate(differentiate(a, "x"), "y") \
-            == differentiate(differentiate(a, "y"), "x")
+        @given(elems, elems)
+        def test_quotient_rule(self, a, b):
+            assume(not b.is_zero)
+            q = a / b
+            for s in SYMS:
+                lhs = differentiate(q, s)
+                rhs = (differentiate(a, s) * b
+                       - a * differentiate(b, s)) / (b * b)
+                assert lhs == rhs
+
+        @given(elems)
+        def test_mixed_partials_commute(self, a):
+            assert differentiate(differentiate(a, "x"), "y") \
+                == differentiate(differentiate(a, "y"), "x")
+
+    return CalculusLaws
+
+
+TestCalculusLaws = calculus_laws(exprs)
+TestCalculusLawsOnQuotients = calculus_laws(quotients)
 
 
 CASE_SEEDS = range(50)

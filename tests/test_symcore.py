@@ -7,7 +7,7 @@ from cmverify.symcore import (DivisionByZeroExpr, DomainError, Expr,
                               ExprSyntaxError, UnknownSymbol, differentiate,
                               esum, eval_rational, parse_expr, render,
                               tokenize)
-from cmverify.symcore.poly import Poly, poly_divexact
+from cmverify.symcore.poly import _P_ONE, Poly, RationalFunction, poly_divexact
 
 SYMS = {"x", "y", "z"}
 
@@ -150,6 +150,17 @@ class TestEvaluate:
 def test_esum_accumulates_and_cancels():
     assert esum([ex("x"), ex("y"), ex("-x")]) == ex("y")
     assert esum([]).is_zero
+
+
+@pytest.mark.parametrize("num,den", [
+    (Poly.const(3), Poly.const(6)),
+    (Poly.var("x") * Poly.var("y"), Poly.var("x")),
+    (Poly.var("x"), Poly.const(1)),
+    (Poly.var("x") * Poly.var("x") - Poly.const(1),
+     Poly.var("x") - Poly.const(1)),
+])
+def test_constant_denominator_is_the_shared_one(num, den):
+    assert RationalFunction(num, den).den is _P_ONE
 
 
 def test_expr_constructors():

@@ -141,3 +141,20 @@ def test_heisenberg_dim5_is_sasakian_with_unit_k(tmp_path):
     assert doc.solutions["mu"] is None
     assert solve_recurrence("full", ws).classification \
         not in ("symmetric", "degenerate-symmetric")
+
+
+def test_constant_denominator_pipeline_runs_no_gcd(capsys, monkeypatch):
+    # Every heis5 tensor entry is a polynomial, so no sum or product on
+    # the way to its verdicts has a denominator to cancel.
+    poly = sys.modules["cmverify.symcore.poly"]
+    calls = []
+    original = poly.poly_gcd
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    assert cli.run(corpus.argv("all", "heis5")) \
+        == EXIT_CODES[corpus.key("all", "heis5")]
+    assert calls == []
