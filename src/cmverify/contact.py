@@ -26,7 +26,7 @@ from .frames import (
     lower_index,
 )
 from .report import FAIL, PASS, CheckReport, residual_check
-from .symcore import ONE, ZERO, Expr
+from .symcore import ONE, ZERO, Expr, esum
 
 HALF = Expr.const(Fraction(1, 2))
 
@@ -146,7 +146,19 @@ def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets) -> Tensor02:
 
 
 def phi2_project(cs: ContactStructure, v: VectorField) -> VectorField:
-    return -v + cs.xi.scale(cs.eta(v))
+    return VectorField(phi2_rows(cs, [v.components])[0])
+
+
+def phi2_rows(cs: ContactStructure, rows) -> list:
+    """phi^2 v = eta(v) xi - v for each row v of frame components, with
+    eta(v) summed over the frame indices where eta is nonzero only."""
+    eta = [(m, c) for m, c in enumerate(cs.eta.components) if not c.is_zero]
+    xi = cs.xi.components
+    out = []
+    for v in rows:
+        e = esum([c * v[m] for m, c in eta])
+        out.append(tuple(x * e - c for c, x in zip(v, xi)))
+    return out
 
 
 def _pfaffian(m, rows):

@@ -33,10 +33,13 @@ class ShapeError(ValueError):
 
 
 def dot(u, v) -> Expr:
-    """sum_a u_a v_a over two component sequences, skipping zero
-    products."""
-    return esum(a * b for a, b in zip(u, v)
-                if not (a.is_zero or b.is_zero))
+    """sum_a u_a v_a over two component sequences; a product with a zero
+    factor is never formed."""
+    products = []
+    for a, b in zip(u, v):
+        if a.rat.num.terms and b.rat.num.terms:
+            products.append(a * b)
+    return esum(products)
 
 
 def _matmul(p, q):
@@ -208,12 +211,15 @@ class ValidationReport:
 
 
 def frame_apply(spec: FrameSpec, i: int, f: Expr) -> Expr:
-    """Directional derivative E_i(f)."""
+    """Directional derivative E_i(f); zero, without differentiating, when
+    f is a constant."""
+    if f.rat.is_const:
+        return ZERO
     coeffs = spec.mode.a[i] if isinstance(spec.mode, CoordinateMode) \
         else spec.mode.act[i]
-    return esum(c * differentiate(f, name)
-                for c, name in zip(coeffs, spec.coords.names)
-                if not c.is_zero)
+    return esum([c * differentiate(f, name)
+                 for c, name in zip(coeffs, spec.coords.names)
+                 if not c.is_zero])
 
 
 def apply_vector(spec: FrameSpec, v: VectorField, f: Expr) -> Expr:

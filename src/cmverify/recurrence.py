@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .contact import phi2_project
+from .contact import phi2_project, phi2_rows
 from .curvature import (g_tensor, g_tensor_table, nabla_riemann,
                         riemann_apply, riemann_on)
 from .frames import (
@@ -72,26 +72,19 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
     else:
         r_table, nr_table = ws.r_table, ws.nr_table
         g_table = g_tensor_table(spec)
+        planes = [(i, j, s) for i in range(dim) for j in range(i + 1, dim)
+                  for s in range(dim)]
+        r_rows = [r_table[i][j][s] for i, j, s in planes]
+        g_rows = [g_table[i][j][s] for i, j, s in planes]
+        nr_rows = [[nr_table[w][i][j][s] for i, j, s in planes]
+                   for w in range(dim)]
         if kind == "phi":
-            cs = ws.cs
-            proj = lambda v: phi2_project(cs, v)
-        else:
-            proj = lambda v: v
-        model = []
-        derivs = [[] for _ in range(dim)]
-        model_zero = True
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for s in range(dim):
-                    rv = proj(VectorField(tuple(r_table[i][j][s])))
-                    gv = proj(VectorField(tuple(g_table[i][j][s])))
-                    if not rv.is_zero:
-                        model_zero = False
-                    for l in range(dim):
-                        model.append((rv.components[l], gv.components[l]))
-                    for w in range(dim):
-                        dv = proj(VectorField(tuple(nr_table[w][i][j][s])))
-                        derivs[w].extend(dv.components)
+            r_rows, g_rows = phi2_rows(ws.cs, r_rows), phi2_rows(ws.cs, g_rows)
+            nr_rows = [phi2_rows(ws.cs, rows) for rows in nr_rows]
+        model = [pair for rv, gv in zip(r_rows, g_rows)
+                 for pair in zip(rv, gv)]
+        derivs = [[c for row in rows for c in row] for rows in nr_rows]
+        model_zero = all(c.is_zero for row in r_rows for c in row)
     a_comps, b_comps, dirs = [], [], []
     lhs_zero = True
     for w in range(dim):

@@ -41,7 +41,10 @@ class DomainError(ValueError):
 
 
 class Expr:
-    """A canonical rational function with operator arithmetic."""
+    """A canonical rational function with operator arithmetic.  `e + 0`,
+    `0 + e`, `e - 0`, a product or quotient with a zero factor and `-0`
+    return an existing Expr (`ZERO` or the other operand) and build no
+    rational function; `0 - e` is `-e`."""
 
     __slots__ = ("rat",)
 
@@ -77,6 +80,10 @@ class Expr:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
+        if not other.rat.num.terms:
+            return self
+        if not self.rat.num.terms:
+            return other
         return Expr(self.rat + other.rat)
 
     __radd__ = __add__
@@ -86,19 +93,25 @@ class Expr:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
+        if not other.rat.num.terms:
+            return self
+        if not self.rat.num.terms:
+            return -other
         return Expr(self.rat - other.rat)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Expr(other.rat - self.rat)
+        return other - self
 
     def __mul__(self, other):
         if other.__class__ is not Expr:
             other = _coerce(other)
             if other is None:
                 return NotImplemented
+        if not (self.rat.num.terms and other.rat.num.terms):
+            return ZERO
         return Expr(self.rat * other.rat)
 
     __rmul__ = __mul__
@@ -109,6 +122,8 @@ class Expr:
             return NotImplemented
         if other.rat.is_zero:
             raise DivisionByZeroExpr("division by an identically zero expression")
+        if not self.rat.num.terms:
+            return ZERO
         return Expr(self.rat / other.rat)
 
     def __rtruediv__(self, other):
@@ -118,6 +133,8 @@ class Expr:
         return other / self
 
     def __neg__(self):
+        if not self.rat.num.terms:
+            return self
         return Expr(-self.rat)
 
     def __pow__(self, n: int):
@@ -142,19 +159,31 @@ def _coerce(x):
     if isinstance(x, Expr):
         return x
     if isinstance(x, (int, Fraction)):
-        return Expr.const(x)
+        return Expr.const(x) if x else ZERO
     return None
 
 
 def esum(items) -> Expr:
-    """Sum of Exprs and numbers.  Polynomial summands add into one term
-    dict; the others are folded with `+`, and the two parts added last."""
+    """Sum of Exprs and numbers.  Zero summands are dropped: with none
+    left the sum is `ZERO`, and with one left it is that summand itself.
+    Polynomial summands add into one term dict; the others are folded
+    with `+`, and the two parts added last."""
+    nonzero = []
+    for item in items:
+        if item.__class__ is not Expr:
+            item = _coerce(item)
+        if item.rat.num.terms:
+            nonzero.append(item)
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ZERO
     terms = {}
     rest = None
-    for item in items:
-        rat = _coerce(item).rat
+    for item in nonzero:
+        rat = item.rat
         if rat.den is not _P_ONE:
             rest = rat if rest is None else rest + rat
+            if not rest.num.terms:
+                rest = None
             continue
         for m, c in rat.num.terms.items():
             s = terms.get(m, 0) + c

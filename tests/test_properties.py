@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _geometry_cases as gc
-from cmverify.symcore import (DivisionByZeroExpr, Expr, differentiate,
+from cmverify.symcore import (ZERO, DivisionByZeroExpr, Expr, differentiate,
                               esum, eval_rational, parse_expr, render)
 from cmverify.symcore.poly import _P_ONE
 
@@ -156,6 +156,20 @@ class TestQuotientDraws:
         for e in results:
             if e.rat.den.is_const:
                 assert e.rat.den is _P_ONE
+
+
+class TestStructuralZeros:
+    """A zero operand returns an existing object, never a new one."""
+
+    @given(st.one_of(exprs, quotients))
+    def test_zero_operands(self, e):
+        assert e + ZERO is e and e - ZERO is e
+        assert ZERO * e is ZERO and e * ZERO is ZERO
+        assert -ZERO is ZERO
+        assert esum([ZERO, ZERO]) is ZERO
+        assume(not e.is_zero)
+        assert ZERO + e is e
+        assert esum([e]) is e and esum([ZERO, e, 0]) is e
 
 
 class TestNormalForm:

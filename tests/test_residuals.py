@@ -22,6 +22,8 @@ INVOCATIONS = {
     "all example3d": ["all", "example3d"],
     "all heis5": ["all", str(TESTS.parent / "bench" / "specs"
                              / "heis5.cmspec")],
+    "all heis7": ["all", str(TESTS.parent / "bench" / "specs"
+                             / "heis7.cmspec")],
 }
 
 

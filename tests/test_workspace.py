@@ -5,14 +5,16 @@ n = 2."""
 import importlib.util
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from cmverify import cli
+from cmverify import cli, frames
 from cmverify.recurrence import solve_recurrence
 from cmverify.report import ReportDocument
 from cmverify.specfile import load_spec
+from cmverify.symcore.poly import RationalFunction
 from cmverify.workspace import Workspace
 
 TESTS = Path(__file__).resolve().parent
@@ -31,10 +33,12 @@ corpus = _load_corpus()
 EXIT_CODES = json.loads((corpus.GOLDEN_DIR / "exit_codes.json").read_text())
 
 
-# The bundled workload, plus the corpus invocations that reach n = 2 and a
-# non-orthonormal metric while staying about a second each.
+# Every corpus invocation that reaches a verdict: the bundled workload,
+# Heisenberg dims 5 and 7, and the decided polynomial-metric specs.
 PINNED = corpus.WORKLOADS["bundled"] + [
-    ("all", "heis5"), ("check axioms", "heis5"), ("all", "polymetric3")]
+    ("all", "heis5"), ("check axioms", "heis5"),
+    ("all", "heis7"), ("check axioms", "heis7"),
+    ("all", "polymetric3"), ("all", "polyframe3"), ("all", "polyboth3")]
 
 
 @pytest.mark.parametrize("cmd,spec", PINNED,
@@ -100,6 +104,35 @@ def test_check_axioms_builds_no_curvature(capsys, build_counts):
     assert cli.run(["check", "axioms", "sphere3"]) == 0
     assert build_counts["riemann"] == 0
     assert build_counts["nabla_riemann_table"] == 0
+
+
+@pytest.mark.parametrize("spec", ["heis5", "heis7"])
+def test_structural_zeros_stay_out_of_the_kernel(capsys, monkeypatch, spec):
+    # Zero operands are answered by the Expr operators and esum, and E_i
+    # of a constant by frame_apply, so the Heisenberg tables (mostly
+    # zeros, and constant frame coefficients) never pass a zero to the
+    # rational-function arithmetic nor a constant to differentiate.
+    calls, wasted = Counter(), Counter()
+    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
+        def counted(*args, _name=name, _op=getattr(RationalFunction, name)):
+            calls[_name] += 1
+            if any(a.is_zero for a in args):
+                wasted[_name] += 1
+            return _op(*args)
+        monkeypatch.setattr(RationalFunction, name, counted)
+    diff = frames.differentiate
+
+    def counted_diff(e, coord):
+        calls["differentiate"] += 1
+        if e.rat.is_const:
+            wasted["differentiate"] += 1
+        return diff(e, coord)
+    monkeypatch.setattr(frames, "differentiate", counted_diff)
+    cli.run(corpus.argv("all", spec))
+    capsys.readouterr()
+    assert wasted == {}
+    assert all(calls[name] for name in ("__add__", "__sub__", "__mul__",
+                                        "__neg__", "differentiate"))
 
 
 HEIS5 = """\
