@@ -12,18 +12,15 @@ from fractions import Fraction
 
 from .frames import (
     FrameSpec,
-    OneForm,
     ShapeError,
-    Tensor02,
-    Tensor11,
-    VectorField,
     apply_vector,
     covariant_derivative_vector,
     dot,
     frame_apply,
     frame_pairing,
     lie_bracket,
-    lower_index,
+    matmul,
+    matvec,
 )
 from .report import FAIL, PASS, CheckReport, residual_check
 from .symcore import ONE, ZERO, Expr, esum
@@ -37,19 +34,21 @@ class InconsistentEta(Exception):
 
 @dataclass(frozen=True)
 class ContactDecl:
-    xi: VectorField | None = None
-    phi: Tensor11 | None = None
-    eta: OneForm | None = None
-    h: Tensor11 | None = None
+    """Declared frame tables: vector xi, (1,1) operators phi and h, 1-form
+    eta; None where the file declares none."""
+    xi: tuple | None = None
+    phi: tuple | None = None
+    eta: tuple | None = None
+    h: tuple | None = None
 
 
 @dataclass
 class ContactStructure:
     spec: FrameSpec
-    xi: VectorField
-    phi: Tensor11
-    eta: OneForm
-    h_declared: Tensor11 | None
+    xi: tuple
+    phi: tuple
+    eta: tuple
+    h_declared: tuple | None
     n: int
 
     @property
@@ -65,18 +64,18 @@ def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
     dim = spec.dim
     if dim % 2 == 0:
         raise ShapeError(f"dimension {dim} is even; need 2n+1")
-    if len(decl.xi.components) != dim:
+    if len(decl.xi) != dim:
         raise ShapeError("xi has wrong number of components")
-    if len(decl.phi.m) != dim or any(len(r) != dim for r in decl.phi.m):
+    if len(decl.phi) != dim or any(len(r) != dim for r in decl.phi):
         raise ShapeError("phi matrix is not square of frame dimension")
-    if decl.h is not None and (len(decl.h.m) != dim or
-                               any(len(r) != dim for r in decl.h.m)):
+    if decl.h is not None and (len(decl.h) != dim or
+                               any(len(r) != dim for r in decl.h)):
         raise ShapeError("h matrix is not square of frame dimension")
-    eta = lower_index(spec, decl.xi)
+    eta = matvec(spec.metric, decl.xi)
     if decl.eta is not None:
-        if len(decl.eta.components) != dim:
+        if len(decl.eta) != dim:
             raise ShapeError("eta has wrong number of components")
-        for i, (a, b) in enumerate(zip(decl.eta.components, eta.components)):
+        for i, (a, b) in enumerate(zip(decl.eta, eta)):
             if not (a - b).is_zero:
                 raise InconsistentEta(
                     f"eta(E{i + 1}) declared as {a} but g(E{i + 1}, xi) = {b}")
@@ -84,38 +83,41 @@ def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
                             (dim - 1) // 2)
 
 
-def _xi_brackets(spec: FrameSpec, cs: ContactStructure,
-                 brackets) -> Tensor11:
+def _xi_brackets(spec: FrameSpec, cs: ContactStructure, brackets):
     """The operator whose column j is [xi, E_j]."""
     dim = spec.dim
-    xi = cs.xi.components
-    return Tensor11(tuple(
+    xi = cs.xi
+    return tuple(
         tuple(dot(xi, [brackets[a][j][l] for a in range(dim)])
               - frame_apply(spec, j, xi[l]) for j in range(dim))
-        for l in range(dim)))
+        for l in range(dim))
 
 
-def compute_h(spec: FrameSpec, cs: ContactStructure, brackets) -> Tensor11:
-    """Half the Lie derivative of phi along xi, columnwise on frame fields."""
-    phi_lie = cs.phi.compose(_xi_brackets(spec, cs, brackets))
-    cols = [(lie_bracket(spec, cs.xi, cs.phi.column(j), brackets)
-             - phi_lie.column(j)).scale(HALF) for j in range(spec.dim)]
-    return Tensor11(tuple(zip(*(c.components for c in cols))))
+def compute_h(spec: FrameSpec, cs: ContactStructure, brackets):
+    """Half the Lie derivative of phi along xi, columnwise on frame fields:
+    column j is (1/2)([xi, phi E_j] - phi [xi, E_j])."""
+    dim = spec.dim
+    phi_lie = matmul(cs.phi, _xi_brackets(spec, cs, brackets))
+    lie = [lie_bracket(spec, cs.xi, col, brackets) for col in zip(*cs.phi)]
+    return tuple(tuple(HALF * (lie[j][l] - phi_lie[l][j]) for j in range(dim))
+                 for l in range(dim))
 
 
-def h_variants(cs: ContactStructure, h_computed: Tensor11):
+def h_variants(cs: ContactStructure, h_computed):
     """Labelled h choices for downstream checks.  When a declaration exists
     and differs from the computed operator both are audited; the declared one
     comes first and is the one report consumers treat as primary."""
     if cs.h_declared is None:
         return [("computed", h_computed)]
-    if (cs.h_declared - h_computed).is_zero:
+    if cs.h_declared == h_computed:
         return [("declared (= computed)", cs.h_declared)]
     return [("declared", cs.h_declared), ("computed", h_computed)]
 
 
 def deta_tensor(spec: FrameSpec, cs: ContactStructure, brackets,
-                factor: Fraction = Fraction(1, 2)) -> Tensor02:
+                factor: Fraction = Fraction(1, 2)):
+    """factor * (E_i eta(E_j) - E_j eta(E_i) - eta([E_i, E_j])), indexed
+    [i][j]: d eta in the convention `factor` picks."""
     dim = spec.dim
     f = Expr.const(factor)
     m = [[None] * dim for _ in range(dim)]
@@ -123,37 +125,32 @@ def deta_tensor(spec: FrameSpec, cs: ContactStructure, brackets,
         m[i][i] = ZERO
     for i in range(dim):
         for j in range(i + 1, dim):
-            br = VectorField(brackets[i][j])
-            val = f * (frame_apply(spec, i, cs.eta.components[j])
-                       - frame_apply(spec, j, cs.eta.components[i])
-                       - cs.eta(br))
+            val = f * (frame_apply(spec, i, cs.eta[j])
+                       - frame_apply(spec, j, cs.eta[i])
+                       - dot(cs.eta, brackets[i][j]))
             m[i][j] = val
             m[j][i] = -val
-    return Tensor02(tuple(tuple(r) for r in m))
+    return tuple(tuple(r) for r in m)
 
 
-def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets) -> Tensor02:
+def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets):
     """(Lie_xi g)(E_i, E_j), the Killing residual of xi."""
     dim = spec.dim
     g = spec.metric
     lie = _xi_brackets(spec, cs, brackets)
     g_lie = frame_pairing(lie, g, None)
     g_e_lie = frame_pairing(None, g, lie)
-    return Tensor02(tuple(
+    return tuple(
         tuple(apply_vector(spec, cs.xi, g[i][j]) - g_lie[i][j]
               - g_e_lie[i][j] for j in range(dim))
-        for i in range(dim)))
-
-
-def phi2_project(cs: ContactStructure, v: VectorField) -> VectorField:
-    return VectorField(phi2_rows(cs, [v.components])[0])
+        for i in range(dim))
 
 
 def phi2_rows(cs: ContactStructure, rows) -> list:
     """phi^2 v = eta(v) xi - v for each row v of frame components, with
     eta(v) summed over the frame indices where eta is nonzero only."""
-    eta = [(m, c) for m, c in enumerate(cs.eta.components) if not c.is_zero]
-    xi = cs.xi.components
+    eta = [(m, c) for m, c in enumerate(cs.eta) if not c.is_zero]
+    xi = cs.xi
     out = []
     for v in rows:
         e = esum([c * v[m] for m, c in eta])
@@ -178,17 +175,17 @@ def _pfaffian(m, rows):
     return acc
 
 
-def contact_volume(cs: ContactStructure, deta: Tensor02) -> Expr:
+def contact_volume(cs: ContactStructure, deta) -> Expr:
     """eta wedge (d eta)^n evaluated on the frame, up to the constant n!
     factor: sum_i (-1)^(i-1) eta_i Pf(deta with row/col i removed)."""
     dim = cs.dim
     acc = ZERO
     for i in range(dim):
-        e = cs.eta.components[i]
+        e = cs.eta[i]
         if e.is_zero:
             continue
         rows = tuple(x for x in range(dim) if x != i)
-        term = e * _pfaffian(deta.m, rows)
+        term = e * _pfaffian(deta, rows)
         acc = acc + (term if i % 2 == 0 else -term)
     return acc
 
@@ -198,31 +195,31 @@ def axiom_suite(ws):
     spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
     dim = spec.dim
     g = spec.metric
-    xi, eta = cs.xi.components, cs.eta.components
+    xi, eta, phi = cs.xi, cs.eta, cs.phi
     deta = ws.deta
     h_comp = ws.h_computed
     reports = []
 
-    res = [(f"(E{i + 1},E{j + 1})", deta.m[i][j] - ws.g_phi[i][j])
+    res = [(f"(E{i + 1},E{j + 1})", deta[i][j] - ws.g_phi[i][j])
            for i in range(dim) for j in range(i + 1, dim)]
     reports.append(residual_check(
         "I2.1", res, sampler,
         notes="d-eta(X,Y) - g(X, phi Y); eta = g(., xi) holds by "
               "construction"))
 
-    res = [("phi xi", c) for c in cs.phi.apply(cs.xi).components]
-    res += [(f"eta(phi E{j + 1})", cs.eta(cs.phi.column(j)))
-            for j in range(dim)]
-    phi2 = cs.phi.compose(cs.phi)
+    res = [("phi xi", c) for c in matvec(phi, xi)]
+    res += [(f"eta(phi E{j + 1})", dot(eta, col))
+            for j, col in enumerate(zip(*phi))]
+    phi2 = matmul(phi, phi)
     for j in range(dim):
         res += [(f"phi^2 E{j + 1}",
-                 phi2.m[l][j] + (ONE if l == j else ZERO) - xi[l] * eta[j])
+                 phi2[l][j] + (ONE if l == j else ZERO) - xi[l] * eta[j])
                 for l in range(dim)]
     reports.append(residual_check(
         "I2.2", res, sampler,
         notes="phi xi = 0, eta(phi X) = 0, phi^2 = -Id + eta (x) xi"))
 
-    g_phi_phi = frame_pairing(cs.phi, g, cs.phi)
+    g_phi_phi = frame_pairing(phi, g, phi)
     res = [(f"(E{i + 1},E{j + 1})",
             g_phi_phi[i][j] - g[i][j] + eta[i] * eta[j])
            for i in range(dim) for j in range(i, dim)]
@@ -230,31 +227,29 @@ def axiom_suite(ws):
         "I2.3", res, sampler,
         notes="g(phi X, phi Y) - g(X,Y) + eta(X) eta(Y)"))
 
-    nabla_xi = [covariant_derivative_vector(spec, conn, i, cs.xi)
+    variants = [(label, h, matmul(phi, h)) for label, h in ws.variants]
+    nabla_xi = [covariant_derivative_vector(spec, conn, i, xi)
                 for i in range(dim)]
-    for label, h in ws.variants:
-        res = []
-        for i in range(dim):
-            rhs = -cs.phi.column(i) - cs.phi.apply(h.column(i))
-            diff = nabla_xi[i] - rhs
-            res += [(f"W=E{i + 1}", c) for c in diff.components]
+    for label, h, phih in variants:
+        # nabla_{E_i} xi - (-phi E_i - phi h E_i), per component
+        res = [(f"W=E{i + 1}", nabla_xi[i][l] - (-phi[l][i] - phih[l][i]))
+               for i in range(dim) for l in range(dim)]
         reports.append(residual_check(
             "I2.4", res, sampler,
             notes=f"nabla_X xi + phi X + phi h X; h = {label}"))
 
-    for label, h in ws.variants:
-        phih = cs.phi.compose(h)
-        anticommute = h.compose(cs.phi) + phih
+    for label, h, phih in variants:
+        hphi = matmul(h, phi)
         reports.append(residual_check(
-            "H1", [("h phi + phi h", c) for row in anticommute.m
-                   for c in row],
+            "H1", [("h phi + phi h", hphi[i][j] + phih[i][j])
+                   for i in range(dim) for j in range(dim)],
             sampler, notes=f"h = {label}"))
         reports.append(residual_check(
-            "H2", [("h xi", c) for c in h.apply(cs.xi).components],
+            "H2", [("h xi", c) for c in matvec(h, xi)],
             sampler, notes=f"h = {label}"))
         reports.append(residual_check(
-            "H3", [("trace h", h.trace()),
-                   ("trace phi h", phih.trace())],
+            "H3", [("trace h", esum(h[i][i] for i in range(dim))),
+                   ("trace phi h", esum(phih[i][i] for i in range(dim)))],
             sampler, notes=f"h = {label}"))
         g_h = frame_pairing(h, g, None)
         g_e_h = frame_pairing(None, g, h)
@@ -264,27 +259,25 @@ def axiom_suite(ws):
             "H4", res, sampler, notes=f"g(hX,Y) - g(X,hY); h = {label}"))
 
     if cs.h_declared is not None:
-        diff = cs.h_declared - h_comp
         reports.append(residual_check(
             "H-COMP",
-            [(f"(E{i + 1},E{j + 1})", diff.m[i][j])
+            [(f"(E{i + 1},E{j + 1})", cs.h_declared[i][j] - h_comp[i][j])
              for i in range(dim) for j in range(dim)],
             sampler,
             notes="declared h minus (1/2) Lie_xi phi",
             pass_notes="declared h matches the computed operator"))
 
-    lie_g = lie_xi_g(spec, cs, ws.brackets)
-    killing = lie_g.is_zero
-    h_zero = h_comp.is_zero
+    lie_g = [c for row in lie_xi_g(spec, cs, ws.brackets) for c in row]
+    killing = all(c.is_zero for c in lie_g)
+    h_zero = all(c.is_zero for row in h_comp for c in row)
     if killing == h_zero:
         verdict, shown = PASS, "0"
     else:
         verdict = FAIL
-        shown = next(str(c) for row in lie_g.m for c in row
+        shown = next(str(c) for c in lie_g
                      if not c.is_zero) if not killing else "0"
     reports.append(CheckReport(
-        "KILLING", verdict, shown,
-        sampler.max_abs([c for row in lie_g.m for c in row]),
+        "KILLING", verdict, shown, sampler.max_abs(lie_g),
         notes=f"computed h {'=' if h_zero else '!='} 0 and Lie_xi g "
               f"{'=' if killing else '!='} 0"))
 

@@ -8,8 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .frames import (Connection, FrameSpec, Tensor02, Tensor11, VectorField,
-                     covariant_derivative_tensor02,
+from .frames import (FrameSpec, covariant_derivative_tensor02,
                      covariant_derivative_vector, dot)
 from .symcore import ZERO, Expr, esum
 
@@ -27,19 +26,16 @@ def _skew_planes(dim: int, plane):
     return tuple(tuple(row) for row in table)
 
 
-def riemann(spec: FrameSpec, conn: Connection, brackets):
+def riemann(spec: FrameSpec, gamma, brackets):
     dim = spec.dim
-    gamma = conn.gamma
 
     def plane(i, j):
         out = []
         for k in range(dim):
-            first = covariant_derivative_vector(spec, conn, i,
-                                                VectorField(gamma[j][k]))
-            second = covariant_derivative_vector(spec, conn, j,
-                                                 VectorField(gamma[i][k]))
+            first = covariant_derivative_vector(spec, gamma, i, gamma[j][k])
+            second = covariant_derivative_vector(spec, gamma, j, gamma[i][k])
             out.append(tuple(
-                esum([first.components[l], -second.components[l]]
+                esum([first[l], -second[l]]
                      + [-(brackets[i][j][m] * gamma[m][k][l])
                         for m in range(dim) if not brackets[i][j][m].is_zero])
                 for l in range(dim)))
@@ -48,54 +44,51 @@ def riemann(spec: FrameSpec, conn: Connection, brackets):
     return _skew_planes(dim, plane)
 
 
-def riemann_apply(r_table, x: VectorField, y: VectorField,
-                  z: VectorField) -> VectorField:
-    """R(X,Y)Z for arbitrary fields, multilinear over components."""
+def riemann_apply(r_table, x, y, z):
+    """R(X,Y)Z for arbitrary vectors, multilinear over components.
+    `r_table` is any table indexed like R, such as the G table; a
+    coefficient x^i y^j z^k is formed only where R(E_i,E_j)E_k != 0."""
     dim = len(r_table)
     comps = [[] for _ in range(dim)]
     for i in range(dim):
-        xi = x.components[i]
-        if xi.is_zero:
+        if x[i].is_zero:
             continue
         for j in range(dim):
-            yj = y.components[j]
-            if yj.is_zero:
+            if y[j].is_zero:
                 continue
-            for k in range(dim):
-                zk = z.components[k]
-                if zk.is_zero:
+            xy = x[i] * y[j]
+            for k, row in enumerate(r_table[i][j]):
+                if z[k].is_zero or all(c.is_zero for c in row):
                     continue
-                coef = xi * yj * zk
+                coef = xy * z[k]
                 for l in range(dim):
-                    if not r_table[i][j][k][l].is_zero:
-                        comps[l].append(coef * r_table[i][j][k][l])
-    return VectorField(tuple(esum(c) for c in comps))
+                    if not row[l].is_zero:
+                        comps[l].append(coef * row[l])
+    return tuple(esum(c) for c in comps)
 
 
-def riemann_on(table, z: VectorField):
+def riemann_on(table, z):
     """R(E_i,E_j)Z for every frame pair, indexed [i][j][l]; `table` is the
     R table or one direction's plane nr_table[w] of the nabla R table."""
-    return tuple(tuple(tuple(dot(z.components, col) for col in zip(*plane))
+    return tuple(tuple(tuple(dot(z, col) for col in zip(*plane))
                        for plane in row) for row in table)
 
 
-def nabla_riemann(nr_table, w: int, x: VectorField, y: VectorField,
-                  z: VectorField) -> VectorField:
-    """(nabla_{E_w} R)(X,Y)Z for arbitrary fields.  nabla R is tensorial in
+def nabla_riemann(nr_table, w: int, x, y, z):
+    """(nabla_{E_w} R)(X,Y)Z for arbitrary vectors.  nabla R is tensorial in
     X, Y and Z, so this contracts the table's plane for w."""
     return riemann_apply(nr_table[w], x, y, z)
 
 
-def nabla_riemann_table(spec: FrameSpec, conn: Connection, r_table):
+def nabla_riemann_table(spec: FrameSpec, gamma, r_table):
     """(nabla_{E_w} R)(E_i,E_j)E_k components, indexed [w][i][j][k][l]."""
     dim = spec.dim
-    gamma = conn.gamma
 
     def plane(w, i, j):
         out = []
         for k in range(dim):
-            lead = covariant_derivative_vector(
-                spec, conn, w, VectorField(r_table[i][j][k]))
+            lead = covariant_derivative_vector(spec, gamma, w,
+                                               r_table[i][j][k])
             # nabla_w of R(E_i,E_j)E_k, minus R with nabla_w applied to
             # each argument in turn
             corr = ([(gamma[w][i][m], r_table[m][j][k]) for m in range(dim)]
@@ -103,7 +96,7 @@ def nabla_riemann_table(spec: FrameSpec, conn: Connection, r_table):
                     + [(gamma[w][k][m], r_table[i][j][m]) for m in range(dim)])
             corr = [(c, r) for c, r in corr if not c.is_zero]
             out.append(tuple(
-                esum([lead.components[l]]
+                esum([lead[l]]
                      + [-(c * r[l]) for c, r in corr if not r[l].is_zero])
                 for l in range(dim)))
         return tuple(out)
@@ -113,9 +106,9 @@ def nabla_riemann_table(spec: FrameSpec, conn: Connection, r_table):
 
 @dataclass
 class RicciData:
-    S: Tensor02
+    S: tuple     # (0,2) table S(E_i, E_j)
     r: Expr
-    Q: Tensor11
+    Q: tuple     # (1,1) operator, g(QX, Y) = S(X, Y)
 
 
 def ricci(spec: FrameSpec, r_table, ginv) -> RicciData:
@@ -132,25 +125,19 @@ def ricci(spec: FrameSpec, r_table, ginv) -> RicciData:
                 for a in range(dim) for b in range(dim) for l in range(dim)
                 if not r_table[a][j][k][l].is_zero))
         s_rows.append(tuple(row))
-    s = Tensor02(tuple(s_rows))
-    r_scal = esum(ginv[j][k] * s.m[j][k]
+    s = tuple(s_rows)
+    r_scal = esum(ginv[j][k] * s[j][k]
                   for j in range(dim) for k in range(dim))
-    q = Tensor11(tuple(
-        tuple(esum(ginv[i][k] * s.m[k][j] for k in range(dim))
+    q = tuple(
+        tuple(esum(ginv[i][k] * s[k][j] for k in range(dim))
               for j in range(dim))
-        for i in range(dim)))
+        for i in range(dim))
     return RicciData(s, r_scal, q)
 
 
-def g_tensor(spec: FrameSpec, x: VectorField, y: VectorField,
-             z: VectorField) -> VectorField:
-    """G(X,Y)Z = g(Y,Z)X - g(X,Z)Y, the constant-curvature model tensor."""
-    gyz = Tensor02(spec.metric).apply(y, z)
-    gxz = Tensor02(spec.metric).apply(x, z)
-    return x.scale(gyz) - y.scale(gxz)
-
-
 def g_tensor_table(spec: FrameSpec):
+    """G(E_i,E_j)E_k components of G(X,Y)Z = g(Y,Z)X - g(X,Z)Y, the
+    constant-curvature model, indexed like the R table."""
     dim = spec.dim
     g = spec.metric
     return tuple(
@@ -164,7 +151,7 @@ def g_tensor_table(spec: FrameSpec):
         for i in range(dim))
 
 
-def covariant_ricci_table(spec: FrameSpec, conn: Connection, s: Tensor02):
-    """(nabla_{E_w} S) for each frame direction w."""
-    return tuple(covariant_derivative_tensor02(spec, conn, w, s)
+def covariant_ricci_table(spec: FrameSpec, gamma, s):
+    """(nabla_{E_w} S) for each frame direction w, indexed [w][i][j]."""
+    return tuple(covariant_derivative_tensor02(spec, gamma, w, s)
                  for w in range(spec.dim))

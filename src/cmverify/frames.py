@@ -1,14 +1,23 @@
 """Moving frames over a coordinate chart.
 
-Index conventions used throughout:
-  CoordinateMode   E_i = sum_j a[i][j] d/dx_j
-  BracketMode      [E_i, E_j] = sum_k c[i][j][k] E_k,  E_i(x_j) = act[i][j]
-  Connection       nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k
-  Tensor11         (T E_j)^i = m[i][j]
-  Tensor02         T(E_i, E_j) = m[i][j]
+Every frame tensor is a plain nested tuple of `Expr`, indexed by frame
+position (E_1 is index 0); there is no wrapper class:
 
-Checks read frame components by index: g(E_i, E_j) is metric[i][j], and a
-value such as g(h E_i, phi E_j) is entry [i][j] of
+  vector field    v[i] = v^i, so v = sum_i v[i] E_i
+  1-form          w[i] = w(E_i)
+  (1,1) operator  m[i][j] = (T E_j)^i, so column j is T E_j
+  (0,2) tensor    m[i][j] = T(E_i, E_j), as for the metric and S
+  connection      gamma[i][j][k]: nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k
+  brackets        c[i][j][k]: [E_i, E_j] = sum_k c[i][j][k] E_k
+  frame           CoordinateMode a[i][j]: E_i = sum_j a[i][j] d/dx_j;
+                  BracketMode act[i][j] = E_i(x_j)
+
+Curvature tables extend the same rule (see `curvature`).  `dot` pairs
+two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
+(1,1) operator to a vector (T v) or a (0,2) table to its second slot
+(g(E_i, v), which lowers an index); `matmul` composes two operators.
+Checks read frame components by index: g(E_i, E_j) is metric[i][j], and
+a value such as g(h E_i, phi E_j) is entry [i][j] of
 `frame_pairing(h, metric, phi)`.
 """
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import SingularMatrix, mat_det, mat_inv
-from .symcore import ONE, ZERO, Expr, differentiate, esum, render
+from .symcore import ZERO, Expr, differentiate, esum, render
 
 
 class FrameDependent(ValueError):
@@ -42,7 +51,13 @@ def dot(u, v) -> Expr:
     return esum(products)
 
 
-def _matmul(p, q):
+def matvec(m, v):
+    """dot(row, v) for each row of the table m."""
+    return tuple(dot(row, v) for row in m)
+
+
+def matmul(p, q):
+    """The composite operator p q."""
     cols = tuple(zip(*q))
     return tuple(tuple(dot(row, col) for col in cols) for row in p)
 
@@ -90,103 +105,6 @@ class FrameSpec:
         return set(self.coords.names) | set(self.params)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    components: tuple
-
-    def __add__(self, other):
-        return VectorField(tuple(a + b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __sub__(self, other):
-        return VectorField(tuple(a - b for a, b in
-                                 zip(self.components, other.components)))
-
-    def __neg__(self):
-        return VectorField(tuple(-a for a in self.components))
-
-    def scale(self, f: Expr):
-        return VectorField(tuple(f * a for a in self.components))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-
-@dataclass(frozen=True)
-class OneForm:
-    components: tuple
-
-    def __call__(self, v: VectorField) -> Expr:
-        return dot(self.components, v.components)
-
-    @property
-    def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.components)
-
-
-@dataclass(frozen=True)
-class Tensor11:
-    m: tuple
-
-    def apply(self, v: VectorField) -> VectorField:
-        return VectorField(tuple(dot(row, v.components) for row in self.m))
-
-    def column(self, j: int) -> VectorField:
-        return VectorField(tuple(row[j] for row in self.m))
-
-    def compose(self, other: "Tensor11") -> "Tensor11":
-        return Tensor11(_matmul(self.m, other.m))
-
-    def trace(self) -> Expr:
-        return esum(self.m[i][i] for i in range(len(self.m)))
-
-    def __add__(self, other):
-        return Tensor11(tuple(tuple(a + b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.m, other.m)))
-
-    def __sub__(self, other):
-        return Tensor11(tuple(tuple(a - b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.m, other.m)))
-
-    def __neg__(self):
-        return Tensor11(tuple(tuple(-a for a in r) for r in self.m))
-
-    def scale(self, f: Expr):
-        return Tensor11(tuple(tuple(f * a for a in r) for r in self.m))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for r in self.m for a in r)
-
-
-def identity_tensor11(dim: int) -> Tensor11:
-    return Tensor11(tuple(tuple(ONE if i == j else ZERO for j in range(dim))
-                          for i in range(dim)))
-
-
-@dataclass(frozen=True)
-class Tensor02:
-    m: tuple
-
-    def apply(self, x: VectorField, y: VectorField) -> Expr:
-        return dot(x.components,
-                   [dot(row, y.components) for row in self.m])
-
-    def __sub__(self, other):
-        return Tensor02(tuple(tuple(a - b for a, b in zip(r1, r2))
-                              for r1, r2 in zip(self.m, other.m)))
-
-    @property
-    def is_zero(self) -> bool:
-        return all(a.is_zero for r in self.m for a in r)
-
-
-@dataclass(frozen=True)
-class Connection:
-    gamma: tuple
-
-
 @dataclass
 class ValidationIssue:
     name: str
@@ -222,9 +140,10 @@ def frame_apply(spec: FrameSpec, i: int, f: Expr) -> Expr:
                  if not c.is_zero])
 
 
-def apply_vector(spec: FrameSpec, v: VectorField, f: Expr) -> Expr:
+def apply_vector(spec: FrameSpec, v, f: Expr) -> Expr:
+    """v(f) for a vector v."""
     return esum(c * frame_apply(spec, i, f)
-                for i, c in enumerate(v.components) if not c.is_zero)
+                for i, c in enumerate(v) if not c.is_zero)
 
 
 def compute_brackets(spec: FrameSpec):
@@ -253,19 +172,17 @@ def compute_brackets(spec: FrameSpec):
     return tuple(c)
 
 
-def lie_bracket(spec: FrameSpec, v: VectorField, w: VectorField,
-                brackets) -> VectorField:
+def lie_bracket(spec: FrameSpec, v, w, brackets):
+    """The vector [v, w]."""
     dim = spec.dim
     comps = []
     for l in range(dim):
-        terms = [apply_vector(spec, v, w.components[l]),
-                 -apply_vector(spec, w, v.components[l])]
-        terms.extend(v.components[a] * w.components[b] * brackets[a][b][l]
+        terms = [apply_vector(spec, v, w[l]), -apply_vector(spec, w, v[l])]
+        terms.extend(v[a] * w[b] * brackets[a][b][l]
                      for a in range(dim) for b in range(dim)
-                     if not v.components[a].is_zero
-                     and not w.components[b].is_zero)
+                     if not v[a].is_zero and not w[b].is_zero)
         comps.append(esum(terms))
-    return VectorField(tuple(comps))
+    return tuple(comps)
 
 
 def validate_frame(spec: FrameSpec) -> ValidationReport:
@@ -349,23 +266,16 @@ def metric_inverse(spec: FrameSpec):
         raise SingularMetric("metric is singular") from None
 
 
-def frame_pairing(a: Tensor11 | None, t, b: Tensor11 | None):
+def frame_pairing(a, t, b):
     """T(A E_i, B E_j), indexed [i][j], for a (0,2) table t such as the
     metric or S, and (1,1) operators a and b; None is the identity."""
-    tb = t if b is None else _matmul(t, b.m)
-    return tb if a is None else _matmul(tuple(zip(*a.m)), tb)
+    tb = t if b is None else matmul(t, b)
+    return tb if a is None else matmul(tuple(zip(*a)), tb)
 
 
-def lower_index(spec: FrameSpec, v: VectorField) -> OneForm:
-    return OneForm(tuple(dot(row, v.components) for row in spec.metric))
-
-
-def raise_index(spec: FrameSpec, w: OneForm, ginv) -> VectorField:
-    return VectorField(tuple(dot(row, w.components) for row in ginv))
-
-
-def koszul_connection(spec: FrameSpec, brackets, ginv) -> Connection:
-    """Levi-Civita connection of the frame metric via the Koszul formula."""
+def koszul_connection(spec: FrameSpec, brackets, ginv):
+    """Levi-Civita connection of the frame metric via the Koszul formula,
+    as its table gamma[i][j][k]."""
     g = spec.metric
     dim = spec.dim
     half = Expr.const(Fraction(1, 2))
@@ -386,45 +296,41 @@ def koszul_connection(spec: FrameSpec, brackets, ginv) -> Connection:
                 rhs.append(half * val)
             gi.append(tuple(dot(row, rhs) for row in ginv))
         gamma.append(tuple(gi))
-    return Connection(tuple(gamma))
+    return tuple(gamma)
 
 
-def covariant_derivative_vector(spec: FrameSpec, conn: Connection,
-                                i: int, v: VectorField) -> VectorField:
-    """nabla_{E_i} v."""
-    return VectorField(tuple(
-        frame_apply(spec, i, vk) + dot(v.components, gamma_k)
-        for vk, gamma_k in zip(v.components, zip(*conn.gamma[i]))))
+def covariant_derivative_vector(spec: FrameSpec, gamma, i: int, v):
+    """nabla_{E_i} v for a vector v."""
+    return tuple(frame_apply(spec, i, vk) + dot(v, gamma_k)
+                 for vk, gamma_k in zip(v, zip(*gamma[i])))
 
 
-def covariant_derivative_oneform(spec: FrameSpec, conn: Connection,
-                                 i: int, w: OneForm) -> OneForm:
-    return OneForm(tuple(
-        frame_apply(spec, i, w.components[j])
-        - dot(conn.gamma[i][j], w.components)
-        for j in range(spec.dim)))
+def covariant_derivative_oneform(spec: FrameSpec, gamma, i: int, w):
+    """nabla_{E_i} w for a 1-form w."""
+    return tuple(frame_apply(spec, i, w[j]) - dot(gamma[i][j], w)
+                 for j in range(spec.dim))
 
 
-def covariant_derivative_tensor11(spec: FrameSpec, conn: Connection,
-                                  i: int, t: Tensor11) -> Tensor11:
+def covariant_derivative_tensor11(spec: FrameSpec, gamma, i: int, t):
+    """nabla_{E_i} t for a (1,1) operator t."""
     dim = spec.dim
-    gamma = conn.gamma[i]
-    gamma_t, cols = tuple(zip(*gamma)), tuple(zip(*t.m))
-    return Tensor11(tuple(
-        tuple(frame_apply(spec, i, t.m[k][j]) + dot(gamma_t[k], cols[j])
-              - dot(gamma[j], t.m[k])
+    gi = gamma[i]
+    gi_t, cols = tuple(zip(*gi)), tuple(zip(*t))
+    return tuple(
+        tuple(frame_apply(spec, i, t[k][j]) + dot(gi_t[k], cols[j])
+              - dot(gi[j], t[k])
               for j in range(dim))
-        for k in range(dim)))
+        for k in range(dim))
 
 
-def covariant_derivative_tensor02(spec: FrameSpec, conn: Connection,
-                                  i: int, t: Tensor02) -> Tensor02:
+def covariant_derivative_tensor02(spec: FrameSpec, gamma, i: int, t):
+    """nabla_{E_i} t for a (0,2) table t."""
     dim = spec.dim
-    gamma = conn.gamma[i]
-    cols = tuple(zip(*t.m))
-    return Tensor02(tuple(
-        tuple(frame_apply(spec, i, t.m[j][k]) - dot(gamma[j], cols[k])
-              - dot(gamma[k], t.m[j])
+    gi = gamma[i]
+    cols = tuple(zip(*t))
+    return tuple(
+        tuple(frame_apply(spec, i, t[j][k]) - dot(gi[j], cols[k])
+              - dot(gi[k], t[j])
               for k in range(dim))
-        for j in range(dim)))
+        for j in range(dim))
 

@@ -11,13 +11,11 @@ from dataclasses import dataclass
 
 from .curvature import riemann_on
 from .frames import (
-    FrameSpec,
-    Tensor11,
     covariant_derivative_oneform,
     covariant_derivative_tensor11,
     dot,
     frame_pairing,
-    identity_tensor11,
+    matmul,
 )
 from .linalg import solve_two_unknowns
 from .report import FAIL, NEEDS_INPUT, PASS, CheckReport, residual_check
@@ -41,28 +39,27 @@ class NullityParams:
     kernel: str = ""
 
 
-def _nullity_terms(r_table, cs, h: Tensor11) -> list:
+def _nullity_terms(r_xi, eta, h) -> list:
     """(label, a, b, c) per pair i < j and component l, where c is the
-    E_l-component of R(E_i,E_j)xi, and a and b are those of
-    eta(E_j)E_i - eta(E_i)E_j and eta(E_j) h E_i - eta(E_i) h E_j."""
-    dim = len(r_table)
-    eta = cs.eta.components
-    r_xi = riemann_on(r_table, cs.xi)
+    E_l-component of R(E_i,E_j)xi (`r_xi[i][j][l]`), and a and b are those
+    of eta(E_j)E_i - eta(E_i)E_j and eta(E_j) h E_i - eta(E_i) h E_j."""
+    dim = len(r_xi)
     out = []
     for i in range(dim):
         for j in range(i + 1, dim):
             ei, ej = eta[i], eta[j]
             out += [(f"(E{i + 1},E{j + 1})",
                      (ej if l == i else ZERO) - (ei if l == j else ZERO),
-                     h.m[l][i] * ej - h.m[l][j] * ei, r_xi[i][j][l])
+                     h[l][i] * ej - h[l][j] * ei, r_xi[i][j][l])
                     for l in range(dim)]
     return out
 
 
-def extract_k_mu(spec: FrameSpec, r_table, cs, h: Tensor11) -> NullityParams:
+def extract_k_mu(r_xi, eta, h) -> NullityParams:
     """Solve R(E_i,E_j)xi = k [eta(E_j)E_i - eta(E_i)E_j]
-    + mu [eta(E_j) h E_i - eta(E_i) h E_j] exactly over all pairs."""
-    rows = [(ca, cb, rhs) for _, ca, cb, rhs in _nullity_terms(r_table, cs, h)
+    + mu [eta(E_j) h E_i - eta(E_i) h E_j] exactly over all pairs, from
+    the table r_xi[i][j][l] of R(E_i,E_j)xi."""
+    rows = [(ca, cb, rhs) for _, ca, cb, rhs in _nullity_terms(r_xi, eta, h)
             if not (ca.is_zero and cb.is_zero and rhs.is_zero)]
     if not rows:
         return NullityParams(None, None, "extracted", "underdetermined",
@@ -143,20 +140,19 @@ def param_check(check_id, params: NullityParams, builder, sampler=None,
     return residual_check(check_id, residuals, sampler, notes=notes)
 
 
-def identity_battery(ws, h: Tensor11, params: NullityParams,
-                     h_label="") -> list:
+def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     """Checks I3.1 through I3.13 for one h choice."""
     spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
     r_table, nr_table, ric = ws.r_table, ws.nr_table, ws.ric
     dim = spec.dim
     n = spec.n
     g = spec.metric
-    xi, eta = cs.xi.components, cs.eta.components
-    phi = cs.phi
-    idh = identity_tensor11(dim) + h            # X -> X + hX
-    hphi = h.compose(phi)
-    phih = phi.compose(h)
-    phi_idh = phi.compose(idh)
+    xi, eta, phi = cs.xi, cs.eta, cs.phi
+    idh = tuple(tuple((ONE if i == j else ZERO) + h[i][j]
+                      for j in range(dim)) for i in range(dim))  # X + hX
+    hphi = matmul(h, phi)
+    phih = matmul(phi, h)
+    phi_idh = matmul(phi, idh)
     # frame tables, indexed [i][j]
     g_phi = ws.g_phi                            # g(E_i, phi E_j)
     g_h = frame_pairing(h, g, None)             # g(h E_i, E_j)
@@ -167,7 +163,7 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
     extra = f"; {params.notes}" if params.notes else ""
     reports = []
 
-    nullity = _nullity_terms(r_table, cs, h)
+    nullity = _nullity_terms(ws.r_xi, eta, h)
 
     def b_31(k, mu):
         return [(label, c - (k * a + mu * b)) for label, a, b, c in nullity]
@@ -175,36 +171,39 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
                                notes=(note + extra).strip("; ")))
 
     def b_32(k, mu):
-        lhs = h.compose(h)
-        rhs = phi.compose(phi).scale(k - ONE)
-        diff = lhs - rhs
-        return [(f"(E{i + 1},E{j + 1})", diff.m[i][j])
+        lhs = matmul(h, h)
+        f = k - ONE
+        rhs = [[f * c for c in row] for row in matmul(phi, phi)]
+        return [(f"(E{i + 1},E{j + 1})", lhs[i][j] - rhs[i][j])
                 for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.2", params, b_32, sampler, notes=note))
 
     res = []
     for i in range(dim):
         nabla_phi = covariant_derivative_tensor11(spec, conn, i, phi)
-        xh = idh.column(i)
         for j in range(dim):
-            rhs = cs.xi.scale(g_idh[i][j]) - xh.scale(eta[j])
-            diff = nabla_phi.column(j) - rhs
-            res += [(f"(E{i + 1},E{j + 1})", c) for c in diff.components]
+            # (nabla_{E_i} phi) E_j - (g(E_i + h E_i, E_j) xi
+            #                          - eta(E_j)(E_i + h E_i))
+            res += [(f"(E{i + 1},E{j + 1})",
+                     nabla_phi[l][j] - (g_idh[i][j] * xi[l]
+                                        - eta[j] * idh[l][i]))
+                    for l in range(dim)]
     reports.append(residual_check("I3.3", res, sampler, notes=note))
 
-    h_phi_idh = h.compose(phi_idh)             # X -> h(phi X + phi h X)
+    h_phi_idh = matmul(h, phi_idh)             # X -> h(phi X + phi h X)
 
     def b_34(k, mu):
         out = []
         for i in range(dim):
             nabla_h = covariant_derivative_tensor11(spec, conn, i, h)
+            mu_eta = mu * eta[i]
             for j in range(dim):
                 coef = (ONE - k) * g_phi[i][j] + g_hphi[i][j]
-                rhs = (cs.xi.scale(coef)
-                       + h_phi_idh.column(i).scale(eta[j])
-                       - phih.column(j).scale(mu * eta[i]))
-                diff = nabla_h.column(j) - rhs
-                out += [(f"(E{i + 1},E{j + 1})", c) for c in diff.components]
+                out += [(f"(E{i + 1},E{j + 1})",
+                         nabla_h[l][j] - (coef * xi[l]
+                                          + eta[j] * h_phi_idh[l][i]
+                                          - mu_eta * phih[l][j]))
+                        for l in range(dim)]
         return out
     reports.append(param_check("I3.4", params, b_34, sampler, notes=note))
 
@@ -221,7 +220,7 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
                 out += [(f"(E{i + 1},E{j + 1})", r_of_xi[i][j][l]
                          - (c_xi * xi[l] - eta[j]
                             * (k * (ONE if l == i else ZERO)
-                               + mu * h.m[l][i])))
+                               + mu * h[l][i])))
                         for l in range(dim)]
         return out
     reports.append(param_check("I3.5", params, b_35, sampler, notes=note))
@@ -242,16 +241,15 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
     two_n = Expr.const(2 * n)
 
     def b_37(k, mu):
-        return [(f"X=E{i + 1}", dot(ric.S.m[i], xi) - two_n * k * eta[i])
+        return [(f"X=E{i + 1}", dot(ric.S[i], xi) - two_n * k * eta[i])
                 for i in range(dim)]
     reports.append(param_check("I3.7", params, b_37, sampler, notes=note))
 
     def b_38(k, mu):
-        lhs = ric.Q.compose(phi) - phi.compose(ric.Q)
+        q_phi, phi_q = matmul(ric.Q, phi), matmul(phi, ric.Q)
         coef = Expr.const(2) * (Expr.const(2 * (n - 1)) + mu)
-        rhs = hphi.scale(coef)
-        diff = lhs - rhs
-        return [(f"(E{i + 1},E{j + 1})", diff.m[i][j])
+        return [(f"(E{i + 1},E{j + 1})",
+                 q_phi[i][j] - phi_q[i][j] - coef * hphi[i][j])
                 for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.8", params, b_38, sampler, notes=note))
 
@@ -260,7 +258,7 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
         c2 = Expr.const(2 * (n - 1)) + mu
         c3 = (Expr.const(2 * (1 - n))
               + Expr.const(n) * (Expr.const(2) * k + mu))
-        return [(f"(E{i + 1},E{j + 1})", ric.S.m[i][j]
+        return [(f"(E{i + 1},E{j + 1})", ric.S[i][j]
                  - (c1 * g[i][j] + c2 * g_h[i][j] + c3 * eta[i] * eta[j]))
                 for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.9", params, b_39, sampler, notes=note))
@@ -270,11 +268,11 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
         return [("r", ric.r - rhs)]
     reports.append(param_check("I3.10", params, b_310, sampler, notes=note))
 
-    s_phi_phi = frame_pairing(phi, ric.S.m, phi)
+    s_phi_phi = frame_pairing(phi, ric.S, phi)
 
     def b_311(k, mu):
         return [(f"(E{i + 1},E{j + 1})", s_phi_phi[i][j]
-                 - (ric.S.m[i][j] - two_n * k * eta[i] * eta[j]
+                 - (ric.S[i][j] - two_n * k * eta[i] * eta[j]
                     - Expr.const(2) * (Expr.const(2 * n - 2) + mu)
                     * g_h[i][j]))
                 for i in range(dim) for j in range(dim)]
@@ -282,9 +280,8 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
 
     res = []
     for i in range(dim):
-        nabla_eta = covariant_derivative_oneform(spec, conn, i, cs.eta)
-        res += [(f"(E{i + 1},E{j + 1})",
-                 nabla_eta.components[j] - g_idh_phi[i][j])
+        nabla_eta = covariant_derivative_oneform(spec, conn, i, eta)
+        res += [(f"(E{i + 1},E{j + 1})", nabla_eta[j] - g_idh_phi[i][j])
                 for j in range(dim)]
     reports.append(residual_check(
         "I3.12", res, sampler,
@@ -294,8 +291,8 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
 
     # (nabla_W R)(E_i,E_j)xi and R(E_i,E_j)(phi W + phi h W), indexed
     # [w][i][j][l]
-    nr_xi = [riemann_on(nr_table[w], cs.xi) for w in range(dim)]
-    r_phi_idh = [riemann_on(r_table, phi_idh.column(w)) for w in range(dim)]
+    nr_xi = [riemann_on(nr_table[w], xi) for w in range(dim)]
+    r_phi_idh = [riemann_on(r_table, col) for col in zip(*phi_idh)]
 
     def b_313(k, mu):
         out = []
@@ -310,10 +307,10 @@ def identity_battery(ws, h: Tensor11, params: NullityParams,
                     cx = (ONE - k) * g_phi[w][i] + g_hphi[w][i]
                     cy = (ONE - k) * g_phi[w][j] + g_hphi[w][j]
                     for l in range(dim):
-                        inner = (a_y * h.m[l][i] - a_x * h.m[l][j]
+                        inner = (a_y * h[l][i] - a_x * h[l][j]
                                  + (cx * eta[j] - cy * eta[i]) * xi[l]
-                                 + mu * ew * (eta[i] * phih.m[l][j]
-                                              - eta[j] * phih.m[l][i]))
+                                 + mu * ew * (eta[i] * phih[l][j]
+                                              - eta[j] * phih[l][i]))
                         rhs = ((k * a_y if l == i else ZERO)
                                - (k * a_x if l == j else ZERO)
                                + mu * inner + r_phi_idh[w][i][j][l])

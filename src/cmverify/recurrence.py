@@ -11,22 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .contact import phi2_project, phi2_rows
-from .curvature import (g_tensor, g_tensor_table, nabla_riemann,
-                        riemann_apply, riemann_on)
-from .frames import (
-    FrameSpec,
-    OneForm,
-    Tensor11,
-    VectorField,
-    frame_pairing,
-    identity_tensor11,
-    raise_index,
-)
+from .contact import phi2_rows
+from .curvature import (g_tensor_table, nabla_riemann, riemann_apply,
+                        riemann_on)
+from .frames import FrameSpec, dot, frame_pairing, matmul
 from .linalg import solve_two_unknowns
 from .nullity import NullityParams, param_check
 from .report import DEGENERATE, FAIL, PASS, CheckReport, residual_check
-from .symcore import ONE, ZERO, Expr, esum, parse_expr
+from .symcore import ONE, ZERO, Expr, parse_expr
 
 KINDS = ("full", "ricci", "phi")
 
@@ -43,10 +35,8 @@ class DirectionResult:
 @dataclass
 class RecurrenceSolution:
     kind: str
-    A: OneForm
-    B: OneForm
-    rho1: VectorField
-    rho2: VectorField
+    A: tuple             # 1-form: A[w] = A(E_w)
+    B: tuple
     directions: tuple
     classification: str
     degenerate: bool
@@ -64,11 +54,11 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
     dim = spec.dim
     if kind == "ricci":
         ric, nabla_s = ws.ric, ws.nabla_s
-        model = [(ric.S.m[i][j], spec.metric[i][j])
+        model = [(ric.S[i][j], spec.metric[i][j])
                  for i in range(dim) for j in range(dim)]
-        derivs = [[nabla_s[w].m[i][j] for i in range(dim)
+        derivs = [[nabla_s[w][i][j] for i in range(dim)
                    for j in range(dim)] for w in range(dim)]
-        model_zero = ric.S.is_zero
+        model_zero = all(c.is_zero for row in ric.S for c in row)
     else:
         r_table, nr_table = ws.r_table, ws.nr_table
         g_table = g_tensor_table(spec)
@@ -98,35 +88,27 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
             rows.append((ca, cb, rhs))
         if any_rhs:
             lhs_zero = False
-        sol = solve_two_unknowns(rows) if rows else None
-        if sol is None:
-            a_comps.append(ZERO)
-            b_comps.append(ZERO)
-            dirs.append(DirectionResult("underdetermined",
-                                        "alpha free, beta free", ZERO))
-            continue
+        sol = solve_two_unknowns(rows)
         a_comps.append(sol.alpha)
         b_comps.append(sol.beta)
         dirs.append(DirectionResult(sol.status, sol.kernel, sol.worst))
-    a_form = OneForm(tuple(a_comps))
-    b_form = OneForm(tuple(b_comps))
+    a_form, b_form = tuple(a_comps), tuple(b_comps)
     classification = _classify(kind, a_form, b_form, lhs_zero, model_zero,
                                dirs)
-    return RecurrenceSolution(
-        kind, a_form, b_form,
-        raise_index(spec, a_form, ws.ginv),
-        raise_index(spec, b_form, ws.ginv),
-        tuple(dirs), classification, model_zero, lhs_zero)
+    return RecurrenceSolution(kind, a_form, b_form, tuple(dirs),
+                              classification, model_zero, lhs_zero)
 
 
 def _classify(kind, a_form, b_form, lhs_zero, model_zero, dirs) -> str:
     if any(d.status == "inconsistent" for d in dirs):
         return "none"
     prefix = "φ-" if kind == "phi" else ""
-    if lhs_zero and a_form.is_zero and b_form.is_zero:
+    a_zero = all(c.is_zero for c in a_form)
+    b_zero = all(c.is_zero for c in b_form)
+    if lhs_zero and a_zero and b_zero:
         base = f"{prefix}symmetric"
         return f"degenerate-{base}" if model_zero else base
-    if b_form.is_zero and not a_form.is_zero:
+    if b_zero and not a_zero:
         return f"{prefix}recurrent"
     return f"generalized {prefix}recurrent" if prefix \
         else "generalized-recurrent"
@@ -143,8 +125,8 @@ def classification_phrase(sol: RecurrenceSolution) -> str:
 
 def recurrence_report(sol: RecurrenceSolution, sampler=None) -> CheckReport:
     check_id = f"REC-{sol.kind.upper()}"
-    bits = [f"A = ({', '.join(str(c) for c in sol.A.components)})",
-            f"B = ({', '.join(str(c) for c in sol.B.components)})",
+    bits = [f"A = ({', '.join(str(c) for c in sol.A)})",
+            f"B = ({', '.join(str(c) for c in sol.B)})",
             f"classification: {classification_phrase(sol)}"]
     status_bits = []
     for w, d in enumerate(sol.directions):
@@ -170,26 +152,27 @@ def recurrence_report(sol: RecurrenceSolution, sampler=None) -> CheckReport:
 # -- derived-relation checks ------------------------------------------
 
 
-def theorem_checks(ws, h: Tensor11, params: NullityParams,
-                   sol: RecurrenceSolution, h_label="") -> list:
+def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
+                   h_label="") -> list:
     spec, cs, sampler = ws.spec, ws.cs, ws.sampler
     r_table, ric, nabla_s = ws.r_table, ws.ric, ws.nabla_s
     dim = spec.dim
     n = spec.n
     g = spec.metric
-    xi, eta = cs.xi.components, cs.eta.components
-    phi = cs.phi
-    a_w, b_w = sol.A.components, sol.B.components
-    idh = identity_tensor11(dim) + h            # X -> X + hX
-    phih = phi.compose(h)
-    phi_idh = phi.compose(idh)
-    eta_h = [cs.eta(h.column(j)) for j in range(dim)]    # eta(h E_j)
+    xi, eta, phi = cs.xi, cs.eta, cs.phi
+    a_w, b_w = sol.A, sol.B
+    idh = tuple(tuple((ONE if i == j else ZERO) + h[i][j]
+                      for j in range(dim)) for i in range(dim))  # X + hX
+    phih = matmul(phi, h)
+    phi_idh = matmul(phi, idh)
+    h_cols, phi_cols = tuple(zip(*h)), tuple(zip(*phi))
+    eta_h = [dot(eta, col) for col in h_cols]   # eta(h E_j)
     # frame tables, indexed [i][j]
     g_phi = ws.g_phi                            # g(E_i, phi E_j)
     g_h = frame_pairing(h, g, None)             # g(h E_i, E_j)
     g_e_h = frame_pairing(None, g, h)           # g(E_i, h E_j)
     g_idh = frame_pairing(idh, g, None)         # g(E_i + h E_i, E_j)
-    g_hphi = frame_pairing(None, g, h.compose(phi))     # g(E_i, h phi E_j)
+    g_hphi = frame_pairing(None, g, matmul(h, phi))     # g(E_i, h phi E_j)
     g_h_phi_idh = frame_pairing(h, g, phi_idh)  # g(h E_i, phi(E_j + h E_j))
     g_phih = frame_pairing(phih, g, None)       # g(phi h E_i, E_j)
     note = f"h = {h_label}" if h_label else ""
@@ -207,7 +190,7 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
         c2 = Expr.const(2 * n - 2) + mu
         for j in range(dim):
             for w in range(dim):
-                lhs = k * ric.S.m[j][w]
+                lhs = k * ric.S[j][w]
                 rhs = (two_n * k * k * g[j][w]
                        + two * k * c2 * g_h[j][w]
                        - two * (k - ONE) * c2 * eta[w] * eta_h[j])
@@ -218,11 +201,12 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
         notes=_join(note, "stated with mismatched arguments; measured "
                           "with W in both slots")))
 
+    q_cols = tuple(zip(*ric.Q))
+
     def b_412(k, mu):
         coef = ric.r - two_n * Expr.const(2 * n - 1)
-        return [(f"W=E{w + 1}",
-                 two * sol.A(ric.Q.column(w)) - coef * a_w[w]
-                 - mu * sol.A(h.column(w)))
+        return [(f"W=E{w + 1}", two * dot(a_w, q_cols[w]) - coef * a_w[w]
+                 - mu * dot(a_w, h_cols[w]))
                 for w in range(dim)]
     reports.append(param_check("T4.12", params, b_412, sampler, notes=note))
 
@@ -244,8 +228,8 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
     def b_414(k, mu):
         cond = cond_table(k, mu)
         return [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
-                 nabla_s[w].m[j][l]
-                 - (a_w[w] * ric.S.m[j][l] - two_n * k * a_w[w] * g[j][l]
+                 nabla_s[w][j][l]
+                 - (a_w[w] * ric.S[j][l] - two_n * k * a_w[w] * g[j][l]
                     + mu * cond[w][j][l]))
                 for w in range(dim) for j in range(dim) for l in range(dim)]
     reports.append(param_check("T4.14", params, b_414, sampler, notes=note))
@@ -261,9 +245,9 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
                           "Ricci recurrence")))
 
     # R(E_i,E_j)(W + hW), indexed [w][i][j][l]
-    r_idh = [riemann_on(r_table, idh.column(w)) for w in range(dim)]
-    a_phi = [sol.A(phi.column(w)) for w in range(dim)]
-    b_phi = [sol.B(phi.column(w)) for w in range(dim)]
+    r_idh = [riemann_on(r_table, col) for col in zip(*idh)]
+    a_phi = [dot(a_w, col) for col in phi_cols]
+    b_phi = [dot(b_w, col) for col in phi_cols]
 
     def b_417(k, mu):
         out = []
@@ -277,13 +261,13 @@ def theorem_checks(ws, h: Tensor11, params: NullityParams,
                     by = ((ONE - k) * g[w][i] - g_e_h[w][j]
                           + eta[w] * eta_h[j])
                     for l in range(dim):
-                        kterm = h.m[l][i] * (k * gy) - h.m[l][j] * (k * gx)
-                        inner = (h.m[l][i] * gy - h.m[l][j] * gx
+                        kterm = h[l][i] * (k * gy) - h[l][j] * (k * gx)
+                        inner = (h[l][i] * gy - h[l][j] * gx
                                  + xi[l] * (bx * eta[j])
                                  - xi[l] * (by * eta[i]))
                         ax_term = ((eta[j] if l == i else ZERO)
                                    - (eta[i] if l == j else ZERO))
-                        ah_term = h.m[l][i] * eta[j] - h.m[l][j] * eta[i]
+                        ah_term = h[l][i] * eta[j] - h[l][j] * eta[i]
                         rhs = (kterm + mu * inner - b_phi[w] * ax_term
                                - (k * a_phi[w] * ax_term
                                   + mu * a_phi[w] * ah_term))
@@ -337,11 +321,8 @@ def example_pipeline(ws) -> list:
         ws.sampler
     symbols = spec.symbols()
     ex = lambda s: parse_expr(s, symbols)
-    fields = []
-    for i in (1, 2, 3):
-        fields.append(VectorField((Expr.sym(f"a{i}"), Expr.sym(f"b{i}"),
-                                   Expr.sym(f"c{i}"))))
-    x_f, y_f, z_f = fields
+    x_f, y_f, z_f = ((Expr.sym(f"a{i}"), Expr.sym(f"b{i}"), Expr.sym(f"c{i}"))
+                     for i in (1, 2, 3))
     # (nabla_{E_w} R)(X,Y)Z on the generic fields, for w = 1, 2, 3
     nabla_rv = [nabla_riemann(nr_table, w, x_f, y_f, z_f) for w in range(3)]
     reports = []
@@ -350,17 +331,15 @@ def example_pipeline(ws) -> list:
     expect = [ex(s) for s in _EXPECTED["5.1"]]
     reports.append(residual_check(
         "PIPE-5.1",
-        [(f"E{l + 1}", rv.components[l] - expect[l]) for l in range(3)],
+        [(f"E{l + 1}", rv[l] - expect[l]) for l in range(3)],
         sampler, notes="curvature on generic fields matches the stored "
                        "formula"))
 
-    gv = g_tensor(spec, x_f, y_f, z_f)
-    coef_yz = esum(y_f.components[m] * z_f.components[m] for m in range(3))
-    coef_xz = esum(x_f.components[m] * z_f.components[m] for m in range(3))
-    expected_g = x_f.scale(coef_yz) - y_f.scale(coef_xz)
+    gv = riemann_apply(g_tensor_table(spec), x_f, y_f, z_f)
+    coef_yz, coef_xz = dot(y_f, z_f), dot(x_f, z_f)
     reports.append(residual_check(
         "PIPE-5.2",
-        [(f"E{l + 1}", gv.components[l] - expected_g.components[l])
+        [(f"E{l + 1}", gv[l] - (coef_yz * x_f[l] - coef_xz * y_f[l]))
          for l in range(3)],
         sampler, notes="constant-curvature model on generic fields"))
 
@@ -372,41 +351,38 @@ def example_pipeline(ws) -> list:
             expect = [ZERO] * 3
         reports.append(residual_check(
             f"PIPE-{step}",
-            [(f"E{l + 1}", dv.components[l] - expect[l]) for l in range(3)],
+            [(f"E{l + 1}", dv[l] - expect[l]) for l in range(3)],
             sampler,
             notes=f"derivative of the curvature along E{w + 1}"))
 
-    u = phi2_project(cs, rv)
-    v = phi2_project(cs, gv)
-    res = [("u1", u.components[0] - ex(_EXPECTED["u1"])),
-           ("u2", u.components[1] - ex(_EXPECTED["u2"])),
-           ("u3", u.components[2]),
-           ("v1", v.components[0] - ex(_EXPECTED["v1"])),
-           ("v2", v.components[1] - ex(_EXPECTED["v2"])),
-           ("v3", v.components[2])]
+    u, v = phi2_rows(cs, [rv, gv])
+    res = [("u1", u[0] - ex(_EXPECTED["u1"])),
+           ("u2", u[1] - ex(_EXPECTED["u2"])),
+           ("u3", u[2]),
+           ("v1", v[0] - ex(_EXPECTED["v1"])),
+           ("v2", v[1] - ex(_EXPECTED["v2"])),
+           ("v3", v[2])]
     reports.append(residual_check(
         "PIPE-5.6", res, sampler,
         notes="projected curvature and model coefficients"))
 
-    projected = [phi2_project(cs, dv) for dv in nabla_rv]
-    pq = []
+    projected = phi2_rows(cs, nabla_rv)
     res = []
     for w, pr in enumerate(projected):
-        pq.append((pr.components[0], pr.components[1]))
         if w == 0:
-            res.append(("p1", pr.components[0] - ex(_EXPECTED["p1"])))
-            res.append(("q1", pr.components[1] - ex(_EXPECTED["q1"])))
+            res.append(("p1", pr[0] - ex(_EXPECTED["p1"])))
+            res.append(("q1", pr[1] - ex(_EXPECTED["q1"])))
         else:
-            res.append((f"p{w + 1}", pr.components[0]))
-            res.append((f"q{w + 1}", pr.components[1]))
-        res.append((f"third component, i={w + 1}", pr.components[2]))
+            res.append((f"p{w + 1}", pr[0]))
+            res.append((f"q{w + 1}", pr[1]))
+        res.append((f"third component, i={w + 1}", pr[2]))
     reports.append(residual_check(
         "PIPE-5.7", res, sampler,
         notes="projected curvature derivatives; p2 = q2 = p3 = q3 = 0"))
 
-    u1, u2 = u.components[0], u.components[1]
-    v1, v2 = v.components[0], v.components[1]
-    p1, q1 = pq[0]
+    u1, u2 = u[0], u[1]
+    v1, v2 = v[0], v[1]
+    p1, q1 = projected[0][0], projected[0][1]
     denom = u1 * v2 - u2 * v1
     num_a = v2 * p1 - v1 * q1
     num_b = u1 * q1 - u2 * p1
@@ -442,11 +418,9 @@ def example_pipeline(ws) -> list:
         return reports
     a_vals = [a1_val, ZERO, ZERO]
     b_vals = [b1_val, ZERO, ZERO]
-    res = []
-    for w, pr in enumerate(projected):
-        diff = pr - u.scale(a_vals[w]) - v.scale(b_vals[w])
-        res += [(f"(i={w + 1}, E{l + 1})", c)
-                for l, c in enumerate(diff.components)]
+    res = [(f"(i={w + 1}, E{l + 1})",
+            pr[l] - a_vals[w] * u[l] - b_vals[w] * v[l])
+           for w, pr in enumerate(projected) for l in range(3)]
     reports.append(residual_check(
         "PIPE-5.9", res, sampler,
         notes="closing relation with the quotient A and B"))

@@ -123,4 +123,5 @@ def file_hash(path) -> str:
 
 
 def render_oneform(omega) -> list:
-    return [str(c) for c in omega.components]
+    """The components omega(E_i) of a 1-form, as text."""
+    return [str(c) for c in omega]

@@ -37,9 +37,6 @@ from .frames import (
     CoordinateMode,
     DomainConstraint,
     FrameSpec,
-    OneForm,
-    Tensor11,
-    VectorField,
 )
 from .nullity import RESERVED_NAMES
 from .symcore import (
@@ -117,9 +114,10 @@ class _Loader:
         except (UnknownSymbol, DivisionByZeroExpr) as e:
             self.err(str(e), line_no, col0 + 1)
 
-    def parse_terms(self, fragment, markers, line_no, col0):
-        """Split `<expr> <marker> [+ <expr> <marker> ...]` and parse each
-        coefficient; `0` alone yields no terms."""
+    def parse_row(self, fragment, markers, line_no, col0) -> tuple:
+        """Split `<expr> <marker> [+ <expr> <marker> ...]`, parse each
+        coefficient and return them as a row, at index `markers[marker]`;
+        a marker without a term, and every one for `0` alone, gets ZERO."""
         try:
             toks = tokenize(fragment)
         except ExprSyntaxError as e:
@@ -172,7 +170,10 @@ class _Loader:
             if not value.is_zero:
                 self.err("right-hand side has no frame term and is not 0",
                          line_no, col0 + 1)
-        return out
+        row = [ZERO] * len(markers)
+        for marker, coef in out:
+            row[markers[marker]] = coef
+        return tuple(row)
 
     def frame_index(self, token, line_no, col) -> int:
         m = _FRAME_RE.match(token)
@@ -285,12 +286,8 @@ class _Loader:
                                      body.find(m.group(1)) + 1)
                 if i in vec_rows:
                     self.err(f"duplicate vector line for E{i + 1}", line_no)
-                terms = self.parse_terms(m.group(2), d_markers, line_no,
-                                         m.start(2))
-                row = [ZERO] * dim
-                for marker, coef in terms:
-                    row[d_markers[marker]] = coef
-                vec_rows[i] = tuple(row)
+                vec_rows[i] = self.parse_row(m.group(2), d_markers, line_no,
+                                             m.start(2))
             elif key == "bracket":
                 if self.mode != "bracket":
                     self.err("bracket line in vector mode", line_no)
@@ -310,12 +307,8 @@ class _Loader:
                 if (i, j) in brackets or (j, i) in brackets:
                     self.err(f"duplicate bracket for [E{i + 1},E{j + 1}]",
                              line_no)
-                terms = self.parse_terms(m.group(2), e_markers, line_no,
-                                         m.start(2))
-                row = [ZERO] * dim
-                for marker, coef in terms:
-                    row[e_markers[marker]] = coef
-                brackets[(i, j)] = tuple(row)
+                brackets[(i, j)] = self.parse_row(m.group(2), e_markers,
+                                                  line_no, m.start(2))
             elif key == "act":
                 if self.mode != "bracket":
                     self.err("act line in vector mode", line_no)
@@ -372,9 +365,7 @@ class _Loader:
                         self.err("duplicate contact xi", line_no)
                     i = self.frame_index(m.group(1), line_no,
                                          body.find(m.group(1)) + 1)
-                    xi = VectorField(tuple(
-                        ONE if w == i else ZERO
-                        for w in range(dim)))
+                    xi = tuple(ONE if w == i else ZERO for w in range(dim))
                 elif sub in ("phi", "h"):
                     m = re.match(r"^contact\s+(?:phi|h)\s*:\s*(\S+)\s*->"
                                  r"\s*(.*)$", body)
@@ -387,12 +378,8 @@ class _Loader:
                     if i in target:
                         self.err(f"duplicate contact {sub} line for "
                                  f"E{i + 1}", line_no)
-                    terms = self.parse_terms(m.group(2), e_markers,
-                                             line_no, m.start(2))
-                    col = [ZERO] * dim
-                    for marker, coef in terms:
-                        col[e_markers[marker]] = coef
-                    target[i] = tuple(col)
+                    target[i] = self.parse_row(m.group(2), e_markers,
+                                               line_no, m.start(2))
                 elif sub == "eta":
                     m = re.match(r"^contact\s+eta\s*:\s*(.*)$", body)
                     if not m:
@@ -400,12 +387,8 @@ class _Loader:
                                  ": <expr> E<i> [+ ...]", line_no)
                     if eta is not None:
                         self.err("duplicate contact eta", line_no)
-                    terms = self.parse_terms(m.group(1), e_markers,
-                                             line_no, m.start(1))
-                    comps = [ZERO] * dim
-                    for marker, coef in terms:
-                        comps[e_markers[marker]] = coef
-                    eta = OneForm(tuple(comps))
+                    eta = self.parse_row(m.group(1), e_markers, line_no,
+                                         m.start(1))
                 else:
                     self.err(f"unknown contact subkey {sub!r}", line_no)
             elif key == "declare":
@@ -452,20 +435,19 @@ class _Loader:
         spec = FrameSpec(self.name, CoordSystem(tuple(self.coords),
                                                 tuple(self.constraints)),
                          tuple(self.params), mode, metric)
-        phi = None
-        if phi_cols:
-            phi = Tensor11(tuple(
-                tuple(phi_cols.get(j, (ZERO,) * dim)[i]
-                      for j in range(dim))
-                for i in range(dim)))
-        h = None
-        if h_cols:
-            h = Tensor11(tuple(
-                tuple(h_cols.get(j, (ZERO,) * dim)[i] for j in range(dim))
-                for i in range(dim)))
-        decl = ContactDecl(xi=xi, phi=phi, eta=eta, h=h)
+        decl = ContactDecl(xi=xi, phi=_operator(phi_cols, dim), eta=eta,
+                           h=_operator(h_cols, dim))
         return ParsedSpec(self.name, spec, decl,
                           declared.get("k"), declared.get("mu"))
+
+
+def _operator(cols: dict, dim: int):
+    """The (1,1) table whose column j is `cols[j]`, zero where no column is
+    given; None when none is."""
+    if not cols:
+        return None
+    return tuple(tuple(cols.get(j, (ZERO,) * dim)[i] for j in range(dim))
+                 for i in range(dim))
 
 
 def parse_spec_text(text: str, fallback_name: str = "spec") -> ParsedSpec:

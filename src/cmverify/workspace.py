@@ -1,10 +1,11 @@
 """The geometry of one manifold file, built lazily and once.
 
 A Workspace is the one place tensors are built.  Every suite reads the
-brackets, connection, curvature, nabla R, Ricci data, contact structure,
-g(E_i, phi E_j) and h operators from it instead of rebuilding them, and
-each is built on first use, so a command builds only what its suites
-read: `check axioms` never builds R or nabla R.
+brackets, connection, curvature, R(E_i,E_j)xi, nabla R, Ricci data,
+contact structure, g(E_i, phi E_j) and h operators from it instead of
+rebuilding them, and each is built on first use, so a command builds
+only what its suites read: `check axioms` never builds R or nabla R.
+Each is a frame table in the conventions of `frames`.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from functools import cached_property
 
 from .contact import build_structure, compute_h, deta_tensor, h_variants
 from .curvature import (covariant_ricci_table, nabla_riemann_table, ricci,
-                        riemann)
+                        riemann, riemann_on)
 from .frames import (compute_brackets, frame_pairing, koszul_connection,
                      metric_inverse, validate_frame)
 from .nullity import extract_k_mu, resolve_params
@@ -73,6 +74,7 @@ class Workspace:
 
     @cached_property
     def conn(self):
+        """The Levi-Civita connection, as its table gamma[i][j][k]."""
         return koszul_connection(self.spec, self.brackets, self.ginv)
 
     @cached_property
@@ -82,6 +84,11 @@ class Workspace:
     @cached_property
     def nr_table(self):
         return nabla_riemann_table(self.spec, self.conn, self.r_table)
+
+    @cached_property
+    def r_xi(self):
+        """R(E_i,E_j)xi, indexed [i][j][l]."""
+        return riemann_on(self.r_table, self.cs.xi)
 
     @cached_property
     def ric(self):
@@ -120,7 +127,7 @@ class Workspace:
         k, mu = self.declared
         out = []
         for label, h in self.variants:
-            ext = extract_k_mu(self.spec, self.r_table, self.cs, h)
+            ext = extract_k_mu(self.r_xi, self.cs.eta, h)
             out.append((label, h, ext, resolve_params(ext, k, mu)))
         return out
 

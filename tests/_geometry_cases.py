@@ -19,6 +19,18 @@ from cmverify.symcore import ONE, ZERO, Expr, esum, eval_rational
 COORDS = ("x", "y", "z")
 DIM = 3
 
+def basis(i, dim=DIM):
+    """The frame vector E_{i+1} as a component tuple."""
+    return tuple(ONE if j == i else ZERO for j in range(dim))
+
+
+def vanishes(table) -> bool:
+    """Every entry of a frame table, nested to any depth, is zero."""
+    if isinstance(table, tuple):
+        return all(vanishes(t) for t in table)
+    return table.is_zero
+
+
 def _monomial(rng):
     term = Expr.const(rng.choice((1, -1, 2, -2, 3)))
     for _ in range(rng.choice((0, 1, 1, 2))):
@@ -47,8 +59,7 @@ def torsion_residuals(spec, conn, brackets):
     for i in range(DIM):
         for j in range(i + 1, DIM):
             for k in range(DIM):
-                out.append(conn.gamma[i][j][k] - conn.gamma[j][i][k]
-                           - brackets[i][j][k])
+                out.append(conn[i][j][k] - conn[j][i][k] - brackets[i][j][k])
     return out
 
 
@@ -59,9 +70,9 @@ def compatibility_residuals(spec, conn):
         for i in range(DIM):
             for j in range(i, DIM):
                 out.append(frame_apply(spec, k, g[i][j])
-                           - esum(conn.gamma[k][i][m] * g[m][j]
+                           - esum(conn[k][i][m] * g[m][j]
                                   for m in range(DIM))
-                           - esum(conn.gamma[k][j][m] * g[i][m]
+                           - esum(conn[k][j][m] * g[i][m]
                                   for m in range(DIM)))
     return out
 

@@ -1,8 +1,9 @@
 """No module under src/ or tests/ imports a name it never uses.  Names
 listed in a module's `__all__` are exports, and `from __future__` imports
 are compiler directives, so neither counts as unused.  No function under
-src/ reads a global its module never binds, and every name
-`cmverify.symcore` exports is imported somewhere under src/.
+src/ reads a global its module never binds, every name
+`cmverify.symcore` exports is imported somewhere under src/, and every
+module-level function and class under src/ is used by code under src/.
 
 The package has no runtime dependencies: modules under src/ import only
 the standard library and cmverify itself, although the tests use sympy
@@ -169,3 +170,44 @@ def test_every_symcore_export_is_imported_under_src():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert sorted(set(symcore.__all__) - imported) == []
+
+
+def unreferenced_definitions(sources: dict) -> list:
+    """(path, line, name) of each module-level function or class that no
+    code in `sources` ({path: source}) names outside its own definition,
+    as a name or as an attribute."""
+    defs, refs = [], []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        defs += [(path, node.name, node.lineno, node.end_lineno)
+                 for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.append((path, node.id, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.append((path, node.attr, node.lineno))
+    return sorted((path, first, name) for path, name, first, last in defs
+                  if not any(ref == name and (at != path
+                                              or not first <= line <= last)
+                             for at, ref, line in refs))
+
+
+def test_unreferenced_definition_is_found():
+    sources = {
+        "a.py": "def used():\n    return 1\n\n\n"
+                "def dead(n):\n    return dead(n - 1)\n\n\n"
+                "class Gone:\n    pass\n",
+        "b.py": "from a import used, Gone\nprint(used())\n",
+    }
+    assert unreferenced_definitions(sources) == [("a.py", 5, "dead"),
+                                                 ("a.py", 9, "Gone")]
+
+
+def test_every_src_definition_is_used_under_src():
+    """Tests and bench do not count: a helper only they call is dead
+    library code."""
+    sources = {str(path.relative_to(ROOT)): path.read_text()
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert unreferenced_definitions(sources) == []

@@ -3,6 +3,7 @@ parametric chain."""
 
 import pytest
 
+from _geometry_cases import vanishes
 from cmverify.nullity import extract_k_mu, resolve_params
 from cmverify.recurrence import (KINDS, classification_phrase,
                                  example_pipeline, pipeline_available,
@@ -19,8 +20,7 @@ def used_params(geo, h, k=None, mu=None):
     syms = geo.spec.symbols()
     pk = parse_expr(k, syms) if k else None
     pmu = parse_expr(mu, syms) if mu else None
-    return resolve_params(extract_k_mu(geo.spec, geo.r_table, geo.cs, h),
-                          pk, pmu)
+    return resolve_params(extract_k_mu(geo.r_xi, geo.cs.eta, h), pk, pmu)
 
 
 def by_id(reports, check_id):
@@ -37,8 +37,8 @@ class TestSolver:
     def test_example_unique_solution(self, ex3, kind):
         sol = solve(ex3, kind)
         assert [d.status for d in sol.directions] == ["unique"] * 3
-        assert [render(c) for c in sol.A.components] == ["-2/y", "0", "0"]
-        assert sol.B.is_zero
+        assert [render(c) for c in sol.A] == ["-2/y", "0", "0"]
+        assert vanishes(sol.B)
         assert sol.consistent and not sol.lhs_zero
 
     def test_example_classifications(self, ex3):
@@ -48,12 +48,6 @@ class TestSolver:
         assert phi.classification == "φ-recurrent"
         assert classification_phrase(phi) == "φ-recurrent, not φ-symmetric"
 
-    def test_example_associated_fields(self, ex3):
-        sol = solve(ex3, "full")
-        # identity frame metric: raising the index changes nothing
-        assert [render(c) for c in sol.rho1.components] == ["-2/y", "0", "0"]
-        assert sol.rho2.is_zero
-
     @pytest.mark.parametrize("kind,kernel", [
         ("full", "t*(-1, 1)"), ("ricci", "t*(1, -2)"), ("phi", "t*(1, -1)")])
     def test_sphere_underdetermined_with_kernel(self, sph, kind, kernel):
@@ -62,7 +56,7 @@ class TestSolver:
         assert [d.status for d in sol.directions] == ["underdetermined"] * 3
         assert all(d.kernel == kernel for d in sol.directions)
         # representative pins the free direction to zero
-        assert sol.A.is_zero and sol.B.is_zero
+        assert vanishes(sol.A) and vanishes(sol.B)
         want = "φ-symmetric" if kind == "phi" else "symmetric"
         assert sol.classification == want
         assert classification_phrase(sol) == want

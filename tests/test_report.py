@@ -73,6 +73,5 @@ def test_document_json_is_stable_and_sorted():
 
 
 def test_render_oneform():
-    from cmverify.frames import OneForm
-    om = OneForm((ex("-2/y"), ex("0"), ex("0")))
+    om = (ex("-2/y"), ex("0"), ex("0"))
     assert render_oneform(om) == ["-2/y", "0", "0"]

@@ -66,10 +66,10 @@ def test_contact_block_and_declares():
             + "contact h : E1 -> -1 E1\n"
             + "declare k = -1/y\ndeclare mu = 2\n")
     ps = parse_spec_text(text, "t")
-    assert [render(c) for c in ps.decl.xi.components] == ["0", "0", "1"]
-    assert render(ps.decl.phi.m[1][0]) == "-1"
-    assert render(ps.decl.phi.m[2][2]) == "0"
-    assert render(ps.decl.h.m[0][0]) == "-1"
+    assert [render(c) for c in ps.decl.xi] == ["0", "0", "1"]
+    assert render(ps.decl.phi[1][0]) == "-1"
+    assert render(ps.decl.phi[2][2]) == "0"
+    assert render(ps.decl.h[0][0]) == "-1"
     assert render(ps.declared_k) == "-1/y"
     assert render(ps.declared_mu) == "2"
 
@@ -77,7 +77,7 @@ def test_contact_block_and_declares():
 def test_zero_term_literal():
     text = MINIMAL + "contact xi = E3\ncontact phi : E1 -> 0\n"
     ps = parse_spec_text(text, "t")
-    assert all(ps.decl.phi.m[i][0].is_zero for i in range(3))
+    assert all(ps.decl.phi[i][0].is_zero for i in range(3))
 
 
 class TestErrors:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cmverify import cli, frames
+from cmverify import cli, curvature, frames
 from cmverify.recurrence import solve_recurrence
 from cmverify.report import ReportDocument
 from cmverify.specfile import load_spec
@@ -74,6 +74,14 @@ BUILDERS = {"frames": ("compute_brackets", "metric_inverse"),
                           "nabla_riemann_table")}
 
 
+def _patch_everywhere(monkeypatch, name, original, wrapper):
+    """Bind `wrapper` wherever a cmverify module looks `original` up."""
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("cmverify") and mod is not None \
+                and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 @pytest.fixture
 def build_counts(monkeypatch):
     """Count calls of each builder, wherever a cmverify module looks it
@@ -88,16 +96,39 @@ def build_counts(monkeypatch):
                 counts[_name] += 1
                 return _fn(*args, **kwargs)
 
-            for modname, mod in list(sys.modules.items()):
-                if modname.startswith("cmverify") and mod is not None \
-                        and getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, counted)
+            _patch_everywhere(monkeypatch, name, original, counted)
     return counts
 
 
 def test_all_builds_each_tensor_once(capsys, build_counts):
     assert cli.run(["all", "example3d"]) == 2
     assert build_counts == dict.fromkeys(build_counts, 1)
+
+
+def test_all_builds_r_xi_once(capsys, monkeypatch):
+    # R(E_i,E_j)xi feeds the k, mu extraction and I3.1 of every h variant;
+    # asym3 audits two variants, so a build per use would make four.
+    built, contractions = {}, []
+    for defining, name in (("curvature", "riemann"),
+                           ("contact", "build_structure")):
+        original = getattr(sys.modules[f"cmverify.{defining}"], name)
+
+        def kept(*args, _name=name, _fn=original):
+            built[_name] = _fn(*args)
+            return built[_name]
+
+        _patch_everywhere(monkeypatch, name, original, kept)
+    riemann_on = curvature.riemann_on
+
+    def recorded(table, z):
+        contractions.append((table, z))
+        return riemann_on(table, z)
+
+    _patch_everywhere(monkeypatch, "riemann_on", riemann_on, recorded)
+    cli.run(["all", str(TESTS / "specs" / "asym3.cmspec")])
+    capsys.readouterr()
+    r_table, xi = built["riemann"], built["build_structure"].xi
+    assert sum(t is r_table and z is xi for t, z in contractions) == 1
 
 
 def test_check_axioms_builds_no_curvature(capsys, build_counts):
