@@ -114,6 +114,28 @@ def h_variants(cs: ContactStructure, h_computed):
     return [("declared", cs.h_declared), ("computed", h_computed)]
 
 
+class HTables:
+    """The frame tables the suites build from one h operator: its products
+    with phi and its g-pairings, each indexed [i][j]."""
+
+    def __init__(self, g, cs: ContactStructure, h):
+        dim, phi = len(h), cs.phi
+        self.idh = tuple(tuple((ONE if i == j else ZERO) + h[i][j]
+                               for j in range(dim)) for i in range(dim))
+        self.phih, self.hphi = matmul(phi, h), matmul(h, phi)
+        self.phi_idh = matmul(phi, self.idh)        # X -> phi(X + hX)
+        self.h_phi_idh = matmul(h, self.phi_idh)    # X -> h phi(X + hX)
+        self.eta_h = tuple(dot(cs.eta, col) for col in zip(*h))  # eta(h E_j)
+        self.g_h = frame_pairing(h, g, None)        # g(h E_i, E_j)
+        self.g_e_h = frame_pairing(None, g, h)      # g(E_i, h E_j)
+        self.g_hphi = frame_pairing(None, g, self.hphi)  # g(E_i, h phi E_j)
+        self.g_idh = frame_pairing(self.idh, g, None)    # g(E_i + h E_i, E_j)
+        # g(E_i + h E_i, phi E_j), g(h E_i, phi(E_j + h E_j)), g(phi h E_i, E_j)
+        self.g_idh_phi = frame_pairing(self.idh, g, phi)
+        self.g_h_phi_idh = frame_pairing(h, g, self.phi_idh)
+        self.g_phih = frame_pairing(self.phih, g, None)
+
+
 def deta_tensor(spec: FrameSpec, cs: ContactStructure, brackets,
                 factor: Fraction = Fraction(1, 2)):
     """factor * (E_i eta(E_j) - E_j eta(E_i) - eta([E_i, E_j])), indexed
@@ -227,21 +249,20 @@ def axiom_suite(ws):
         "I2.3", res, sampler,
         notes="g(phi X, phi Y) - g(X,Y) + eta(X) eta(Y)"))
 
-    variants = [(label, h, matmul(phi, h)) for label, h in ws.variants]
+    variants = [(label, h, ws.h_tables(h)) for label, h in ws.variants]
     nabla_xi = [covariant_derivative_vector(spec, conn, i, xi)
                 for i in range(dim)]
-    for label, h, phih in variants:
+    for label, _, t in variants:
         # nabla_{E_i} xi - (-phi E_i - phi h E_i), per component
-        res = [(f"W=E{i + 1}", nabla_xi[i][l] - (-phi[l][i] - phih[l][i]))
+        res = [(f"W=E{i + 1}", nabla_xi[i][l] - (-phi[l][i] - t.phih[l][i]))
                for i in range(dim) for l in range(dim)]
         reports.append(residual_check(
             "I2.4", res, sampler,
             notes=f"nabla_X xi + phi X + phi h X; h = {label}"))
 
-    for label, h, phih in variants:
-        hphi = matmul(h, phi)
+    for label, h, t in variants:
         reports.append(residual_check(
-            "H1", [("h phi + phi h", hphi[i][j] + phih[i][j])
+            "H1", [("h phi + phi h", t.hphi[i][j] + t.phih[i][j])
                    for i in range(dim) for j in range(dim)],
             sampler, notes=f"h = {label}"))
         reports.append(residual_check(
@@ -249,11 +270,9 @@ def axiom_suite(ws):
             sampler, notes=f"h = {label}"))
         reports.append(residual_check(
             "H3", [("trace h", esum(h[i][i] for i in range(dim))),
-                   ("trace phi h", esum(phih[i][i] for i in range(dim)))],
+                   ("trace phi h", esum(t.phih[i][i] for i in range(dim)))],
             sampler, notes=f"h = {label}"))
-        g_h = frame_pairing(h, g, None)
-        g_e_h = frame_pairing(None, g, h)
-        res = [(f"(E{i + 1},E{j + 1})", g_h[i][j] - g_e_h[i][j])
+        res = [(f"(E{i + 1},E{j + 1})", t.g_h[i][j] - t.g_e_h[i][j])
                for i in range(dim) for j in range(i + 1, dim)]
         reports.append(residual_check(
             "H4", res, sampler, notes=f"g(hX,Y) - g(X,hY); h = {label}"))

@@ -18,7 +18,8 @@ from .frames import (
     matmul,
 )
 from .linalg import solve_two_unknowns
-from .report import FAIL, NEEDS_INPUT, PASS, CheckReport, residual_check
+from .report import (FAIL, NEEDS_INPUT, PASS, CheckReport, join_notes,
+                     residual_check)
 from .symcore import ONE, ZERO, Expr
 
 K_NAME = "k"
@@ -32,7 +33,6 @@ class NullityParams:
 
     k: Expr | None
     mu: Expr | None
-    source: str            # extracted | declared
     status: str            # unique | k-indeterminate | mu-indeterminate |
                            # underdetermined | inconsistent
     notes: str = ""
@@ -62,26 +62,25 @@ def extract_k_mu(r_xi, eta, h) -> NullityParams:
     rows = [(ca, cb, rhs) for _, ca, cb, rhs in _nullity_terms(r_xi, eta, h)
             if not (ca.is_zero and cb.is_zero and rhs.is_zero)]
     if not rows:
-        return NullityParams(None, None, "extracted", "underdetermined",
+        return NullityParams(None, None, "underdetermined",
                              notes="nullity equation is vacuous",
                              kernel="k free, mu free")
     mu_column_zero = all(cb.is_zero for _, cb, _ in rows)
     sol = solve_two_unknowns(rows)
     if sol.status == "inconsistent":
         return NullityParams(
-            None, None, "extracted", "inconsistent",
+            None, None, "inconsistent",
             notes=f"no exact solution; sample residual {sol.worst}")
     if sol.status == "unique":
-        return NullityParams(sol.alpha, sol.beta, "extracted", "unique")
+        return NullityParams(sol.alpha, sol.beta, "unique")
     if mu_column_zero:
-        return NullityParams(sol.alpha, None, "extracted",
-                             "mu-indeterminate",
+        return NullityParams(sol.alpha, None, "mu-indeterminate",
                              notes="h-terms vanish, mu is unconstrained",
                              kernel=sol.kernel)
     if sol.kernel == "alpha free":
-        return NullityParams(None, sol.beta, "extracted", "k-indeterminate",
+        return NullityParams(None, sol.beta, "k-indeterminate",
                              kernel=sol.kernel)
-    return NullityParams(None, None, "extracted", "underdetermined",
+    return NullityParams(None, None, "underdetermined",
                          notes="k and mu only jointly constrained",
                          kernel=sol.kernel)
 
@@ -107,20 +106,24 @@ def resolve_params(extracted: NullityParams, declared_k: Expr | None,
         mu = declared_mu
     if extracted.status == "inconsistent":
         notes.append("extraction itself was inconsistent")
-    return NullityParams(k, mu, "declared",
-                         "unique" if (k is not None and mu is not None)
+    return NullityParams(k, mu, "unique" if (k is not None and mu is not None)
                          else extracted.status,
                          notes="; ".join(notes), kernel=extracted.kernel)
 
 
-def param_check(check_id, params: NullityParams, builder, sampler=None,
+def k_mu(params: NullityParams) -> tuple:
+    """(k, mu) of `params`, with the fresh symbol `k` or `mu` standing for
+    an indeterminate value."""
+    return (Expr.sym(K_NAME) if params.k is None else params.k,
+            Expr.sym(MU_NAME) if params.mu is None else params.mu)
+
+
+def param_check(check_id, params: NullityParams, residuals, sampler=None,
                 notes="") -> CheckReport:
-    """Run `builder(k, mu) -> [(label, Expr)]` under the substitution
-    policy: indeterminate values enter as fresh symbols, and the check is
-    needs-input only if they survive in some canonical residual."""
-    k = params.k if params.k is not None else Expr.sym(K_NAME)
-    mu = params.mu if params.mu is not None else Expr.sym(MU_NAME)
-    residuals = builder(k, mu)
+    """`residual_check` of `residuals` ([(label, Expr)], built from
+    `k_mu(params)`) under the substitution policy: the check is needs-input
+    only if the symbol of an indeterminate value survives in some
+    canonical residual."""
     missing = set()
     for _, e in residuals:
         if e.is_zero:
@@ -134,49 +137,37 @@ def param_check(check_id, params: NullityParams, builder, sampler=None,
         what = " and ".join(sorted(missing))
         flag = ", ".join(f"--{m}" for m in sorted(missing))
         return CheckReport(
-            check_id, NEEDS_INPUT, "", None,
-            notes=(f"{notes}; " if notes else "")
-                  + f"requires {what} (indeterminate here); declare via {flag}")
+            check_id, NEEDS_INPUT, "", None, notes=join_notes(
+                notes, f"requires {what} (indeterminate here); declare via "
+                       f"{flag}"))
     return residual_check(check_id, residuals, sampler, notes=notes)
 
 
 def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     """Checks I3.1 through I3.13 for one h choice."""
     spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
-    r_table, nr_table, ric = ws.r_table, ws.nr_table, ws.ric
+    r_table, nr_xi, ric = ws.r_table, ws.nr_xi, ws.ric
+    t = ws.h_tables(h)
     dim = spec.dim
     n = spec.n
     g = spec.metric
     xi, eta, phi = cs.xi, cs.eta, cs.phi
-    idh = tuple(tuple((ONE if i == j else ZERO) + h[i][j]
-                      for j in range(dim)) for i in range(dim))  # X + hX
-    hphi = matmul(h, phi)
-    phih = matmul(phi, h)
-    phi_idh = matmul(phi, idh)
-    # frame tables, indexed [i][j]
-    g_phi = ws.g_phi                            # g(E_i, phi E_j)
-    g_h = frame_pairing(h, g, None)             # g(h E_i, E_j)
-    g_hphi = frame_pairing(None, g, hphi)       # g(E_i, h phi E_j)
-    g_idh = frame_pairing(idh, g, None)         # g(E_i + h E_i, E_j)
-    g_idh_phi = frame_pairing(idh, g, phi)      # g(E_i + h E_i, phi E_j)
+    g_phi, g_h, g_hphi = ws.g_phi, t.g_h, t.g_hphi
+    k, mu = k_mu(params)
     note = f"h = {h_label}" if h_label else ""
-    extra = f"; {params.notes}" if params.notes else ""
+    two_n = Expr.const(2 * n)
     reports = []
 
-    nullity = _nullity_terms(ws.r_xi, eta, h)
+    res = [(label, c - (k * a + mu * b))
+           for label, a, b, c in _nullity_terms(ws.r_xi, eta, h)]
+    reports.append(param_check("I3.1", params, res, sampler,
+                               notes=join_notes(note, params.notes)))
 
-    def b_31(k, mu):
-        return [(label, c - (k * a + mu * b)) for label, a, b, c in nullity]
-    reports.append(param_check("I3.1", params, b_31, sampler,
-                               notes=(note + extra).strip("; ")))
-
-    def b_32(k, mu):
-        lhs = matmul(h, h)
-        f = k - ONE
-        rhs = [[f * c for c in row] for row in matmul(phi, phi)]
-        return [(f"(E{i + 1},E{j + 1})", lhs[i][j] - rhs[i][j])
-                for i in range(dim) for j in range(dim)]
-    reports.append(param_check("I3.2", params, b_32, sampler, notes=note))
+    lhs, f = matmul(h, h), k - ONE
+    rhs = [[f * c for c in row] for row in matmul(phi, phi)]
+    res = [(f"(E{i + 1},E{j + 1})", lhs[i][j] - rhs[i][j])
+           for i in range(dim) for j in range(dim)]
+    reports.append(param_check("I3.2", params, res, sampler, notes=note))
 
     res = []
     for i in range(dim):
@@ -185,139 +176,109 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
             # (nabla_{E_i} phi) E_j - (g(E_i + h E_i, E_j) xi
             #                          - eta(E_j)(E_i + h E_i))
             res += [(f"(E{i + 1},E{j + 1})",
-                     nabla_phi[l][j] - (g_idh[i][j] * xi[l]
-                                        - eta[j] * idh[l][i]))
+                     nabla_phi[l][j] - (t.g_idh[i][j] * xi[l]
+                                        - eta[j] * t.idh[l][i]))
                     for l in range(dim)]
     reports.append(residual_check("I3.3", res, sampler, notes=note))
 
-    h_phi_idh = matmul(h, phi_idh)             # X -> h(phi X + phi h X)
+    res = []
+    for i in range(dim):
+        nabla_h = covariant_derivative_tensor11(spec, conn, i, h)
+        mu_eta = mu * eta[i]
+        for j in range(dim):
+            coef = (ONE - k) * g_phi[i][j] + g_hphi[i][j]
+            res += [(f"(E{i + 1},E{j + 1})",
+                     nabla_h[l][j] - (coef * xi[l]
+                                      + eta[j] * t.h_phi_idh[l][i]
+                                      - mu_eta * t.phih[l][j]))
+                    for l in range(dim)]
+    reports.append(param_check("I3.4", params, res, sampler, notes=note))
 
-    def b_34(k, mu):
-        out = []
-        for i in range(dim):
-            nabla_h = covariant_derivative_tensor11(spec, conn, i, h)
-            mu_eta = mu * eta[i]
-            for j in range(dim):
-                coef = (ONE - k) * g_phi[i][j] + g_hphi[i][j]
-                out += [(f"(E{i + 1},E{j + 1})",
-                         nabla_h[l][j] - (coef * xi[l]
-                                          + eta[j] * h_phi_idh[l][i]
-                                          - mu_eta * phih[l][j]))
-                        for l in range(dim)]
-        return out
-    reports.append(param_check("I3.4", params, b_34, sampler, notes=note))
+    res = []
+    for i in range(dim):
+        for j in range(dim):
+            c_xi = k * g[i][j] + mu * g_h[i][j]
+            res += [(f"(E{i + 1},E{j + 1})", ws.r_of_xi[i][j][l]
+                     - (c_xi * xi[l] - eta[j]
+                        * (k * (ONE if l == i else ZERO) + mu * h[l][i])))
+                    for l in range(dim)]
+    reports.append(param_check("I3.5", params, res, sampler, notes=note))
 
-    # R(xi, E_i)E_j, indexed [i][j][l]
-    r_of_xi = [[[dot(xi, [r_table[a][i][j][l] for a in range(dim)])
-                 for l in range(dim)] for j in range(dim)]
-               for i in range(dim)]
+    res = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            ei, ej = eta[i], eta[j]
+            for l in range(dim):
+                rhs = (k * (g[j][l] * ei - g[i][l] * ej)
+                       + mu * (g_h[j][l] * ei - g_h[i][l] * ej))
+                res.append((f"(E{i + 1},E{j + 1},E{l + 1})",
+                            dot(eta, r_table[i][j][l]) - rhs))
+    reports.append(param_check("I3.6", params, res, sampler, notes=note))
 
-    def b_35(k, mu):
-        out = []
-        for i in range(dim):
-            for j in range(dim):
-                c_xi = k * g[i][j] + mu * g_h[i][j]
-                out += [(f"(E{i + 1},E{j + 1})", r_of_xi[i][j][l]
-                         - (c_xi * xi[l] - eta[j]
-                            * (k * (ONE if l == i else ZERO)
-                               + mu * h[l][i])))
-                        for l in range(dim)]
-        return out
-    reports.append(param_check("I3.5", params, b_35, sampler, notes=note))
+    res = [(f"X=E{i + 1}", dot(ric.S[i], xi) - two_n * k * eta[i])
+           for i in range(dim)]
+    reports.append(param_check("I3.7", params, res, sampler, notes=note))
 
-    def b_36(k, mu):
-        out = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                ei, ej = eta[i], eta[j]
-                for l in range(dim):
-                    rhs = (k * (g[j][l] * ei - g[i][l] * ej)
-                           + mu * (g_h[j][l] * ei - g_h[i][l] * ej))
-                    out.append((f"(E{i + 1},E{j + 1},E{l + 1})",
-                                dot(eta, r_table[i][j][l]) - rhs))
-        return out
-    reports.append(param_check("I3.6", params, b_36, sampler, notes=note))
+    q_phi, phi_q = matmul(ric.Q, phi), matmul(phi, ric.Q)
+    coef = Expr.const(2) * (Expr.const(2 * (n - 1)) + mu)
+    res = [(f"(E{i + 1},E{j + 1})",
+            q_phi[i][j] - phi_q[i][j] - coef * t.hphi[i][j])
+           for i in range(dim) for j in range(dim)]
+    reports.append(param_check("I3.8", params, res, sampler, notes=note))
 
-    two_n = Expr.const(2 * n)
+    c1 = Expr.const(2 * (n - 1)) - Expr.const(n) * mu
+    c2 = Expr.const(2 * (n - 1)) + mu
+    c3 = Expr.const(2 * (1 - n)) + Expr.const(n) * (Expr.const(2) * k + mu)
+    res = [(f"(E{i + 1},E{j + 1})", ric.S[i][j]
+            - (c1 * g[i][j] + c2 * g_h[i][j] + c3 * eta[i] * eta[j]))
+           for i in range(dim) for j in range(dim)]
+    reports.append(param_check("I3.9", params, res, sampler, notes=note))
 
-    def b_37(k, mu):
-        return [(f"X=E{i + 1}", dot(ric.S[i], xi) - two_n * k * eta[i])
-                for i in range(dim)]
-    reports.append(param_check("I3.7", params, b_37, sampler, notes=note))
-
-    def b_38(k, mu):
-        q_phi, phi_q = matmul(ric.Q, phi), matmul(phi, ric.Q)
-        coef = Expr.const(2) * (Expr.const(2 * (n - 1)) + mu)
-        return [(f"(E{i + 1},E{j + 1})",
-                 q_phi[i][j] - phi_q[i][j] - coef * hphi[i][j])
-                for i in range(dim) for j in range(dim)]
-    reports.append(param_check("I3.8", params, b_38, sampler, notes=note))
-
-    def b_39(k, mu):
-        c1 = Expr.const(2 * (n - 1)) - Expr.const(n) * mu
-        c2 = Expr.const(2 * (n - 1)) + mu
-        c3 = (Expr.const(2 * (1 - n))
-              + Expr.const(n) * (Expr.const(2) * k + mu))
-        return [(f"(E{i + 1},E{j + 1})", ric.S[i][j]
-                 - (c1 * g[i][j] + c2 * g_h[i][j] + c3 * eta[i] * eta[j]))
-                for i in range(dim) for j in range(dim)]
-    reports.append(param_check("I3.9", params, b_39, sampler, notes=note))
-
-    def b_310(k, mu):
-        rhs = two_n * (Expr.const(2 * n - 2) + k - Expr.const(n) * mu)
-        return [("r", ric.r - rhs)]
-    reports.append(param_check("I3.10", params, b_310, sampler, notes=note))
+    rhs = two_n * (Expr.const(2 * n - 2) + k - Expr.const(n) * mu)
+    reports.append(param_check("I3.10", params, [("r", ric.r - rhs)],
+                               sampler, notes=note))
 
     s_phi_phi = frame_pairing(phi, ric.S, phi)
-
-    def b_311(k, mu):
-        return [(f"(E{i + 1},E{j + 1})", s_phi_phi[i][j]
-                 - (ric.S[i][j] - two_n * k * eta[i] * eta[j]
-                    - Expr.const(2) * (Expr.const(2 * n - 2) + mu)
-                    * g_h[i][j]))
-                for i in range(dim) for j in range(dim)]
-    reports.append(param_check("I3.11", params, b_311, sampler, notes=note))
+    res = [(f"(E{i + 1},E{j + 1})", s_phi_phi[i][j]
+            - (ric.S[i][j] - two_n * k * eta[i] * eta[j]
+               - Expr.const(2) * (Expr.const(2 * n - 2) + mu) * g_h[i][j]))
+           for i in range(dim) for j in range(dim)]
+    reports.append(param_check("I3.11", params, res, sampler, notes=note))
 
     res = []
     for i in range(dim):
         nabla_eta = covariant_derivative_oneform(spec, conn, i, eta)
-        res += [(f"(E{i + 1},E{j + 1})", nabla_eta[j] - g_idh_phi[i][j])
+        res += [(f"(E{i + 1},E{j + 1})", nabla_eta[j] - t.g_idh_phi[i][j])
                 for j in range(dim)]
     reports.append(residual_check(
         "I3.12", res, sampler,
-        notes=(note + "; " if note else "")
-              + "stated relation lacks the second argument; "
-                "measured as g(X+hX, phi Y)"))
+        notes=join_notes(note, "stated relation lacks the second argument; "
+                               "measured as g(X+hX, phi Y)")))
 
-    # (nabla_W R)(E_i,E_j)xi and R(E_i,E_j)(phi W + phi h W), indexed
-    # [w][i][j][l]
-    nr_xi = [riemann_on(nr_table[w], xi) for w in range(dim)]
-    r_phi_idh = [riemann_on(r_table, col) for col in zip(*phi_idh)]
-
-    def b_313(k, mu):
-        out = []
-        for w in range(dim):
-            ew = eta[w]
-            for i in range(dim):
-                for j in range(dim):
-                    if i == j:
-                        continue
-                    a_y = g_idh_phi[w][j]
-                    a_x = g_idh_phi[w][i]
-                    cx = (ONE - k) * g_phi[w][i] + g_hphi[w][i]
-                    cy = (ONE - k) * g_phi[w][j] + g_hphi[w][j]
-                    for l in range(dim):
-                        inner = (a_y * h[l][i] - a_x * h[l][j]
-                                 + (cx * eta[j] - cy * eta[i]) * xi[l]
-                                 + mu * ew * (eta[i] * phih[l][j]
-                                              - eta[j] * phih[l][i]))
-                        rhs = ((k * a_y if l == i else ZERO)
-                               - (k * a_x if l == j else ZERO)
-                               + mu * inner + r_phi_idh[w][i][j][l])
-                        out.append((f"(E{w + 1};E{i + 1},E{j + 1})",
-                                    nr_xi[w][i][j][l] - rhs))
-        return out
-    reports.append(param_check("I3.13", params, b_313, sampler, notes=note))
+    # R(E_i,E_j)(phi W + phi h W), indexed [w][i][j][l]
+    r_phi_idh = [riemann_on(r_table, col) for col in zip(*t.phi_idh)]
+    res = []
+    for w in range(dim):
+        ew = eta[w]
+        for i in range(dim):
+            for j in range(dim):
+                if i == j:
+                    continue
+                a_y = t.g_idh_phi[w][j]
+                a_x = t.g_idh_phi[w][i]
+                cx = (ONE - k) * g_phi[w][i] + g_hphi[w][i]
+                cy = (ONE - k) * g_phi[w][j] + g_hphi[w][j]
+                for l in range(dim):
+                    inner = (a_y * h[l][i] - a_x * h[l][j]
+                             + (cx * eta[j] - cy * eta[i]) * xi[l]
+                             + mu * ew * (eta[i] * t.phih[l][j]
+                                          - eta[j] * t.phih[l][i]))
+                    rhs = ((k * a_y if l == i else ZERO)
+                           - (k * a_x if l == j else ZERO)
+                           + mu * inner + r_phi_idh[w][i][j][l])
+                    res.append((f"(E{w + 1};E{i + 1},E{j + 1})",
+                                nr_xi[w][i][j][l] - rhs))
+    reports.append(param_check("I3.13", params, res, sampler, notes=note))
     return reports
 
 

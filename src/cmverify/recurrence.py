@@ -9,15 +9,14 @@ about consistency, since auditing that is the point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 from .contact import phi2_rows
-from .curvature import (g_tensor_table, nabla_riemann, riemann_apply,
-                        riemann_on)
-from .frames import FrameSpec, dot, frame_pairing, matmul
+from .curvature import nabla_riemann, riemann_apply, riemann_on
+from .frames import FrameSpec, dot
 from .linalg import solve_two_unknowns
-from .nullity import NullityParams, param_check
-from .report import DEGENERATE, FAIL, PASS, CheckReport, residual_check
+from .nullity import NullityParams, k_mu, param_check
+from .report import (DEGENERATE, FAIL, PASS, CheckReport, join_notes,
+                     residual_check)
 from .symcore import ONE, ZERO, Expr, parse_expr
 
 KINDS = ("full", "ricci", "phi")
@@ -61,11 +60,10 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
         model_zero = all(c.is_zero for row in ric.S for c in row)
     else:
         r_table, nr_table = ws.r_table, ws.nr_table
-        g_table = g_tensor_table(spec)
         planes = [(i, j, s) for i in range(dim) for j in range(i + 1, dim)
                   for s in range(dim)]
         r_rows = [r_table[i][j][s] for i, j, s in planes]
-        g_rows = [g_table[i][j][s] for i, j, s in planes]
+        g_rows = [ws.g_table[i][j][s] for i, j, s in planes]
         nr_rows = [[nr_table[w][i][j][s] for i, j, s in planes]
                    for w in range(dim)]
         if kind == "phi":
@@ -155,134 +153,99 @@ def recurrence_report(sol: RecurrenceSolution, sampler=None) -> CheckReport:
 def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
                    h_label="") -> list:
     spec, cs, sampler = ws.spec, ws.cs, ws.sampler
-    r_table, ric, nabla_s = ws.r_table, ws.ric, ws.nabla_s
+    ric, nabla_s, t = ws.ric, ws.nabla_s, ws.h_tables(h)
     dim = spec.dim
     n = spec.n
     g = spec.metric
-    xi, eta, phi = cs.xi, cs.eta, cs.phi
+    xi, eta = cs.xi, cs.eta
     a_w, b_w = sol.A, sol.B
-    idh = tuple(tuple((ONE if i == j else ZERO) + h[i][j]
-                      for j in range(dim)) for i in range(dim))  # X + hX
-    phih = matmul(phi, h)
-    phi_idh = matmul(phi, idh)
-    h_cols, phi_cols = tuple(zip(*h)), tuple(zip(*phi))
-    eta_h = [dot(eta, col) for col in h_cols]   # eta(h E_j)
-    # frame tables, indexed [i][j]
-    g_phi = ws.g_phi                            # g(E_i, phi E_j)
-    g_h = frame_pairing(h, g, None)             # g(h E_i, E_j)
-    g_e_h = frame_pairing(None, g, h)           # g(E_i, h E_j)
-    g_idh = frame_pairing(idh, g, None)         # g(E_i + h E_i, E_j)
-    g_hphi = frame_pairing(None, g, matmul(h, phi))     # g(E_i, h phi E_j)
-    g_h_phi_idh = frame_pairing(h, g, phi_idh)  # g(h E_i, phi(E_j + h E_j))
-    g_phih = frame_pairing(phih, g, None)       # g(phi h E_i, E_j)
+    eta_h, g_h = t.eta_h, t.g_h
+    k, mu = k_mu(params)
     note = f"h = {h_label}" if h_label else ""
     two_n = Expr.const(2 * n)
     two = Expr.const(2)
     reports = []
 
-    def b_47(k, mu):
-        return [(f"W=E{w + 1}", k * a_w[w] + b_w[w]) for w in range(dim)]
-    reports.append(param_check("T4.7", params, b_47, sampler,
-                               notes=_join(note, "k A(W) + B(W)")))
+    res = [(f"W=E{w + 1}", k * a_w[w] + b_w[w]) for w in range(dim)]
+    reports.append(param_check("T4.7", params, res, sampler,
+                               notes=join_notes(note, "k A(W) + B(W)")))
 
-    def b_49b(k, mu):
-        out = []
-        c2 = Expr.const(2 * n - 2) + mu
-        for j in range(dim):
-            for w in range(dim):
-                lhs = k * ric.S[j][w]
-                rhs = (two_n * k * k * g[j][w]
-                       + two * k * c2 * g_h[j][w]
-                       - two * (k - ONE) * c2 * eta[w] * eta_h[j])
-                out.append((f"(Y=E{j + 1},W=E{w + 1})", lhs - rhs))
-        return out
-    reports.append(param_check(
-        "T4.9b", params, b_49b, sampler,
-        notes=_join(note, "stated with mismatched arguments; measured "
-                          "with W in both slots")))
-
-    q_cols = tuple(zip(*ric.Q))
-
-    def b_412(k, mu):
-        coef = ric.r - two_n * Expr.const(2 * n - 1)
-        return [(f"W=E{w + 1}", two * dot(a_w, q_cols[w]) - coef * a_w[w]
-                 - mu * dot(a_w, h_cols[w]))
-                for w in range(dim)]
-    reports.append(param_check("T4.12", params, b_412, sampler, notes=note))
-
-    @cache
-    def cond_table(k, mu):
-        """The bracketed term of T4.14, indexed [w][j][l]."""
-        out = []
+    res = []
+    c2 = Expr.const(2 * n - 2) + mu
+    for j in range(dim):
         for w in range(dim):
-            plane = []
-            for j in range(dim):
-                brace = (a_w[w] * eta_h[j] - (ONE - k) * g_phi[w][j]
-                         - g_hphi[w][j] + g_h_phi_idh[j][w])
-                plane.append([brace * eta[l] - a_w[w] * g_h[j][l]
-                              + mu * eta[w] * g_phih[j][l]
-                              for l in range(dim)])
-            out.append(plane)
-        return out
-
-    def b_414(k, mu):
-        cond = cond_table(k, mu)
-        return [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
-                 nabla_s[w][j][l]
-                 - (a_w[w] * ric.S[j][l] - two_n * k * a_w[w] * g[j][l]
-                    + mu * cond[w][j][l]))
-                for w in range(dim) for j in range(dim) for l in range(dim)]
-    reports.append(param_check("T4.14", params, b_414, sampler, notes=note))
-
-    def b_414c(k, mu):
-        cond = cond_table(k, mu)
-        return [(f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
-                for w in range(dim) for j in range(dim)
-                for l in range(dim)]
+            lhs = k * ric.S[j][w]
+            rhs = (two_n * k * k * g[j][w]
+                   + two * k * c2 * g_h[j][w]
+                   - two * (k - ONE) * c2 * eta[w] * eta_h[j])
+            res.append((f"(Y=E{j + 1},W=E{w + 1})", lhs - rhs))
     reports.append(param_check(
-        "T4.14.cond", params, b_414c, sampler,
-        notes=_join(note, "bracketed criterion for generalized "
-                          "Ricci recurrence")))
+        "T4.9b", params, res, sampler,
+        notes=join_notes(note, "stated with mismatched arguments; measured "
+                               "with W in both slots")))
+
+    q_cols, h_cols = tuple(zip(*ric.Q)), tuple(zip(*h))
+    coef = ric.r - two_n * Expr.const(2 * n - 1)
+    res = [(f"W=E{w + 1}", two * dot(a_w, q_cols[w]) - coef * a_w[w]
+            - mu * dot(a_w, h_cols[w]))
+           for w in range(dim)]
+    reports.append(param_check("T4.12", params, res, sampler, notes=note))
+
+    # the bracketed term of T4.14, indexed [w][j][l]
+    cond = []
+    for w in range(dim):
+        plane = []
+        for j in range(dim):
+            brace = (a_w[w] * eta_h[j] - (ONE - k) * ws.g_phi[w][j]
+                     - t.g_hphi[w][j] + t.g_h_phi_idh[j][w])
+            plane.append([brace * eta[l] - a_w[w] * g_h[j][l]
+                          + mu * eta[w] * t.g_phih[j][l]
+                          for l in range(dim)])
+        cond.append(plane)
+    res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
+            nabla_s[w][j][l]
+            - (a_w[w] * ric.S[j][l] - two_n * k * a_w[w] * g[j][l]
+               + mu * cond[w][j][l]))
+           for w in range(dim) for j in range(dim) for l in range(dim)]
+    reports.append(param_check("T4.14", params, res, sampler, notes=note))
+    res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
+           for w in range(dim) for j in range(dim) for l in range(dim)]
+    reports.append(param_check(
+        "T4.14.cond", params, res, sampler,
+        notes=join_notes(note, "bracketed criterion for generalized "
+                               "Ricci recurrence")))
 
     # R(E_i,E_j)(W + hW), indexed [w][i][j][l]
-    r_idh = [riemann_on(r_table, col) for col in zip(*idh)]
+    r_idh = [riemann_on(ws.r_table, col) for col in zip(*t.idh)]
+    phi_cols = tuple(zip(*cs.phi))
     a_phi = [dot(a_w, col) for col in phi_cols]
     b_phi = [dot(b_w, col) for col in phi_cols]
-
-    def b_417(k, mu):
-        out = []
-        for i in range(dim):
-            for j in range(i + 1, dim):
-                for w in range(dim):
-                    gy = g_idh[w][j]
-                    gx = g_idh[w][i]
-                    bx = ((ONE - k) * g[w][i] - g_e_h[w][i]
-                          + eta[w] * eta_h[i])
-                    by = ((ONE - k) * g[w][i] - g_e_h[w][j]
-                          + eta[w] * eta_h[j])
-                    for l in range(dim):
-                        kterm = h[l][i] * (k * gy) - h[l][j] * (k * gx)
-                        inner = (h[l][i] * gy - h[l][j] * gx
-                                 + xi[l] * (bx * eta[j])
-                                 - xi[l] * (by * eta[i]))
-                        ax_term = ((eta[j] if l == i else ZERO)
-                                   - (eta[i] if l == j else ZERO))
-                        ah_term = h[l][i] * eta[j] - h[l][j] * eta[i]
-                        rhs = (kterm + mu * inner - b_phi[w] * ax_term
-                               - (k * a_phi[w] * ax_term
-                                  + mu * a_phi[w] * ah_term))
-                        out.append((f"(E{i + 1},E{j + 1};W=E{w + 1})",
-                                    r_idh[w][i][j][l] - rhs))
-        return out
+    res = []
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for w in range(dim):
+                gy = t.g_idh[w][j]
+                gx = t.g_idh[w][i]
+                bx = (ONE - k) * g[w][i] - t.g_e_h[w][i] + eta[w] * eta_h[i]
+                by = (ONE - k) * g[w][i] - t.g_e_h[w][j] + eta[w] * eta_h[j]
+                for l in range(dim):
+                    kterm = h[l][i] * (k * gy) - h[l][j] * (k * gx)
+                    inner = (h[l][i] * gy - h[l][j] * gx
+                             + xi[l] * (bx * eta[j])
+                             - xi[l] * (by * eta[i]))
+                    ax_term = ((eta[j] if l == i else ZERO)
+                               - (eta[i] if l == j else ZERO))
+                    ah_term = h[l][i] * eta[j] - h[l][j] * eta[i]
+                    rhs = (kterm + mu * inner - b_phi[w] * ax_term
+                           - (k * a_phi[w] * ax_term
+                              + mu * a_phi[w] * ah_term))
+                    res.append((f"(E{i + 1},E{j + 1};W=E{w + 1})",
+                                r_idh[w][i][j][l] - rhs))
     reports.append(param_check(
-        "T4.17", params, b_417, sampler,
-        notes=_join(note, "measured exactly as stated; no expected value "
-                          "is asserted")))
+        "T4.17", params, res, sampler,
+        notes=join_notes(note, "measured exactly as stated; no expected "
+                               "value is asserted")))
     return reports
-
-
-def _join(*parts) -> str:
-    return "; ".join(p for p in parts if p)
 
 
 # -- printed computational chain --------------------------------------
@@ -335,7 +298,7 @@ def example_pipeline(ws) -> list:
         sampler, notes="curvature on generic fields matches the stored "
                        "formula"))
 
-    gv = riemann_apply(g_tensor_table(spec), x_f, y_f, z_f)
+    gv = riemann_apply(ws.g_table, x_f, y_f, z_f)
     coef_yz, coef_xz = dot(y_f, z_f), dot(x_f, z_f)
     reports.append(residual_check(
         "PIPE-5.2",

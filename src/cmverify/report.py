@@ -32,6 +32,11 @@ class CheckReport:
         return "  ".join(parts)
 
 
+def join_notes(*parts) -> str:
+    """The nonempty parts, joined with "; "."""
+    return "; ".join(p for p in parts if p)
+
+
 def residual_check(check_id, residuals, sampler=None, notes="",
                    pass_notes="") -> CheckReport:
     """Verdict from a list of (label, Expr) residuals: pass iff every one is

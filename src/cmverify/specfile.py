@@ -215,8 +215,12 @@ class _Loader:
             if coord not in self.coords:
                 self.err(f"assume references unknown coordinate {coord!r}",
                          line_no)
-            self.constraints.append(
-                DomainConstraint(coord, Fraction(m.group(2))))
+            try:
+                value = Fraction(m.group(2))
+            except ZeroDivisionError:
+                self.err(f"assume value {m.group(2)} has a zero denominator",
+                         line_no)
+            self.constraints.append(DomainConstraint(coord, value))
         elif key == "frame-mode":
             if self.mode is not None:
                 self.err("frame-mode declared twice", line_no)

@@ -1,8 +1,9 @@
 """The geometry of one manifold file, built lazily and once.
 
 A Workspace is the one place tensors are built.  Every suite reads the
-brackets, connection, curvature, R(E_i,E_j)xi, nabla R, Ricci data,
-contact structure, g(E_i, phi E_j) and h operators from it instead of
+brackets, connection, curvature and its contractions with xi, nabla R,
+the model tensor G, Ricci data, contact structure, g(E_i, phi E_j), the
+h operators and the tables built from each h from it instead of
 rebuilding them, and each is built on first use, so a command builds
 only what its suites read: `check axioms` never builds R or nabla R.
 Each is a frame table in the conventions of `frames`.
@@ -12,10 +13,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .contact import build_structure, compute_h, deta_tensor, h_variants
-from .curvature import (covariant_ricci_table, nabla_riemann_table, ricci,
-                        riemann, riemann_on)
-from .frames import (compute_brackets, frame_pairing, koszul_connection,
+from .contact import (HTables, build_structure, compute_h, deta_tensor,
+                      h_variants)
+from .curvature import (covariant_ricci_table, g_tensor_table,
+                        nabla_riemann_table, ricci, riemann, riemann_on)
+from .frames import (compute_brackets, dot, frame_pairing, koszul_connection,
                      metric_inverse, validate_frame)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
@@ -37,7 +39,8 @@ class Workspace:
 
     `k` and `mu` are override expressions (text) and are parsed here, so a
     malformed override fails before any suite runs, with a `BadOverride`
-    naming its option.
+    naming its option.  `h_tables(h)` holds the `contact.HTables` of each
+    distinct h operator.
     """
 
     def __init__(self, parsed, k=None, mu=None, seed=DEFAULT_SEED,
@@ -52,6 +55,7 @@ class Workspace:
             else _override("mu", mu, symbols))
         self.sampler = Sampler(self.spec, seed=seed, points=points, tol=tol)
         self.deta_factor = deta_factor
+        self._h_tables = {}
 
     @cached_property
     def validation(self):
@@ -91,6 +95,24 @@ class Workspace:
         return riemann_on(self.r_table, self.cs.xi)
 
     @cached_property
+    def r_of_xi(self):
+        """R(xi, E_i)E_j, indexed [i][j][l]."""
+        dim, r_table = self.spec.dim, self.r_table
+        return [[[dot(self.cs.xi, [r_table[a][i][j][l] for a in range(dim)])
+                  for l in range(dim)] for j in range(dim)]
+                for i in range(dim)]
+
+    @cached_property
+    def nr_xi(self):
+        """(nabla_{E_w} R)(E_i,E_j)xi, indexed [w][i][j][l]."""
+        return [riemann_on(plane, self.cs.xi) for plane in self.nr_table]
+
+    @cached_property
+    def g_table(self):
+        """G(E_i,E_j)E_k of the model G(X,Y)Z = g(Y,Z)X - g(X,Z)Y."""
+        return g_tensor_table(self.spec)
+
+    @cached_property
     def ric(self):
         return ricci(self.spec, self.r_table, self.ginv)
 
@@ -115,6 +137,11 @@ class Workspace:
     @cached_property
     def variants(self):
         return h_variants(self.cs, self.h_computed)
+
+    def h_tables(self, h) -> HTables:
+        if h not in self._h_tables:
+            self._h_tables[h] = HTables(self.spec.metric, self.cs, h)
+        return self._h_tables[h]
 
     @cached_property
     def deta(self):

@@ -3,7 +3,8 @@ listed in a module's `__all__` are exports, and `from __future__` imports
 are compiler directives, so neither counts as unused.  No function under
 src/ reads a global its module never binds, every name
 `cmverify.symcore` exports is imported somewhere under src/, and every
-module-level function and class under src/ is used by code under src/.
+module-level function and class under src/ is used by code under src/,
+and every field of a dataclass under src/ is read under src/ or tests/.
 
 The package has no runtime dependencies: modules under src/ import only
 the standard library and cmverify itself, although the tests use sympy
@@ -211,3 +212,41 @@ def test_every_src_definition_is_used_under_src():
     sources = {str(path.relative_to(ROOT)): path.read_text()
                for path in sorted((ROOT / "src").rglob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+def unread_fields(defining: dict, reading: list) -> list:
+    """(path, line, name) of each field of a `@dataclass` class in
+    `defining` ({path: source}) that no source in `reading` reads as an
+    attribute."""
+    read = {node.attr for source in reading
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path, source in defining.items():
+        for cls in ast.walk(ast.parse(source)):
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in cls.decorator_list):
+                found += [(path, node.lineno, node.target.id)
+                          for node in cls.body
+                          if isinstance(node, ast.AnnAssign)
+                          and isinstance(node.target, ast.Name)
+                          and node.target.id not in read]
+    return sorted(found)
+
+
+def test_unread_field_is_found():
+    defining = {"a.py": "from dataclasses import dataclass\n\n\n"
+                        "@dataclass(frozen=True)\nclass P:\n    kept: int\n"
+                        "    unread: str = ''\n\n\nclass Plain:\n"
+                        "    other: int\n"}
+    reading = [defining["a.py"],
+               "p = P(1, 'x')\nprint(p.kept)\np.unread = 'y'\n"]
+    assert unread_fields(defining, reading) == [("a.py", 7, "unread")]
+
+
+def test_every_dataclass_field_is_read():
+    defining = {str(path.relative_to(ROOT)): path.read_text()
+                for path in sorted((ROOT / "src").rglob("*.py"))}
+    reading = [path.read_text() for path in (ROOT / "tests").rglob("*.py")]
+    assert unread_fields(defining, [*defining.values(), *reading]) == []

@@ -1,5 +1,6 @@
 import pytest
 
+from cmverify.cli import run
 from cmverify.specfile import (SpecFileError, bundled_names, load_spec,
                                parse_spec_text, resolve_spec_path)
 from cmverify.symcore import render
@@ -147,10 +148,24 @@ class TestErrors:
         e = self.err(MINIMAL + "bracket [E1,E2] = 1 E1 + 2/(y - y) E3\n")
         assert (e.line_no, e.col) == (5, 26)
 
+    @pytest.mark.parametrize("value", ["1/0", "0/0", "-3/00"])
+    def test_assume_zero_denominator_names_line(self, value):
+        e = self.err(MINIMAL + f"assume y != {value}\n")
+        assert e.line_no == 5
+        assert f"assume value {value} has a zero denominator" in str(e)
+
     def test_vector_mode_missing_rows(self):
         e = self.err("manifold t\ncoords x y z\nframe-mode vector\n"
                      "metric identity\nvector E1 = 1 dx\n")
         assert "vector line missing for E2, E3" in str(e)
+
+
+def test_assume_zero_denominator_exits_one(tmp_path, capsys):
+    path = tmp_path / "t.cmspec"
+    path.write_text(MINIMAL + "assume y != 1/0\n")
+    assert run(["check", "axioms", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "cmverify: error: line 5: assume value 1/0 has a zero denominator\n")
 
 
 def test_bundled_files_resolve_and_load():

@@ -19,6 +19,7 @@ from cmverify.workspace import Workspace
 
 TESTS = Path(__file__).resolve().parent
 BENCH = TESTS.parent / "bench"
+ASYM3 = TESTS / "specs" / "asym3.cmspec"
 
 
 def _load_corpus():
@@ -58,8 +59,7 @@ def test_asymmetric_structure_output_matches_golden(capsys, overrides):
     # that silently used either symmetry would change these bytes.  The
     # extracted k and mu are 0, which hides every mu- and most k-weighted
     # term; the override run keeps them.
-    rc = cli.run(["all", str(TESTS / "specs" / "asym3.cmspec"),
-                  "--format", "json"] + overrides)
+    rc = cli.run(["all", str(ASYM3), "--format", "json"] + overrides)
     out = capsys.readouterr().out
     name = "-".join(["all"] + [w.lstrip("-") for w in overrides])
     golden = TESTS / "goldens" / f"asym3.{name}.json"
@@ -125,10 +125,41 @@ def test_all_builds_r_xi_once(capsys, monkeypatch):
         return riemann_on(table, z)
 
     _patch_everywhere(monkeypatch, "riemann_on", riemann_on, recorded)
-    cli.run(["all", str(TESTS / "specs" / "asym3.cmspec")])
+    cli.run(["all", str(ASYM3)])
     capsys.readouterr()
     r_table, xi = built["riemann"], built["build_structure"].xi
     assert sum(t is r_table and z is xi for t, z in contractions) == 1
+
+
+@pytest.mark.parametrize("spec", ["example3d", str(ASYM3)],
+                         ids=["example3d", "asym3"])
+def test_all_builds_shared_tables_once(capsys, monkeypatch, spec):
+    # Both specs audit a declared and a computed h.  G feeds the full and
+    # phi solves and the pipeline; nabla R contracted with xi feeds I3.13
+    # of each h; the tables of an h feed the axioms, the identities and
+    # the theorem checks.
+    calls = {}
+    for defining, name in (("curvature", "nabla_riemann_table"),
+                           ("curvature", "riemann_on"),
+                           ("curvature", "g_tensor_table"),
+                           ("contact", "HTables")):
+        original = getattr(sys.modules[f"cmverify.{defining}"], name)
+        calls[name] = []
+
+        def recorded(*args, _name=name, _fn=original):
+            result = _fn(*args)
+            calls[_name].append((args, result))
+            return result
+
+        _patch_everywhere(monkeypatch, name, original, recorded)
+    cli.run(["all", spec])
+    capsys.readouterr()
+    [(_, nr_table)] = calls["nabla_riemann_table"]
+    assert sum(any(table is plane for plane in nr_table)
+               for (table, _), _ in calls["riemann_on"]) == len(nr_table)
+    assert len(calls["g_tensor_table"]) == 1
+    hs = [h for (_, _, h), _ in calls["HTables"]]
+    assert len(hs) == len(set(hs)) == 2
 
 
 def test_check_axioms_builds_no_curvature(capsys, build_counts):
