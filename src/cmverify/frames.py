@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import SingularMatrix, mat_det, mat_inv
-from .symcore import ZERO, Expr, differentiate, esum, render
+from .symcore import ZERO, Expr, esum, render
 
 
 class FrameDependent(ValueError):
@@ -46,7 +46,7 @@ def dot(u, v) -> Expr:
     factor is never formed."""
     products = []
     for a, b in zip(u, v):
-        if a.rat.num.terms and b.rat.num.terms:
+        if a.num.terms and b.num.terms:
             products.append(a * b)
     return esum(products)
 
@@ -131,11 +131,11 @@ class ValidationReport:
 def frame_apply(spec: FrameSpec, i: int, f: Expr) -> Expr:
     """Directional derivative E_i(f); zero, without differentiating, when
     f is a constant."""
-    if f.rat.is_const:
+    if f.is_const:
         return ZERO
     coeffs = spec.mode.a[i] if isinstance(spec.mode, CoordinateMode) \
         else spec.mode.act[i]
-    return esum([c * differentiate(f, name)
+    return esum([c * f.derivative(name)
                  for c, name in zip(coeffs, spec.coords.names)
                  if not c.is_zero])
 

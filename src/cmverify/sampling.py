@@ -1,6 +1,7 @@
 """Deterministic numeric sampling of expressions on the chart domain."""
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -34,14 +35,16 @@ class Sampler:
         if self._points is not None:
             return self._points
         rng = random.Random(self.seed)
-        excluded = {c.coord: c.excluded for c in self.spec.coords.constraints}
+        excluded = {}
+        for c in self.spec.coords.constraints:
+            excluded.setdefault(c.coord, set()).add(c.excluded)
         out = []
         for _ in range(self.count):
             bindings = {}
             for name in self.spec.coords.names:
                 val = self._draw_value(rng)
-                bad = excluded.get(name)
-                while bad is not None and val == bad:
+                bad = excluded.get(name, ())
+                while val in bad:
                     val = self._draw_value(rng)
                 bindings[name] = val
             for name in self.spec.params:
@@ -73,7 +76,11 @@ class Sampler:
         out = []
         for bindings in self.points():
             try:
-                out.append(abs(float(eval_rational(e, bindings))))
+                value = eval_rational(e, bindings)
             except DomainError:
                 continue
+            try:
+                out.append(abs(float(value)))
+            except OverflowError:  # beyond the float range
+                out.append(math.inf)
         return out

@@ -1,14 +1,15 @@
-"""Exact symbolic kernel: expressions held as canonical rational
-functions over Q, a parser that builds them, and their canonical text."""
+"""Exact symbolic kernel: one value class, `Expr`, which is
+`poly.RationalFunction` (a canonical rational function over Q), a parser
+that builds its values, and their canonical text."""
 
-from .expr import (ONE, ZERO, DivisionByZeroExpr, DomainError, Expr,
-                   ExprSyntaxError, UnknownSymbol, differentiate, esum,
-                   eval_rational, render)
+from .expr import (ONE, ZERO, DomainError, Expr, ExprSyntaxError,
+                   UnknownSymbol, esum, eval_rational)
 from .parse import parse_expr, parse_tokens, tokenize
+from .poly import DivisionByZeroExpr, render
 
 __all__ = [
     "Expr", "ZERO", "ONE",
     "ExprSyntaxError", "UnknownSymbol", "DivisionByZeroExpr", "DomainError",
     "parse_expr", "parse_tokens", "tokenize",
-    "differentiate", "eval_rational", "render", "esum",
+    "eval_rational", "render", "esum",
 ]

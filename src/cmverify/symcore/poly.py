@@ -8,10 +8,13 @@ higher total degree first, then the higher exponent of the first symbol
 where two monomials differ.  This order fixes leading terms, hence the
 monic scaling of gcds and denominators.
 
-A `RationalFunction` is kept canonical, num/den with gcd(num, den) = 1
-and den monic, so equal functions have equal terms.  A constant
-denominator is always the shared `_P_ONE`, so `den is _P_ONE` says a
-value is a polynomial; two polynomials add, subtract and multiply
+`RationalFunction` is the one value class of the program; `symcore`
+exports it as `Expr`.  It is kept canonical, num/den with
+gcd(num, den) = 1 and den monic, so equal functions have equal terms,
+and `render` prints that form.  Its operators take `int` and `Fraction`
+operands too, and answer a zero operand without building a value.  A
+constant denominator is always the shared `_P_ONE`, so `den is _P_ONE`
+says a value is a polynomial; two polynomials add, subtract and multiply
 without any gcd dispatch, and `expr.esum` accumulates polynomial
 summands in one term dict.  `poly_gcd` splits
 off the common monomial content and then tries, in order:
@@ -577,9 +580,16 @@ def _pseudo_rem(f: Poly, g: Poly, name: str) -> Poly:
         f = lc_g * f - (lc_f * g).mul_mono(shift)
 
 
+class DivisionByZeroExpr(ZeroDivisionError):
+    """A denominator normalizes to the zero function."""
+
+
 class RationalFunction:
     """Canonical quotient num/den: gcd(num, den) = 1 and den monic under
-    graded lex.  Zero is 0/1."""
+    graded lex.  Zero is 0/1.  The operators also take an `int` or
+    `Fraction` on either side.  `e + 0`, `0 + e`, `e - 0`, a product or
+    quotient with a zero factor and `-0` return an existing value (`ZERO`
+    or an operand) and build nothing; `0 - e` is `-e`."""
 
     __slots__ = ("num", "den")
 
@@ -610,7 +620,7 @@ class RationalFunction:
         return RationalFunction(Poly.const(value), _P_ONE, reduced=True)
 
     @staticmethod
-    def var(name: str) -> "RationalFunction":
+    def sym(name: str) -> "RationalFunction":
         return RationalFunction(Poly.var(name), _P_ONE, reduced=True)
 
     @property
@@ -621,24 +631,27 @@ class RationalFunction:
     def is_const(self) -> bool:
         return self.num.is_const and self.den is _P_ONE
 
-    def const_value(self) -> Fraction:
-        return self.num.const_value()
-
     def variables(self) -> set:
         return self.num.variables() | self.den.variables()
 
     def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.num == other.num and self.den == other.den)
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        if not self.num.terms:
-            return other
+    def __add__(self, other):
+        if other.__class__ is not RationalFunction:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if not other.num.terms:
             return self
+        if not self.num.terms:
+            return other
         if self.den is _P_ONE and other.den is _P_ONE:
             return RationalFunction(self.num + other.num, _P_ONE, reduced=True)
         if self.den == other.den:
@@ -646,21 +659,39 @@ class RationalFunction:
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
-    def __neg__(self) -> "RationalFunction":
+    __radd__ = __add__
+
+    def __neg__(self):
         if not self.num.terms:
             return self
         return RationalFunction(-self.num, self.den, reduced=True)
 
     def __sub__(self, other):
+        if other.__class__ is not RationalFunction:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if not other.num.terms:
             return self
+        if not self.num.terms:
+            return -other
         if self.den is _P_ONE and other.den is _P_ONE:
             return RationalFunction(self.num - other.num, _P_ONE, reduced=True)
         return self + (-other)
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        if not self.num.terms or not other.num.terms:
-            return _RF_ZERO
+    def __rsub__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other - self
+
+    def __mul__(self, other):
+        if other.__class__ is not RationalFunction:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if not (self.num.terms and other.num.terms):
+            return ZERO
         if self.den is _P_ONE and other.den is _P_ONE:
             return RationalFunction(self.num * other.num, _P_ONE, reduced=True)
         # cross-cancel first to keep intermediate products small
@@ -668,26 +699,42 @@ class RationalFunction:
         b, d1 = _cancel(other.num, self.den)
         return RationalFunction(a * b, d1 * d2)
 
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        if not other.num.terms:
+            raise DivisionByZeroExpr("division by an identically zero expression")
+        if not self.num.terms:
+            return ZERO
         return self * RationalFunction(other.den, other.num, reduced=True)
 
-    def __pow__(self, n: int) -> "RationalFunction":
+    def __rtruediv__(self, other):
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return other / self
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
         if n == 0:
-            return _RF_ONE
+            return ONE
         if n < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("zero to a negative power")
+            if not self.num.terms:
+                raise DivisionByZeroExpr("zero raised to a negative power")
             return RationalFunction(self.den ** -n, self.num ** -n,
                                     reduced=True)
         return RationalFunction(self.num ** n, self.den ** n, reduced=True)
 
     def derivative(self, name: str) -> "RationalFunction":
+        """Partial derivative by `name`; every other symbol is constant."""
         dn = self.num.derivative(name)
         if self.den is _P_ONE:
             if not dn.terms:
-                return _RF_ZERO
+                return ZERO
             return RationalFunction(dn, _P_ONE, reduced=True)
         dd = self.den.derivative(name)
         return RationalFunction(dn * self.den - self.num * dd,
@@ -699,6 +746,21 @@ class RationalFunction:
             raise ZeroDivisionError("pole at evaluation point")
         return self.num.eval(bindings) / dv
 
+    def __repr__(self):
+        return f"Expr({render(self)})"
+
+    def __str__(self):
+        return render(self)
+
+
+def _coerce(x):
+    """x as a RationalFunction, or None for a type the operators refuse."""
+    if isinstance(x, RationalFunction):
+        return x
+    if isinstance(x, (int, Fraction)):
+        return RationalFunction.const(x) if x else ZERO
+    return None
+
 
 def _cancel(num: Poly, den: Poly):
     if den.is_const or num.is_zero:
@@ -709,5 +771,51 @@ def _cancel(num: Poly, den: Poly):
     return poly_divexact(num, g), poly_divexact(den, g)
 
 
-_RF_ZERO = RationalFunction.const(0)
-_RF_ONE = RationalFunction.const(1)
+ZERO = RationalFunction.const(0)
+ONE = RationalFunction.const(1)
+
+
+def render(e: RationalFunction) -> str:
+    """Canonical text, read back by `parse_expr`: the numerator's terms in
+    descending graded-lex order, then `/` and the denominator unless it
+    is 1.  A numerator that is a sum is parenthesized, and so is a
+    denominator that is a sum or a product of two or more factors; a
+    fractional constant is parenthesized unless it is the whole text."""
+    num, den = e.num, e.den
+    if den.is_const:
+        return _poly_text(num, False)
+    top = _poly_text(num, True)
+    if len(num.terms) > 1:
+        top = f"({top})"
+    bottom = _poly_text(den, True)
+    if len(den.terms) > 1 or len(next(iter(den.terms))) > 1:
+        bottom = f"({bottom})"
+    return f"{top}/{bottom}"
+
+
+def _poly_text(p: Poly, wrap: bool) -> str:
+    """A sum of terms; the signs of all but the first become the joiners.
+    `wrap` parenthesizes a fractional constant that is the only term."""
+    terms = p.sorted_terms()
+    if not terms:
+        return "0"
+    (mono, coef), rest = terms[0], terms[1:]
+    bits = [_term_text(coef, mono, wrap and not rest)]
+    for mono, coef in rest:
+        bits += [" - " if coef < 0 else " + ",
+                 _term_text(abs(coef), mono, True)]
+    return "".join(bits)
+
+
+def _term_text(coef: Fraction, mono, wrap: bool) -> str:
+    text = str(coef)
+    if coef.denominator != 1 and (wrap or mono):
+        text = f"({text})"
+    if not mono:
+        return text
+    body = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
+    if coef == 1:
+        return body
+    if coef == -1:
+        return f"-({body})" if len(mono) > 1 else f"-{body}"
+    return f"{text}*{body}"

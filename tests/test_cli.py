@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +221,17 @@ class TestJson:
         assert verdicts["REC-FULL"] == ["pass"]
         assert verdicts["PIPE-5.8"] == ["fail"]
         assert "T4.17" in verdicts
+
+    def test_magnitude_beyond_the_float_range_is_inf(self, capsys):
+        # 10^400 overflows a float; its residuals still get their verdicts
+        argv = ["check", "identities", "sphere3", "--k", "10^400"]
+        doc = self.doc(capsys, [*argv, "--format", "json"])
+        maxima = {c["residual_sampled_max"] for c in doc["checks"]
+                  if c["verdict"] == "fail"}
+        assert math.inf in maxima
+        assert run(argv) == 2
+        out, _ = out_of(capsys)
+        assert "max|sampled| = inf" in out
 
 
 def test_console_script_help():

@@ -1,5 +1,5 @@
 """The sampler reports no value, rather than 0.0, for a residual it could
-not evaluate at any sample point."""
+not evaluate at any sample point, and draws no value an `assume` excludes."""
 
 from cmverify.contact import axiom_suite
 from cmverify.sampling import Sampler
@@ -52,3 +52,29 @@ def test_contact_without_admissible_point_says_so():
     assert report.verdict == "fail"
     assert report.residual_sampled_max is None
     assert report.notes.endswith("no admissible sample point")
+
+
+TWO_ASSUMES = """\
+manifold twoassume
+coords x y z
+assume x != 1
+assume x != -1
+frame-mode vector
+vector E1 = 1 dx
+vector E2 = 1 dy
+vector E3 = 1 dz
+metric identity
+contact xi = E3
+contact phi : E1 -> -1 E2
+contact phi : E2 -> 1 E1
+contact phi : E3 -> 0
+"""
+
+
+def test_every_assume_on_a_coordinate_is_honoured():
+    # seed 1129 draws x = 1 among its 8 points unless both are excluded
+    spec = parse_spec_text(TWO_ASSUMES).spec
+    drawn = {p["x"] for p in Sampler(spec, seed=1129).points()}
+    assert not drawn & {1, -1}
+    alone = parse_spec_text(TWO_ASSUMES.replace("assume x != -1\n", "")).spec
+    assert 1 not in {p["x"] for p in Sampler(alone, seed=1129).points()}

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from cmverify import cli, curvature, frames
+from cmverify import cli, curvature
 from cmverify.recurrence import solve_recurrence
 from cmverify.report import ReportDocument
 from cmverify.specfile import load_spec
+from cmverify.symcore import ZERO
 from cmverify.symcore.poly import RationalFunction
 from cmverify.workspace import Workspace
 
@@ -170,31 +171,47 @@ def test_check_axioms_builds_no_curvature(capsys, build_counts):
 
 @pytest.mark.parametrize("spec", ["heis5", "heis7"])
 def test_structural_zeros_stay_out_of_the_kernel(capsys, monkeypatch, spec):
-    # Zero operands are answered by the Expr operators and esum, and E_i
-    # of a constant by frame_apply, so the Heisenberg tables (mostly
-    # zeros, and constant frame coefficients) never pass a zero to the
-    # rational-function arithmetic nor a constant to differentiate.
-    calls, wasted = Counter(), Counter()
-    for name in ("__add__", "__sub__", "__mul__", "__neg__"):
-        def counted(*args, _name=name, _op=getattr(RationalFunction, name)):
-            calls[_name] += 1
-            if any(a.is_zero for a in args):
-                wasted[_name] += 1
-            return _op(*args)
-        monkeypatch.setattr(RationalFunction, name, counted)
-    diff = frames.differentiate
+    # The Heisenberg tables are mostly zeros over constant frame
+    # coefficients.  An operator with a zero operand returns ZERO or an
+    # operand and builds no value, except 0 - e, which builds only -e;
+    # frame_apply never differentiates a constant.
+    built, seen, wasted = [0], Counter(), Counter()
+    init = RationalFunction.__init__
 
-    def counted_diff(e, coord):
-        calls["differentiate"] += 1
-        if e.rat.is_const:
-            wasted["differentiate"] += 1
-        return diff(e, coord)
-    monkeypatch.setattr(frames, "differentiate", counted_diff)
+    def counted_init(*args, **kwargs):
+        built[0] += 1
+        init(*args, **kwargs)
+    monkeypatch.setattr(RationalFunction, "__init__", counted_init)
+    for name in ("__add__", "__sub__", "__mul__", "__truediv__", "__neg__"):
+        def counted(*args, _name=name, _op=getattr(RationalFunction, name)):
+            before = built[0]
+            result = _op(*args)
+            if any(a == 0 for a in args):
+                seen[_name] += 1
+                new = built[0] - before
+                if _name == "__sub__" and args[0] == 0 and args[1] != 0:
+                    e = args[1]
+                    ok = (new == 1 and result.num == -e.num
+                          and result.den == e.den)
+                else:
+                    ok = new == 0 and any(result is a for a in (*args, ZERO))
+                if not ok:
+                    wasted[_name] += 1
+            return result
+        monkeypatch.setattr(RationalFunction, name, counted)
+    derivative = RationalFunction.derivative
+
+    def counted_derivative(e, coord):
+        seen["derivative"] += 1
+        if e.is_const:
+            wasted["derivative"] += 1
+        return derivative(e, coord)
+    monkeypatch.setattr(RationalFunction, "derivative", counted_derivative)
     cli.run(corpus.argv("all", spec))
     capsys.readouterr()
     assert wasted == {}
-    assert all(calls[name] for name in ("__add__", "__sub__", "__mul__",
-                                        "__neg__", "differentiate"))
+    assert all(seen[name] for name in ("__add__", "__sub__", "__mul__",
+                                       "__neg__", "derivative"))
 
 
 HEIS5 = """\
