@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .contact import InconsistentEta, axiom_suite
 from .frames import FrameDependent, ShapeError, SingularMetric
@@ -24,7 +25,7 @@ from .nullity import extraction_report, identity_battery
 from .recurrence import (KINDS, classification_phrase, example_pipeline,
                          pipeline_available, recurrence_report,
                          solve_recurrence, theorem_checks)
-from .report import ReportDocument, file_hash, render_oneform
+from .report import ReportDocument, render_oneform
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL
 from .specfile import SpecFileError, load_spec, resolve_spec_path
 from .symcore import DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol
@@ -105,7 +106,10 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+@cache
 def build_parser() -> _Parser:
+    """The option parser, built on first use and shared by every `run`:
+    it holds only constants, and each parse returns a fresh Namespace."""
     parser = _Parser(prog="cmverify",
                      description="Exact verification of contact metric "
                                  "frame data.")
@@ -165,10 +169,11 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(_fuse_value_flags(argv))
     try:
         path = resolve_spec_path(args.specfile)
-        ws = Workspace(load_spec(path), k=args.k, mu=args.mu,
+        parsed = load_spec(path)
+        ws = Workspace(parsed, k=args.k, mu=args.mu,
                        seed=args.seed, points=args.points, tol=args.tol,
                        deta_factor=DETA_FACTORS[args.deta_factor])
-        doc = ReportDocument(str(path), file_hash(path))
+        doc = ReportDocument(str(path), parsed.sha256)
         if args.command == "check" and args.suite == "axioms":
             run_axioms(ws, doc)
         elif args.command == "check":

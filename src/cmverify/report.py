@@ -1,7 +1,6 @@
 """Check reports and the machine-readable output document."""
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 
@@ -120,11 +119,6 @@ class ReportDocument:
             f"summary: {n[PASS]} pass, {n[FAIL]} fail, "
             f"{n[NEEDS_INPUT]} needs-input, {n[DEGENERATE]} degenerate")
         return "\n".join(lines)
-
-
-def file_hash(path) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def render_oneform(omega) -> list:

@@ -24,6 +24,7 @@ errors; nothing is silently ignored.
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,6 +80,7 @@ class ParsedSpec:
     decl: ContactDecl
     declared_k: Expr | None
     declared_mu: Expr | None
+    sha256: str = ""  # of the file `load_spec` read; "" for parsed text
 
 
 def _numbered_lines(text: str):
@@ -459,8 +461,23 @@ def parse_spec_text(text: str, fallback_name: str = "spec") -> ParsedSpec:
 
 
 def load_spec(path) -> ParsedSpec:
+    """Parse the file at `path` as UTF-8 text, reading it once; the sha256
+    is taken of exactly the bytes parsed.  A file that cannot be read or
+    decoded is a SpecFileError naming the path."""
     p = Path(path)
-    return parse_spec_text(p.read_text(), p.stem)
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise SpecFileError(f"cannot read {p}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"cannot decode {p} as UTF-8: {exc.reason} "
+                            f"0x{data[exc.start]:02x}",
+                            data.count(b"\n", 0, exc.start) + 1) from None
+    parsed = parse_spec_text(text, p.stem)
+    parsed.sha256 = hashlib.sha256(data).hexdigest()
+    return parsed
 
 
 def bundled_names() -> list:

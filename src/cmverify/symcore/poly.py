@@ -237,15 +237,25 @@ class Poly:
                 out[mono] = c * dict(m)[name]
         return Poly(out)
 
-    def eval(self, bindings: dict):
-        """Evaluate with numeric bindings (Fraction or float values)."""
-        total = None
+    def eval(self, bindings: dict) -> tuple:
+        """The value at `bindings` (Fraction or int values) as an integer
+        pair (numerator, denominator > 0), not reduced.  Each term is a
+        pair of integer products, and the sum is kept over the lcm of
+        the term denominators, so no Fraction is built."""
+        num, den = 0, 1
         for m, c in self.terms.items():
-            v = c
+            tn, td = c.numerator, c.denominator
             for name, exp in m:
-                v = v * bindings[name] ** exp
-            total = v if total is None else total + v
-        return total if total is not None else _ZERO
+                v = bindings[name]
+                tn *= v.numerator ** exp
+                td *= v.denominator ** exp
+            if td == den:
+                num += tn
+            else:
+                g = gcd(den, td)
+                num = num * (td // g) + tn * (den // g)
+                den = den // g * td
+        return num, den
 
     def degree_in(self, name: str) -> int:
         return max((dict(m).get(name, 0) for m in self.terms), default=0)
@@ -740,11 +750,14 @@ class RationalFunction:
         return RationalFunction(dn * self.den - self.num * dd,
                                 self.den * self.den)
 
-    def eval(self, bindings: dict):
-        dv = self.den.eval(bindings)
-        if dv == 0:
+    def eval(self, bindings: dict) -> Fraction:
+        """The exact value at `bindings`, the one Fraction built from the
+        integer pairs of num and den; ZeroDivisionError at a pole."""
+        dn, dd = self.den.eval(bindings)
+        if dn == 0:
             raise ZeroDivisionError("pole at evaluation point")
-        return self.num.eval(bindings) / dv
+        nn, nd = self.num.eval(bindings)
+        return Fraction(nn * dd, nd * dn)
 
     def __repr__(self):
         return f"Expr({render(self)})"

@@ -1,13 +1,16 @@
+import argparse
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cmverify.cli import run
+import cmverify
+from cmverify.cli import build_parser, run
 from cmverify.specfile import resolve_spec_path
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
@@ -53,6 +56,22 @@ class TestExitCodes:
         assert run(["check", "axioms", "nope"]) == 1
         _, err = out_of(capsys)
         assert "sphere3" in err  # bundled names are listed
+
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert run(["check", "axioms", str(tmp_path)]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == (f"cmverify: error: cannot read {tmp_path}: "
+                       "Is a directory\n")
+
+    def test_invalid_utf8_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cmspec"
+        path.write_bytes(b"manifold t\n# caf\xe9\ncoords x y z\n")
+        assert run(["check", "axioms", str(path)]) == 1
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err == (f"cmverify: error: line 2: cannot decode {path} as "
+                       "UTF-8: invalid continuation byte 0xe9\n")
 
     def test_bad_override_expression(self, capsys):
         assert run(["check", "identities", "sphere3", "--mu", "2 +"]) == 1
@@ -239,3 +258,52 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "check" in proc.stdout and "pipeline" in proc.stdout
+
+
+def _fresh_run(argv):
+    """(stdout, stderr, exit code) of `argv` in a new interpreter."""
+    src = str(Path(cmverify.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cmverify.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+def _in_process_run(argv, capsys):
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = out_of(capsys)
+    return out, err, code
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    """Runs in one process, a usage error among them, give what the same
+    argv gives in a fresh interpreter."""
+    sequence = [["all", "sphere3", "--format", "json"],
+                ["check", "axioms", "sphere3", "--points", "0"],
+                ["check", "identities", "sphere3", "--k", "1", "--mu", "0",
+                 "--format", "text"],
+                ["all", "sphere3", "--format", "json"]]
+    got = [_in_process_run(argv, capsys) for argv in sequence]
+    assert got[1][2] == 1 and got[1][1].startswith("usage: cmverify check")
+    assert got == [_fresh_run(argv) for argv in sequence]
+
+
+def test_runs_share_one_parser(monkeypatch, capsys):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        added.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    build_parser.cache_clear()
+    assert build_parser() is build_parser()
+    one_build = len(added)
+    assert one_build > 0
+    for _ in range(3):
+        assert run(["check", "axioms", "sphere3"]) == 0
+    assert len(added) == one_build

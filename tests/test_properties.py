@@ -10,8 +10,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import _geometry_cases as gc
-from cmverify.symcore import (ZERO, DivisionByZeroExpr, Expr, esum,
-                              eval_rational, parse_expr, render)
+from cmverify.symcore import (ZERO, DivisionByZeroExpr, DomainError, Expr,
+                              esum, eval_rational, parse_expr, render)
 from cmverify.symcore.poly import _P_ONE
 
 SYMS = ("x", "y")
@@ -202,6 +202,65 @@ class TestNormalForm:
             except ZeroDivisionError:
                 continue
             assert eval_rational(e, bind) == expected
+
+
+def _fraction_fold(p, bind):
+    """A polynomial's value by a term-by-term fold in Fraction arithmetic."""
+    total = Fraction(0)
+    for mono, c in p.terms.items():
+        v = c
+        for name, exp in mono:
+            v = v * bind[name] ** exp
+        total += v
+    return total
+
+
+def _reference_eval(e, bind):
+    """The value of e at bind, or the message `eval_rational` must raise:
+    den is evaluated first, so its missing symbol or its zero decides."""
+    try:
+        dv = _fraction_fold(e.den, bind)
+        if dv == 0:
+            return "pole at evaluation point"
+        return _fraction_fold(e.num, bind) / dv
+    except KeyError as exc:
+        return f"no value assigned to symbol {exc.args[0]!r}"
+
+
+# Point coordinates as the sampler draws them (thousandths), sevenths,
+# and small integers, which put some draws on poles (x = 0, x = y, ...).
+_values = st.one_of(
+    st.integers(-3000, 3000).map(lambda n: Fraction(n, 1000)),
+    st.integers(-21, 21).map(lambda n: Fraction(n, 7)),
+    st.integers(-2, 2))
+# Some draws leave a symbol unbound.
+_partial_bindings = st.dictionaries(st.sampled_from(SYMS), _values)
+
+
+class TestIntegerEvaluation:
+    """`eval_rational` sums integer pairs; the values, the poles and the
+    unbound symbols are those of the term-by-term Fraction fold."""
+
+    def test_agrees_with_the_fraction_fold(self):
+        outcomes = []
+
+        @settings(max_examples=300)
+        @given(st.one_of(exprs, quotients), _partial_bindings)
+        def check(e, bind):
+            expected = _reference_eval(e, bind)
+            try:
+                got = eval_rational(e, bind)
+            except DomainError as exc:
+                got = str(exc)
+            else:
+                assert type(got) is Fraction
+            assert got == expected
+            outcomes.append(expected if isinstance(expected, str)
+                            else "value")
+
+        check()
+        assert {"value", "pole at evaluation point"} <= set(outcomes)
+        assert any(o.startswith("no value") for o in outcomes)
 
 
 def calculus_laws(elems):

@@ -1,10 +1,11 @@
 """The sampler reports no value, rather than 0.0, for a residual it could
 not evaluate at any sample point, and draws no value an `assume` excludes."""
 
+from cmverify import sampling
 from cmverify.contact import axiom_suite
 from cmverify.sampling import Sampler
 from cmverify.specfile import parse_spec_text
-from cmverify.symcore import Expr
+from cmverify.symcore import ZERO, Expr
 from cmverify.workspace import Workspace
 
 # The 3-dim Heisenberg frame with g33 = 1/(x - X0): eta = g(., xi) then
@@ -78,3 +79,21 @@ def test_every_assume_on_a_coordinate_is_honoured():
     assert not drawn & {1, -1}
     alone = parse_spec_text(TWO_ASSUMES.replace("assume x != -1\n", "")).spec
     assert 1 not in {p["x"] for p in Sampler(alone, seed=1129).points()}
+
+
+def test_one_evaluation_per_nonzero_expression_and_point(monkeypatch):
+    ps, x0 = _pole_spec()
+    evaluated = []
+    eval_rational = sampling.eval_rational
+
+    def counting(e, bindings):
+        evaluated.append(e)
+        return eval_rational(e, bindings)
+
+    monkeypatch.setattr(sampling, "eval_rational", counting)
+    x, y = Expr.sym("x"), Expr.sym("y")
+    pole = Expr.const(1) / (x - Expr.const(x0))
+    exprs = [x * y + 1, ZERO, pole]
+    sampler = Sampler(ps.spec, points=4)
+    assert sampler.max_abs(exprs) is not None
+    assert evaluated == [exprs[0]] * 4 + [pole] * 4

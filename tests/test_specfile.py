@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cmverify.cli import run
@@ -190,3 +192,20 @@ def test_filesystem_path_wins(tmp_path):
     p2 = tmp_path / "anon.cmspec"
     p2.write_text(MINIMAL.replace("manifold t\n", ""))
     assert load_spec(p2).name == "anon"
+
+
+def test_hash_is_of_the_bytes_parsed():
+    for name in bundled_names():
+        path = resolve_spec_path(name)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert load_spec(path).sha256 == digest
+    assert parse_spec_text(MINIMAL).sha256 == ""
+
+
+def test_crlf_file_parses_like_lf(tmp_path):
+    lf, crlf = tmp_path / "lf.cmspec", tmp_path / "crlf.cmspec"
+    lf.write_bytes(MINIMAL.encode())
+    crlf.write_bytes(MINIMAL.replace("\n", "\r\n").encode())
+    a, b = load_spec(lf), load_spec(crlf)
+    assert (a.name, a.spec, a.decl) == (b.name, b.spec, b.decl)
+    assert b.sha256 == hashlib.sha256(crlf.read_bytes()).hexdigest()
