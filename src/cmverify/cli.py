@@ -14,6 +14,7 @@ Exit codes: 0 when no check fails, 2 when at least one check fails,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -199,7 +200,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe: point stdout at devnull so that the
+        # interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,7 @@ from .frames import (
     lie_bracket,
     matmul,
     matvec,
+    nonzero_entries,
 )
 from .report import FAIL, PASS, CheckReport, residual_check
 from .symcore import ONE, ZERO, Expr, esum
@@ -170,11 +171,15 @@ def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets):
 
 def phi2_rows(cs: ContactStructure, rows) -> list:
     """phi^2 v = eta(v) xi - v for each row v of frame components, with
-    eta(v) summed over the frame indices where eta is nonzero only."""
-    eta = [(m, c) for m, c in enumerate(cs.eta) if not c.is_zero]
+    eta(v) summed over the frame indices where eta is nonzero only; a
+    zero row projects to itself."""
+    eta = nonzero_entries(cs.eta)
     xi = cs.xi
     out = []
     for v in rows:
+        if not any(c.num.terms for c in v):
+            out.append(v)
+            continue
         e = esum([c * v[m] for m, c in eta])
         out.append(tuple(x * e - c for c, x in zip(v, xi)))
     return out

@@ -9,20 +9,23 @@ from dataclasses import dataclass
 from functools import partial
 
 from .frames import (FrameSpec, covariant_derivative_tensor02,
-                     covariant_derivative_vector, dot)
+                     covariant_derivative_vector, nonzero_entries, zero_row)
 from .symcore import ZERO, Expr, esum
 
 
 def _skew_planes(dim: int, plane):
     """table[i][j] of a tensor skew in (i, j), from `plane(i, j)` for
-    i < j only: the diagonal is zero and j < i is the negation."""
-    zero = tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
-    table = [[zero] * dim for _ in range(dim)]
+    i < j only: the diagonal is zero and j < i is the negation, which
+    passes the shared zero row on as it is."""
+    zero = zero_row(dim)
+    zero_plane = (zero,) * dim
+    table = [[zero_plane] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             p = plane(i, j)
             table[i][j] = p
-            table[j][i] = tuple(tuple(-x for x in row) for row in p)
+            table[j][i] = tuple(row if row is zero else tuple(-x for x in row)
+                                for row in p)
     return tuple(tuple(row) for row in table)
 
 
@@ -31,13 +34,13 @@ def riemann(spec: FrameSpec, gamma, brackets):
 
     def plane(i, j):
         out = []
+        live = nonzero_entries(brackets[i][j])
         for k in range(dim):
             first = covariant_derivative_vector(spec, gamma, i, gamma[j][k])
             second = covariant_derivative_vector(spec, gamma, j, gamma[i][k])
             out.append(tuple(
                 esum([first[l], -second[l]]
-                     + [-(brackets[i][j][m] * gamma[m][k][l])
-                        for m in range(dim) if not brackets[i][j][m].is_zero])
+                     + [-(c * gamma[m][k][l]) for m, c in live])
                 for l in range(dim)))
         return tuple(out)
 
@@ -69,9 +72,20 @@ def riemann_apply(r_table, x, y, z):
 
 def riemann_on(table, z):
     """R(E_i,E_j)Z for every frame pair, indexed [i][j][l]; `table` is the
-    R table or one direction's plane nr_table[w] of the nabla R table."""
-    return tuple(tuple(tuple(dot(z, col) for col in zip(*plane))
-                       for plane in row) for row in table)
+    R table or one direction's plane nr_table[w] of the nabla R table.
+    Only the rows of the nonzero components of z are read, and a pair
+    whose rows are all zero gives the shared zero row."""
+    zero = zero_row(len(z))
+    live = nonzero_entries(z)
+
+    def contract(plane):
+        comps = [[] for _ in z]
+        for k, c in live:
+            for l, x in nonzero_entries(plane[k]):
+                comps[l].append(c * x)
+        return tuple(map(esum, comps)) if any(comps) else zero
+
+    return tuple(tuple(contract(plane) for plane in row) for row in table)
 
 
 def nabla_riemann(nr_table, w: int, x, y, z):
@@ -81,24 +95,37 @@ def nabla_riemann(nr_table, w: int, x, y, z):
 
 
 def nabla_riemann_table(spec: FrameSpec, gamma, r_table):
-    """(nabla_{E_w} R)(E_i,E_j)E_k components, indexed [w][i][j][k][l]."""
+    """(nabla_{E_w} R)(E_i,E_j)E_k components, indexed [w][i][j][k][l].
+    Only rows that can be nonzero are built: a row whose R row is zero
+    and whose correction terms meet only zero R rows is the shared zero
+    row, and component l sums only the R rows with a nonzero entry l."""
     dim = spec.dim
+    zero = zero_row(dim)
+    r_live = [[[nonzero_entries(row) for row in rows] for rows in plane]
+              for plane in r_table]
+    g_live = [[nonzero_entries(row) for row in gw] for gw in gamma]
 
     def plane(w, i, j):
+        gw, rows = g_live[w], r_live[i][j]
         out = []
         for k in range(dim):
-            lead = covariant_derivative_vector(spec, gamma, w,
-                                               r_table[i][j][k])
             # nabla_w of R(E_i,E_j)E_k, minus R with nabla_w applied to
             # each argument in turn
-            corr = ([(gamma[w][i][m], r_table[m][j][k]) for m in range(dim)]
-                    + [(gamma[w][j][m], r_table[i][m][k]) for m in range(dim)]
-                    + [(gamma[w][k][m], r_table[i][j][m]) for m in range(dim)])
-            corr = [(c, r) for c, r in corr if not c.is_zero]
-            out.append(tuple(
-                esum([lead[l]]
-                     + [-(c * r[l]) for c, r in corr if not r[l].is_zero])
-                for l in range(dim)))
+            corr = ([(c, r) for m, c in gw[i] if (r := r_live[m][j][k])]
+                    + [(c, r) for m, c in gw[j] if (r := r_live[i][m][k])]
+                    + [(c, r) for m, c in gw[k] if (r := rows[m])])
+            if not (corr or rows[k]):
+                out.append(zero)
+                continue
+            lead = (covariant_derivative_vector(spec, gamma, w,
+                                                r_table[i][j][k])
+                    if rows[k] else zero)
+            comps = [[x] if x.num.terms else [] for x in lead]
+            for c, r in corr:
+                for l, x in r:
+                    comps[l].append(-(c * x))
+            row = tuple([esum(p) if p else ZERO for p in comps])
+            out.append(row if any([x.num.terms for x in row]) else zero)
         return tuple(out)
 
     return tuple(_skew_planes(dim, partial(plane, w)) for w in range(dim))
@@ -116,16 +143,13 @@ def ricci(spec: FrameSpec, r_table, ginv) -> RicciData:
     the raised operator Q."""
     dim = spec.dim
     g = spec.metric
-    s_rows = []
-    for j in range(dim):
-        row = []
-        for k in range(dim):
-            row.append(esum(
-                ginv[a][b] * r_table[a][j][k][l] * g[l][b]
-                for a in range(dim) for b in range(dim) for l in range(dim)
-                if not r_table[a][j][k][l].is_zero))
-        s_rows.append(tuple(row))
-    s = tuple(s_rows)
+    ginv_live = [nonzero_entries(row) for row in ginv]
+    s = tuple(
+        tuple(esum([gab * x * g[l][b] for a in range(dim)
+                    for b, gab in ginv_live[a]
+                    for l, x in nonzero_entries(r_table[a][j][k])])
+              for k in range(dim))
+        for j in range(dim))
     r_scal = esum(ginv[j][k] * s[j][k]
                   for j in range(dim) for k in range(dim))
     q = tuple(

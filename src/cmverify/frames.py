@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .linalg import SingularMatrix, mat_det, mat_inv
 from .symcore import ZERO, Expr, esum, render
@@ -49,6 +50,18 @@ def dot(u, v) -> Expr:
         if a.num.terms and b.num.terms:
             products.append(a * b)
     return esum(products)
+
+
+def nonzero_entries(v) -> list:
+    """(index, entry) for each nonzero entry of v, in index order."""
+    return [(a, c) for a, c in enumerate(v) if c.num.terms]
+
+
+@cache
+def zero_row(dim: int) -> tuple:
+    """The one all-zero row of length dim that table builders share, so a
+    builder can pass a structurally zero row on by identity."""
+    return (ZERO,) * dim
 
 
 def matvec(m, v):
@@ -163,11 +176,11 @@ def compute_brackets(spec: FrameSpec):
         row = []
         for j in range(dim):
             # [E_i, E_j] = sum_m w^m d/dx_m expressed back through the frame
-            w = [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
-                 for m in range(dim)]
-            row.append(tuple(
-                esum(w[m] * a_inv[m][k] for m in range(dim))
-                for k in range(dim)))
+            w = nonzero_entries(
+                [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
+                 for m in range(dim)])
+            row.append(tuple(esum([c * a_inv[m][k] for m, c in w])
+                             for k in range(dim)) if w else zero_row(dim))
         c.append(tuple(row))
     return tuple(c)
 
@@ -279,12 +292,17 @@ def koszul_connection(spec: FrameSpec, brackets, ginv):
     g = spec.metric
     dim = spec.dim
     half = Expr.const(Fraction(1, 2))
+    # the m where [E_i, E_j] has a nonzero component, per pair (i, j); a
+    # term m whose three brackets are all zero adds nothing
+    live = [[{m for m, _ in nonzero_entries(c)} for c in row]
+            for row in brackets]
     gamma = []
     for i in range(dim):
         gi = []
         for j in range(dim):
             rhs = []
             for k in range(dim):
+                used = live[i][j] | live[i][k] | live[j][k]
                 val = esum([
                     frame_apply(spec, i, g[j][k]),
                     frame_apply(spec, j, g[i][k]),
@@ -292,7 +310,7 @@ def koszul_connection(spec: FrameSpec, brackets, ginv):
                 ] + [brackets[i][j][m] * g[m][k]
                      - brackets[i][k][m] * g[m][j]
                      - brackets[j][k][m] * g[m][i]
-                     for m in range(dim)])
+                     for m in range(dim) if m in used])
                 rhs.append(half * val)
             gi.append(tuple(dot(row, rhs) for row in ginv))
         gamma.append(tuple(gi))
@@ -300,9 +318,17 @@ def koszul_connection(spec: FrameSpec, brackets, ginv):
 
 
 def covariant_derivative_vector(spec: FrameSpec, gamma, i: int, v):
-    """nabla_{E_i} v for a vector v."""
-    return tuple(frame_apply(spec, i, vk) + dot(v, gamma_k)
-                 for vk, gamma_k in zip(v, zip(*gamma[i])))
+    """nabla_{E_i} v for a vector v, summing over the nonzero v[a] and
+    gamma[i][a][k] only; a zero v gives the shared zero row."""
+    live = nonzero_entries(v)
+    if not live:
+        return zero_row(spec.dim)
+    comps = [[] for _ in v]
+    for a, c in live:
+        for k, gk in nonzero_entries(gamma[i][a]):
+            comps[k].append(c * gk)
+    return tuple([(frame_apply(spec, i, vk) + esum(p)) if vk.num.terms
+                  else (esum(p) if p else ZERO) for vk, p in zip(v, comps)])
 
 
 def covariant_derivative_oneform(spec: FrameSpec, gamma, i: int, w):

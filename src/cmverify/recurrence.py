@@ -75,16 +75,12 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
         model_zero = all(c.is_zero for row in r_rows for c in row)
     a_comps, b_comps, dirs = [], [], []
     lhs_zero = True
+    # a row is kept where the model or the derivative is nonzero
+    model_live = [bool(ca.num.terms or cb.num.terms) for ca, cb in model]
     for w in range(dim):
-        rows = []
-        any_rhs = False
-        for (ca, cb), rhs in zip(model, derivs[w]):
-            if ca.is_zero and cb.is_zero and rhs.is_zero:
-                continue
-            if not rhs.is_zero:
-                any_rhs = True
-            rows.append((ca, cb, rhs))
-        if any_rhs:
+        rows = [(ca, cb, rhs) for (ca, cb), rhs, live
+                in zip(model, derivs[w], model_live) if live or rhs.num.terms]
+        if any(rhs.num.terms for _, _, rhs in rows):
             lhs_zero = False
         sol = solve_two_unknowns(rows)
         a_comps.append(sol.alpha)

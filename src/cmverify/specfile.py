@@ -28,6 +28,7 @@ import hashlib
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -480,9 +481,14 @@ def load_spec(path) -> ParsedSpec:
     return parsed
 
 
+@cache
+def _bundled_dir():
+    """The package directory of the bundled spec files, looked up once."""
+    return resources.files("cmverify.data")
+
+
 def bundled_names() -> list:
-    root = resources.files("cmverify.data")
-    return sorted(f.name[:-len(".cmspec")] for f in root.iterdir()
+    return sorted(f.name[:-len(".cmspec")] for f in _bundled_dir().iterdir()
                   if f.name.endswith(".cmspec"))
 
 
@@ -494,8 +500,7 @@ def resolve_spec_path(name) -> Path:
     stem = p.name
     if not stem.endswith(".cmspec"):
         stem += ".cmspec"
-    root = resources.files("cmverify.data")
-    candidate = root / stem
+    candidate = _bundled_dir() / stem
     if candidate.is_file():
         return Path(str(candidate))
     raise FileNotFoundError(

@@ -31,25 +31,30 @@ def vanishes(table) -> bool:
     return table.is_zero
 
 
-def _monomial(rng):
+def _monomial(rng, coords):
     term = Expr.const(rng.choice((1, -1, 2, -2, 3)))
     for _ in range(rng.choice((0, 1, 1, 2))):
-        term = term * Expr.sym(rng.choice(COORDS))
+        term = term * Expr.sym(rng.choice(coords))
     return term
 
 
-def random_spec(seed):
+def random_spec(seed, dim=DIM, density=0.7):
+    """A unit lower-triangular frame in `dim` coordinates whose entries
+    below the diagonal are random monomials, each present with
+    probability `density`; the defaults give the frames of the property
+    suite."""
+    coords = (COORDS + ("u", "v", "w", "t"))[:dim]
     rng = random.Random(seed)
-    a = [[ZERO] * DIM for _ in range(DIM)]
-    for i in range(DIM):
+    a = [[ZERO] * dim for _ in range(dim)]
+    for i in range(dim):
         a[i][i] = ONE
-    for i in range(DIM):
+    for i in range(dim):
         for j in range(i):
-            if rng.random() < 0.7:
-                a[i][j] = _monomial(rng)
-    metric = tuple(tuple(ONE if i == j else ZERO for j in range(DIM))
-                   for i in range(DIM))
-    return FrameSpec(name=f"case{seed}", coords=CoordSystem(COORDS, ()),
+            if rng.random() < density:
+                a[i][j] = _monomial(rng, coords)
+    metric = tuple(tuple(ONE if i == j else ZERO for j in range(dim))
+                   for i in range(dim))
+    return FrameSpec(name=f"case{seed}", coords=CoordSystem(coords, ()),
                      params=(), mode=CoordinateMode(tuple(map(tuple, a))),
                      metric=metric)
 

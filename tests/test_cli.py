@@ -260,6 +260,23 @@ def test_console_script_help():
     assert "check" in proc.stdout and "pipeline" in proc.stdout
 
 
+def test_closed_output_pipe_exits_one_without_traceback():
+    # The reader closes its end before the report is printed, as
+    # `cmverify all sphere3 --format json | head -0` would.
+    src = str(Path(cmverify.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cmverify.cli", "all", "sphere3",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert code == 1
+    assert err == ""
+
+
 def _fresh_run(argv):
     """(stdout, stderr, exit code) of `argv` in a new interpreter."""
     src = str(Path(cmverify.__file__).resolve().parent.parent)

@@ -1,0 +1,338 @@
+"""The frame and curvature table builders build only the rows that can
+be nonzero.
+
+Each builder is checked against a dense reference, a copy of the loop it
+replaced: every entry must be equal, and the kernel must do exactly the
+same work (the same RationalFunction constructions, Poly products, gcds
+and exact divisions), because each sum still gets the same nonzero
+summands in the same order.
+"""
+
+import hashlib
+import sys
+from fractions import Fraction
+from collections import Counter
+from itertools import product
+from pathlib import Path
+from types import SimpleNamespace
+
+import pytest
+
+import _geometry_cases as gc
+from cmverify import curvature
+from cmverify.contact import phi2_rows
+from cmverify.curvature import (nabla_riemann_table, ricci, riemann,
+                                riemann_on)
+from cmverify.frames import (BracketMode, compute_brackets, dot,
+                             frame_apply, koszul_connection, metric_inverse,
+                             zero_row)
+from cmverify.linalg import mat_inv
+from cmverify.specfile import load_spec, resolve_spec_path
+from cmverify.symcore import ONE, ZERO, Expr, esum, render
+from cmverify.symcore.poly import Poly, RationalFunction
+from cmverify.workspace import Workspace
+
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = {
+    "heis5": ROOT / "bench" / "specs" / "heis5.cmspec",
+    "example3d": resolve_spec_path("example3d"),
+    "asym3": ROOT / "tests" / "specs" / "asym3.cmspec",
+    "polymetric3": ROOT / "bench" / "specs" / "polymetric3.cmspec",
+}
+HEIS7 = ROOT / "bench" / "specs" / "heis7.cmspec"
+
+
+# --- dense reference: the builders as they were before zero rows were
+# skipped, kept here verbatim apart from names ---------------------------
+
+def dense_compute_brackets(spec):
+    if isinstance(spec.mode, BracketMode):
+        return spec.mode.c
+    a = spec.mode.a
+    dim = spec.dim
+    a_inv = mat_inv([list(r) for r in a])
+    c = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            w = [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
+                 for m in range(dim)]
+            row.append(tuple(
+                esum(w[m] * a_inv[m][k] for m in range(dim))
+                for k in range(dim)))
+        c.append(tuple(row))
+    return tuple(c)
+
+
+def dense_koszul_connection(spec, brackets, ginv):
+    g = spec.metric
+    dim = spec.dim
+    half = Expr.const(Fraction(1, 2))
+    gamma = []
+    for i in range(dim):
+        gi = []
+        for j in range(dim):
+            rhs = []
+            for k in range(dim):
+                val = esum([
+                    frame_apply(spec, i, g[j][k]),
+                    frame_apply(spec, j, g[i][k]),
+                    -frame_apply(spec, k, g[i][j]),
+                ] + [brackets[i][j][m] * g[m][k]
+                     - brackets[i][k][m] * g[m][j]
+                     - brackets[j][k][m] * g[m][i]
+                     for m in range(dim)])
+                rhs.append(half * val)
+            gi.append(tuple(dot(row, rhs) for row in ginv))
+        gamma.append(tuple(gi))
+    return tuple(gamma)
+
+
+def dense_covariant_derivative_vector(spec, gamma, i, v):
+    return tuple(frame_apply(spec, i, vk) + dot(v, gamma_k)
+                 for vk, gamma_k in zip(v, zip(*gamma[i])))
+
+
+def dense_skew_planes(dim, plane):
+    zero = tuple(tuple(ZERO for _ in range(dim)) for _ in range(dim))
+    table = [[zero] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            p = plane(i, j)
+            table[i][j] = p
+            table[j][i] = tuple(tuple(-x for x in row) for row in p)
+    return tuple(tuple(row) for row in table)
+
+
+def dense_riemann(spec, gamma, brackets):
+    dim = spec.dim
+
+    def plane(i, j):
+        out = []
+        for k in range(dim):
+            first = dense_covariant_derivative_vector(spec, gamma, i,
+                                                      gamma[j][k])
+            second = dense_covariant_derivative_vector(spec, gamma, j,
+                                                       gamma[i][k])
+            out.append(tuple(
+                esum([first[l], -second[l]]
+                     + [-(brackets[i][j][m] * gamma[m][k][l])
+                        for m in range(dim) if not brackets[i][j][m].is_zero])
+                for l in range(dim)))
+        return tuple(out)
+
+    return dense_skew_planes(dim, plane)
+
+
+def dense_riemann_on(table, z):
+    return tuple(tuple(tuple(dot(z, col) for col in zip(*plane))
+                       for plane in row) for row in table)
+
+
+def dense_nabla_riemann_table(spec, gamma, r_table):
+    dim = spec.dim
+
+    def plane(w, i, j):
+        out = []
+        for k in range(dim):
+            lead = dense_covariant_derivative_vector(spec, gamma, w,
+                                                     r_table[i][j][k])
+            corr = ([(gamma[w][i][m], r_table[m][j][k]) for m in range(dim)]
+                    + [(gamma[w][j][m], r_table[i][m][k]) for m in range(dim)]
+                    + [(gamma[w][k][m], r_table[i][j][m]) for m in range(dim)])
+            corr = [(c, r) for c, r in corr if not c.is_zero]
+            out.append(tuple(
+                esum([lead[l]]
+                     + [-(c * r[l]) for c, r in corr if not r[l].is_zero])
+                for l in range(dim)))
+        return tuple(out)
+
+    return tuple(dense_skew_planes(dim, lambda i, j, w=w: plane(w, i, j))
+                 for w in range(dim))
+
+
+def dense_ricci(spec, r_table, ginv):
+    dim = spec.dim
+    g = spec.metric
+    s_rows = []
+    for j in range(dim):
+        row = []
+        for k in range(dim):
+            row.append(esum(
+                ginv[a][b] * r_table[a][j][k][l] * g[l][b]
+                for a in range(dim) for b in range(dim) for l in range(dim)
+                if not r_table[a][j][k][l].is_zero))
+        s_rows.append(tuple(row))
+    s = tuple(s_rows)
+    r_scal = esum(ginv[j][k] * s[j][k]
+                  for j in range(dim) for k in range(dim))
+    q = tuple(
+        tuple(esum(ginv[i][k] * s[k][j] for k in range(dim))
+              for j in range(dim))
+        for i in range(dim))
+    return s, r_scal, q
+
+
+def ricci_parts(spec, r_table, ginv):
+    data = ricci(spec, r_table, ginv)
+    return data.S, data.r, data.Q
+
+
+def dense_phi2_rows(cs, rows):
+    eta = [(m, c) for m, c in enumerate(cs.eta) if not c.is_zero]
+    out = []
+    for v in rows:
+        e = esum([c * v[m] for m, c in eta])
+        out.append(tuple(x * e - c for c, x in zip(v, cs.xi)))
+    return out
+
+
+# --- kernel counts ---------------------------------------------------------
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """Counter of the kernel calls made since it was last cleared."""
+    poly = sys.modules["cmverify.symcore.poly"]
+    counts = Counter()
+    for owner, name in ((RationalFunction, "__init__"), (Poly, "__mul__"),
+                        (poly, "poly_gcd"), (poly, "poly_divexact")):
+        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def _same(kernel, seen, dense, sparse, *args):
+    """Run both builders on `args`; every entry and every kernel count
+    must agree.  Adds the counts to `seen`; returns the sparse result."""
+    kernel.clear()
+    want = dense(*args)
+    dense_counts = Counter(kernel)
+    kernel.clear()
+    got = sparse(*args)
+    assert kernel == dense_counts, sparse.__name__
+    assert got == want, sparse.__name__
+    seen.update(dense_counts)
+    return got
+
+
+def _check_builders(kernel, spec, cs) -> Counter:
+    """Every builder against its dense reference; the kernel calls made
+    by the references."""
+    seen = Counter()
+    brackets = _same(kernel, seen, dense_compute_brackets, compute_brackets,
+                     spec)
+    ginv = metric_inverse(spec)
+    conn = _same(kernel, seen, dense_koszul_connection, koszul_connection,
+                 spec, brackets, ginv)
+    r_table = _same(kernel, seen, dense_riemann, riemann, spec, conn,
+                    brackets)
+    nr_table = _same(kernel, seen, dense_nabla_riemann_table,
+                     nabla_riemann_table, spec, conn, r_table)
+    _same(kernel, seen, dense_ricci, ricci_parts, spec, r_table, ginv)
+    mixed = tuple(ONE if a % 2 else Expr.sym(spec.coords.names[0])
+                  for a in range(spec.dim))
+    for z in (cs.xi, mixed, zero_row(spec.dim)):
+        _same(kernel, seen, dense_riemann_on, riemann_on, r_table, z)
+        for plane in nr_table:
+            _same(kernel, seen, dense_riemann_on, riemann_on, plane, z)
+    planes = [(i, j, s) for i in range(spec.dim)
+              for j in range(i + 1, spec.dim) for s in range(spec.dim)]
+    rows = [r_table[i][j][s] for i, j, s in planes]
+    rows += [plane[i][j][s] for plane in nr_table for i, j, s in planes]
+    _same(kernel, seen, dense_phi2_rows, phi2_rows, cs, rows)
+    return seen
+
+
+@pytest.mark.parametrize("name,gcds", [("asym3", True), ("example3d", True),
+                                       ("heis5", False),
+                                       ("polymetric3", True)])
+def test_builders_match_dense_reference_on_specs(kernel, name, gcds):
+    ws = Workspace(load_spec(SPECS[name]))
+    seen = _check_builders(kernel, ws.spec, ws.cs)
+    assert seen["__init__"] and seen["__mul__"]
+    assert bool(seen["poly_gcd"]) == gcds
+
+
+@pytest.mark.parametrize("dim,density,seeds",
+                         [(3, 0.7, range(10)), (5, 0.3, range(6))],
+                         ids=["dim3", "dim5"])
+def test_builders_match_dense_reference_on_random_frames(kernel, dim,
+                                                         density, seeds):
+    # The last frame vector stands in for xi and eta: phi2_rows and the
+    # contraction with xi read nothing else of a contact structure.
+    seen = Counter()
+    for seed in seeds:
+        spec = gc.random_spec(seed, dim, density)
+        last = gc.basis(dim - 1, dim)
+        seen += _check_builders(kernel, spec,
+                                SimpleNamespace(xi=last, eta=last))
+    assert seen["__init__"] and seen["__mul__"]
+
+
+def test_random_spec_default_dimension_keeps_the_property_frames():
+    # The property suite's 50 frames, as rendered before random_spec took
+    # a dimension.
+    digest = hashlib.sha256()
+    for seed in range(50):
+        spec = gc.random_spec(seed)
+        digest.update(repr((spec.coords.names,
+                            [[render(c) for c in row]
+                             for row in spec.mode.a])).encode())
+    assert digest.hexdigest() == (
+        "3abe345f86a7edce20422fcb04633778287c9856c6ece9177d7239f74c108d8d")
+
+
+def _nonzero(row):
+    return any(not c.is_zero for c in row)
+
+
+def test_zero_rows_do_no_work(monkeypatch):
+    # heis7's R has 108 nonzero entries of 2,401: nabla_riemann_table
+    # differentiates only the nonzero R rows R(E_i,E_j)E_k, i < j, once
+    # per direction, and passes every other row on as the shared zero row.
+    ws = Workspace(load_spec(HEIS7))
+    spec, r_table = ws.spec, ws.r_table
+    dim = spec.dim
+    zero = zero_row(dim)
+    derived = []
+    original = curvature.covariant_derivative_vector
+
+    def recorded(spec, gamma, w, v):
+        derived.append((w, v))
+        return original(spec, gamma, w, v)
+
+    monkeypatch.setattr(curvature, "covariant_derivative_vector", recorded)
+    nr_table = nabla_riemann_table(spec, ws.conn, r_table)
+    live = [r_table[i][j][k] for i in range(dim) for j in range(i + 1, dim)
+            for k in range(dim) if _nonzero(r_table[i][j][k])]
+    assert 0 < len(live) < dim * dim * (dim - 1) // 2
+    assert Counter(w for w, _ in derived) == dict.fromkeys(range(dim),
+                                                           len(live))
+    assert all(_nonzero(v) for _, v in derived)
+    # A row is structurally zero when its R row is zero and no nonzero
+    # connection coefficient pairs with a nonzero R row in the terms
+    # that apply nabla_{E_w} to E_i, E_j or E_k; each such row is the
+    # shared zero row.
+    gamma = ws.conn
+    dead = 0
+    for w, i, j, k in product(range(dim), repeat=4):
+        pairs = ([(gamma[w][i][m], r_table[m][j][k]) for m in range(dim)]
+                 + [(gamma[w][j][m], r_table[i][m][k]) for m in range(dim)]
+                 + [(gamma[w][k][m], r_table[i][j][m]) for m in range(dim)])
+        if i == j or not (_nonzero(r_table[i][j][k]) or any(
+                not c.is_zero and _nonzero(r) for c, r in pairs)):
+            assert nr_table[w][i][j][k] is zero
+            dead += 1
+    assert dead > dim ** 4 // 2
+
+    # phi^2 of a zero row is that row, and no sum is formed for it
+    summed = []
+    contact = sys.modules["cmverify.contact"]
+    monkeypatch.setattr(contact, "esum",
+                        lambda items: summed.append(1) or esum(items))
+    rows = [zero, tuple(ZERO for _ in range(dim))]
+    projected = phi2_rows(ws.cs, rows)
+    assert all(p is row for p, row in zip(projected, rows))
+    assert summed == []

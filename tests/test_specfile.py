@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +193,23 @@ def test_filesystem_path_wins(tmp_path):
     p2 = tmp_path / "anon.cmspec"
     p2.write_text(MINIMAL.replace("manifold t\n", ""))
     assert load_spec(p2).name == "anon"
+
+
+def test_bundled_directory_is_looked_up_once_and_disk_still_wins(
+        tmp_path, monkeypatch):
+    # The bundled directory is resolved once per process; a file on disk
+    # that appears later still wins over the bundled name, and a name
+    # found in neither place still lists every bundled spec.
+    bundled = resolve_spec_path("sphere3")
+    assert bundled.parent.name == "data"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sphere3").write_text(MINIMAL)
+    assert resolve_spec_path("sphere3") == Path("sphere3")
+    assert resolve_spec_path("flat3").parent == bundled.parent
+    with pytest.raises(FileNotFoundError) as info:
+        resolve_spec_path("no-such-spec")
+    assert str(info.value).endswith(
+        "bundled: " + ", ".join(bundled_names()))
 
 
 def test_hash_is_of_the_bytes_parsed():
