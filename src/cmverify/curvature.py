@@ -47,27 +47,28 @@ def riemann(spec: FrameSpec, gamma, brackets):
     return _skew_planes(dim, plane)
 
 
+def _contract(plane, live, zero):
+    """sum_k z^k plane[k] over the nonzero components (k, z^k) in `live`;
+    `zero`, the shared zero row, when no term is nonzero."""
+    comps = [[] for _ in zero]
+    for k, c in live:
+        for l, x in nonzero_entries(plane[k]):
+            comps[l].append(c * x)
+    return tuple(map(esum, comps)) if any(comps) else zero
+
+
 def riemann_apply(r_table, x, y, z):
-    """R(X,Y)Z for arbitrary vectors, multilinear over components.
-    `r_table` is any table indexed like R, such as the G table; a
-    coefficient x^i y^j z^k is formed only where R(E_i,E_j)E_k != 0."""
-    dim = len(r_table)
-    comps = [[] for _ in range(dim)]
-    for i in range(dim):
-        if x[i].is_zero:
-            continue
-        for j in range(dim):
-            if y[j].is_zero:
-                continue
-            xy = x[i] * y[j]
-            for k, row in enumerate(r_table[i][j]):
-                if z[k].is_zero or all(c.is_zero for c in row):
-                    continue
-                coef = xy * z[k]
-                for l in range(dim):
-                    if not row[l].is_zero:
-                        comps[l].append(coef * row[l])
-    return tuple(esum(c) for c in comps)
+    """R(X,Y)Z for arbitrary vectors, multilinear over components: the
+    rows R(E_i,E_j)Z weighted by x^i y^j, contracted only where x^i y^j
+    is nonzero.  `r_table` is any table indexed like R, such as G."""
+    live, zero = nonzero_entries(z), zero_row(len(z))
+    comps = [[] for _ in z]
+    for i, xi in nonzero_entries(x):
+        for j, yj in nonzero_entries(y):
+            rz = _contract(r_table[i][j], live, zero)
+            for l, c in nonzero_entries(rz):
+                comps[l].append(xi * yj * c)
+    return tuple(map(esum, comps))
 
 
 def riemann_on(table, z):
@@ -75,17 +76,9 @@ def riemann_on(table, z):
     R table or one direction's plane nr_table[w] of the nabla R table.
     Only the rows of the nonzero components of z are read, and a pair
     whose rows are all zero gives the shared zero row."""
-    zero = zero_row(len(z))
-    live = nonzero_entries(z)
-
-    def contract(plane):
-        comps = [[] for _ in z]
-        for k, c in live:
-            for l, x in nonzero_entries(plane[k]):
-                comps[l].append(c * x)
-        return tuple(map(esum, comps)) if any(comps) else zero
-
-    return tuple(tuple(contract(plane) for plane in row) for row in table)
+    live, zero = nonzero_entries(z), zero_row(len(z))
+    return tuple(tuple(_contract(plane, live, zero) for plane in row)
+                 for row in table)
 
 
 def nabla_riemann(nr_table, w: int, x, y, z):

@@ -25,18 +25,11 @@ PIPELINE_PARAMS = ("a1", "b1", "c1", "a2", "b2", "c2", "a3", "b3", "c3")
 
 
 @dataclass
-class DirectionResult:
-    status: str          # unique | underdetermined | inconsistent
-    kernel: str
-    worst_residual: Expr
-
-
-@dataclass
 class RecurrenceSolution:
     kind: str
     A: tuple             # 1-form: A[w] = A(E_w)
     B: tuple
-    directions: tuple
+    directions: tuple    # a linalg.TwoUnknownSolution per direction
     classification: str
     degenerate: bool
     lhs_zero: bool
@@ -73,7 +66,7 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
                  for pair in zip(rv, gv)]
         derivs = [[c for row in rows for c in row] for rows in nr_rows]
         model_zero = all(c.is_zero for row in r_rows for c in row)
-    a_comps, b_comps, dirs = [], [], []
+    dirs = []
     lhs_zero = True
     # a row is kept where the model or the derivative is nonzero
     model_live = [bool(ca.num.terms or cb.num.terms) for ca, cb in model]
@@ -82,11 +75,9 @@ def solve_recurrence(kind: str, ws) -> RecurrenceSolution:
                 in zip(model, derivs[w], model_live) if live or rhs.num.terms]
         if any(rhs.num.terms for _, _, rhs in rows):
             lhs_zero = False
-        sol = solve_two_unknowns(rows)
-        a_comps.append(sol.alpha)
-        b_comps.append(sol.beta)
-        dirs.append(DirectionResult(sol.status, sol.kernel, sol.worst))
-    a_form, b_form = tuple(a_comps), tuple(b_comps)
+        dirs.append(solve_two_unknowns(rows))
+    a_form = tuple(d.alpha for d in dirs)
+    b_form = tuple(d.beta for d in dirs)
     classification = _classify(kind, a_form, b_form, lhs_zero, model_zero,
                                dirs)
     return RecurrenceSolution(kind, a_form, b_form, tuple(dirs),
@@ -129,8 +120,8 @@ def recurrence_report(sol: RecurrenceSolution, sampler=None) -> CheckReport:
             s += f" [{d.kernel}]"
         status_bits.append(s)
     bits.append("directions: " + "; ".join(status_bits))
-    worst = next((d.worst_residual for d in sol.directions
-                  if not d.worst_residual.is_zero), None)
+    worst = next((d.worst for d in sol.directions if not d.worst.is_zero),
+                 None)
     if not sol.consistent:
         sampled = sampler.max_abs([worst]) if sampler else None
         return CheckReport(check_id, FAIL, str(worst), sampled,

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -56,19 +57,14 @@ _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _FRAME_RE = re.compile(r"^E(\d+)$")
 _BRACKET_RE = re.compile(r"^\[E(\d+),E(\d+)\]$")
 _METRIC_RE = re.compile(r"^g(\d)(\d)$")
-
-_PASS1 = {"manifold", "coords", "assume", "param", "frame-mode"}
-_PASS2 = {"vector", "bracket", "act", "metric", "contact", "declare"}
+_CONTACT_RE = re.compile(r"^contact\s+([a-z]+)")
 
 
 class SpecFileError(Exception):
     def __init__(self, message, line_no=None, col=None):
-        loc = ""
         if line_no is not None:
-            loc = f"line {line_no}"
-            if col is not None:
-                loc += f", col {col}"
-            message = f"{loc}: {message}"
+            at = f"line {line_no}" + ("" if col is None else f", col {col}")
+            message = f"{at}: {message}"
         super().__init__(message)
         self.line_no = line_no
         self.col = col
@@ -96,40 +92,101 @@ class _Loader:
         self.text = text
         self.name = fallback_name
         self.coords: list = []
-        self.constraints: list = []
+        self.constraints: list = []  # (line_no, DomainConstraint)
         self.params: list = []
         self.mode: str | None = None
         self.symbols: set = set()
+        self.markers: dict = {}
+        self.values = {key: {} for key in _DIRECTIVES}  # read in pass 2
 
     def err(self, message, line_no=None, col=None):
         raise SpecFileError(message, line_no, col)
 
-    # -- expression plumbing -------------------------------------------
+    # -- what every directive shares: its entry, match, frame and index --
 
-    def parse_expr_at(self, fragment, line_no, col0) -> Expr:
+    def read(self, lines, pass_no: int):
+        """Read the lines of pass `pass_no`, each by its `_DIRECTIVES` entry,
+        where `contact` goes by subkey and `metric identity` is its own."""
+        for line_no, body in lines:
+            words = body.split()
+            key = words[0]
+            if key == "contact":
+                sub = _CONTACT_RE.match(body)
+                key += " " + (sub[1] if sub else "")
+            elif words == ["metric", "identity"]:
+                key = "metric identity"
+            d = _DIRECTIVES.get(key)
+            if d is None:
+                if words[0] != "contact":
+                    self.err(f"unknown directive {key!r}", line_no)
+                if pass_no == 2:
+                    self.err(f"unknown contact subkey "
+                             f"{key.partition(' ')[2]!r}", line_no)
+            elif d.pass_no == pass_no:
+                if d.mode and self.mode != d.mode:
+                    self.err(f"{key} line in {self.mode} mode", line_no)
+                d.read(self, key, line_no, body)
+
+    def match(self, key, line_no, body) -> re.Match:
+        d = _DIRECTIVES[key]
+        m = re.fullmatch(d.pattern, body)
+        if not m:
+            self.err(d.usage, line_no)
+        return m
+
+    def frame(self, m, group, line_no) -> int:
+        """The index of the frame name `m[group]`; an error points at it."""
+        fm = _FRAME_RE.match(m[group])
+        dim = len(self.coords)
+        if not fm or not (1 <= int(fm[1]) <= dim):
+            self.err(f"expected a frame name E1..E{dim}, got {m[group]!r}",
+                     line_no, m.start(group) + 1)
+        return int(fm[1]) - 1
+
+    def fresh(self, key, index, what, line_no):
+        """Reject a second `key` line for `index`; `what` ends the message."""
+        if index in self.values[key]:
+            self.err(f"duplicate {key}{what}", line_no)
+
+    def coord_index(self, key, coord, line_no) -> int:
+        if coord not in self.coords:
+            self.err(f"{key} references unknown coordinate {coord!r}",
+                     line_no)
+        return self.coords.index(coord)
+
+    def located(self, line_no, col0, at, parse, *args):
+        """`parse(*args)` on the fragment at column `col0`, an expression
+        error reported in it: a syntax error at its own position, any other
+        at position `at`."""
         try:
-            toks = tokenize(fragment)
-            if not toks:
-                self.err("missing expression", line_no, col0 + 1)
-            return parse_tokens(toks, self.symbols, len(fragment))
+            return parse(*args)
         except ExprSyntaxError as e:
-            self.err(str(e), line_no, col0 + e.position + 1)
+            self.err(e.reason, line_no, col0 + e.position + 1)
         except (UnknownSymbol, DivisionByZeroExpr) as e:
-            self.err(str(e), line_no, col0 + 1)
+            self.err(str(e), line_no, col0 + at + 1)
 
-    def parse_row(self, fragment, markers, line_no, col0) -> tuple:
-        """Split `<expr> <marker> [+ <expr> <marker> ...]`, parse each
-        coefficient and return them as a row, at index `markers[marker]`;
-        a marker without a term, and every one for `0` alone, gets ZERO."""
-        try:
-            toks = tokenize(fragment)
-        except ExprSyntaxError as e:
-            self.err(str(e), line_no, col0 + e.position + 1)
+    def expr(self, m, group, line_no) -> Expr:
+        """The expression `m[group]`."""
+        fragment, col0 = m[group], m.start(group)
+        toks = self.located(line_no, col0, 0, tokenize, fragment)
+        if not toks:
+            self.err("missing expression", line_no, col0 + 1)
+        return self.located(line_no, col0, 0, parse_tokens, toks,
+                            self.symbols, len(fragment))
+
+    def row(self, m, group, line_no, basis="E") -> tuple:
+        """Split `m[group]`, `<expr> <marker> [+ <expr> <marker> ...]`,
+        where the markers are E<i> or, for basis "d", d<coord>; parse each
+        coefficient and return them as a row in marker order.  A marker
+        without a term, and every one for `0` alone, gets ZERO."""
+        fragment, col0 = m[group], m.start(group)
+        markers = self.markers[basis]
+        toks = self.located(line_no, col0, 0, tokenize, fragment)
         if not toks:
             self.err("missing right-hand side", line_no, col0 + 1)
         depth = 0
         coef: list = []
-        out = []
+        out: dict = {}
         after_marker = False
         for tok in toks:
             kind, value, pos = tok
@@ -145,21 +202,17 @@ class _Loader:
             elif kind == "op" and value == ")":
                 depth -= 1
             if kind == "name" and depth == 0 and value in markers:
-                if any(m == value for m, _ in out):
+                if value in out:
                     self.err(f"repeated term {value}", line_no,
                              col0 + pos + 1)
                 if not coef:
-                    coef_expr = ONE
+                    out[value] = ONE
                 elif len(coef) == 1 and coef[0][:2] == ("op", "-"):
-                    coef_expr = Expr.const(-1)
+                    out[value] = Expr.const(-1)
                 else:
-                    try:
-                        coef_expr = parse_tokens(coef, self.symbols, pos)
-                    except ExprSyntaxError as e:
-                        self.err(str(e), line_no, col0 + e.position + 1)
-                    except (UnknownSymbol, DivisionByZeroExpr) as e:
-                        self.err(str(e), line_no, col0 + coef[0][2] + 1)
-                out.append((value, coef_expr))
+                    out[value] = self.located(line_no, col0, coef[0][2],
+                                              parse_tokens, coef,
+                                              self.symbols, pos)
                 coef = []
                 after_marker = True
                 continue
@@ -169,283 +222,208 @@ class _Loader:
             self.err("dangling tokens after last frame term", line_no,
                      col0 + at)
         if not out:
-            value = self.parse_expr_at(fragment, line_no, col0)
+            value = self.expr(m, group, line_no)
             if not value.is_zero:
                 self.err("right-hand side has no frame term and is not 0",
                          line_no, col0 + 1)
-        row = [ZERO] * len(markers)
-        for marker, coef in out:
-            row[markers[marker]] = coef
-        return tuple(row)
+        return tuple(out.get(marker, ZERO) for marker in markers)
 
-    def frame_index(self, token, line_no, col) -> int:
-        m = _FRAME_RE.match(token)
-        dim = len(self.coords)
-        if not m or not (1 <= int(m.group(1)) <= dim):
-            self.err(f"expected a frame name E1..E{dim}, got {token!r}",
-                     line_no, col)
-        return int(m.group(1)) - 1
+    # -- pass 1: names, chart and frame mode -----------------------------
 
-    # -- pass 1 --------------------------------------------------------
+    def manifold(self, key, line_no, body):
+        self.name = self.match(key, line_no, body)[1]
 
-    def structural(self, line_no, body):
-        words = body.split()
-        key = words[0]
-        if key == "manifold":
-            if len(words) != 2:
-                self.err("manifold takes exactly one name", line_no)
-            self.name = words[1]
-        elif key == "coords":
-            if self.coords:
-                self.err("coords declared twice", line_no)
-            if len(words) < 2:
-                self.err("coords needs at least one name", line_no)
-            for w in words[1:]:
-                self.check_fresh_name(w, line_no)
-                self.coords.append(w)
-        elif key == "param":
-            for w in words[1:]:
-                self.check_fresh_name(w, line_no)
-                self.params.append(w)
-            if len(words) < 2:
-                self.err("param needs at least one name", line_no)
-        elif key == "assume":
-            m = re.match(r"^assume\s+(\w+)\s*!=\s*(-?\d+(?:/\d+)?)$", body)
-            if not m:
-                self.err("assume must look like: assume <coord> != "
-                         "<rational>", line_no)
-            coord = m.group(1)
-            if coord not in self.coords:
-                self.err(f"assume references unknown coordinate {coord!r}",
+    def names(self, key, line_no, body):
+        """coords and param lines."""
+        if key == "coords" and self.coords:
+            self.err("coords declared twice", line_no)
+        for w in self.match(key, line_no, body)[1].split():
+            if not _ID_RE.match(w):
+                self.err(f"invalid identifier {w!r}", line_no)
+            if w in RESERVED_NAMES:
+                self.err(f"{w!r} is reserved for the nullity functions",
                          line_no)
-            try:
-                value = Fraction(m.group(2))
-            except ZeroDivisionError:
-                self.err(f"assume value {m.group(2)} has a zero denominator",
-                         line_no)
-            self.constraints.append(DomainConstraint(coord, value))
-        elif key == "frame-mode":
-            if self.mode is not None:
-                self.err("frame-mode declared twice", line_no)
-            if len(words) != 2 or words[1] not in ("vector", "bracket"):
-                self.err("frame-mode must be 'vector' or 'bracket'", line_no)
-            self.mode = words[1]
+            if _FRAME_RE.match(w):
+                self.err(f"{w!r} collides with frame names", line_no)
+            if w in self.coords or w in self.params:
+                self.err(f"duplicate name {w!r}", line_no)
+            (self.coords if key == "coords" else self.params).append(w)
 
-    def check_fresh_name(self, w, line_no):
-        if not _ID_RE.match(w):
-            self.err(f"invalid identifier {w!r}", line_no)
-        if w in RESERVED_NAMES:
-            self.err(f"{w!r} is reserved for the nullity functions", line_no)
-        if _FRAME_RE.match(w):
-            self.err(f"{w!r} collides with frame names", line_no)
-        if w in self.coords or w in self.params:
-            self.err(f"duplicate name {w!r}", line_no)
+    def assume(self, key, line_no, body):
+        m = self.match(key, line_no, body)
+        if self.coords:  # else checked once pass 1 has read every line
+            self.coord_index(key, m[1], line_no)
+        try:
+            value = Fraction(m[2])
+        except ZeroDivisionError:
+            self.err(f"assume value {m[2]} has a zero denominator", line_no)
+        self.constraints.append((line_no, DomainConstraint(m[1], value)))
 
-    # -- pass 2 --------------------------------------------------------
+    def frame_mode(self, key, line_no, body):
+        if self.mode is not None:
+            self.err("frame-mode declared twice", line_no)
+        self.mode = self.match(key, line_no, body)[1]
+
+    # -- pass 2: frame, metric, contact data and declarations ------------
+
+    def frame_row(self, key, line_no, body):
+        """vector, contact phi and contact h lines: a row for one E<i>."""
+        m = self.match(key, line_no, body)
+        i = self.frame(m, 1, line_no)
+        self.fresh(key, i, f" line for E{i + 1}", line_no)
+        basis = "d" if key == "vector" else "E"
+        self.values[key][i] = self.row(m, 2, line_no, basis)
+
+    def bracket(self, key, line_no, body):
+        m = self.match(key, line_no, body)
+        bm = _BRACKET_RE.match(m[1])
+        if not bm:
+            self.err(f"bad bracket pair {m[1]!r}", line_no)
+        i, j = int(bm[1]) - 1, int(bm[2]) - 1
+        if not (0 <= i < len(self.coords) and 0 <= j < len(self.coords)):
+            self.err("bracket frame index out of range", line_no)
+        if i == j:
+            self.err("bracket of a field with itself is ZERO", line_no)
+        self.fresh(key, (i, j), f" for [E{i + 1},E{j + 1}]", line_no)
+        row = self.row(m, 2, line_no)
+        self.values[key][i, j] = row
+        self.values[key][j, i] = tuple(-e for e in row)
+
+    def act(self, key, line_no, body):
+        m = self.match(key, line_no, body)
+        i = self.frame(m, 1, line_no)
+        j = self.coord_index(key, m[2], line_no)
+        self.fresh(key, (i, j), f" for E{i + 1} on {m[2]}", line_no)
+        self.values[key][i, j] = self.expr(m, 3, line_no)
+
+    def metric_identity(self, key, line_no, body):
+        if self.values["metric"]:
+            self.err("metric identity mixed with explicit entries", line_no)
+        self.values[key] = {(i, i): ONE for i in range(len(self.coords))}
+
+    def metric(self, key, line_no, body):
+        m = self.match(key, line_no, body)
+        gm = _METRIC_RE.match(m[1])
+        if not gm:
+            self.err(f"bad metric entry {m[1]!r}", line_no)
+        if self.values["metric identity"]:
+            self.err("metric identity mixed with explicit entries", line_no)
+        i, j = int(gm[1]) - 1, int(gm[2]) - 1
+        if not (0 <= i < len(self.coords) and 0 <= j < len(self.coords)):
+            self.err("metric index out of range", line_no)
+        self.fresh(key, (i, j), f" entry g{i + 1}{j + 1}", line_no)
+        self.values[key][i, j] = self.values[key][j, i] = self.expr(m, 2,
+                                                                    line_no)
+
+    def single(self, key, line_no, body):
+        """contact xi, contact eta and declare lines: one value each."""
+        m = self.match(key, line_no, body)
+        index = m[1] if key == "declare" else None
+        self.fresh(key, index, f" {index}" if index else "", line_no)
+        if key == "contact xi":
+            i = self.frame(m, 1, line_no)
+            value = tuple(ONE if w == i else ZERO
+                          for w in range(len(self.coords)))
+        elif key == "contact eta":
+            value = self.row(m, 1, line_no)
+        else:
+            value = self.expr(m, 2, line_no)
+        self.values[key][index] = value
 
     def load(self) -> ParsedSpec:
         lines = list(_numbered_lines(self.text))
-        for line_no, body in lines:
-            key = body.split()[0]
-            if key in _PASS1:
-                self.structural(line_no, body)
-            elif key not in _PASS2:
-                self.err(f"unknown directive {key!r}", line_no)
+        self.read(lines, 1)
+        for line_no, c in self.constraints:
+            self.coord_index("assume", c.coord, line_no)
         if not self.coords:
             self.err("no coords declared")
         if self.mode is None:
             self.err("no frame-mode declared")
-        for c in self.coords:
-            marker = "d" + c
-            if marker in self.coords or marker in self.params:
-                self.err(f"name {marker!r} collides with the basis marker "
-                         f"for coordinate {c!r}")
         self.symbols = set(self.coords) | set(self.params)
         dim = len(self.coords)
+        self.markers = {"d": tuple("d" + c for c in self.coords),
+                        "E": tuple(f"E{i + 1}" for i in range(dim))}
+        for c, marker in zip(self.coords, self.markers["d"]):
+            if marker in self.symbols:
+                self.err(f"name {marker!r} collides with the basis marker "
+                         f"for coordinate {c!r}")
+        self.read(lines, 2)
 
-        vec_rows: dict = {}
-        brackets: dict = {}
-        act: dict = {}
-        metric_identity = False
-        metric_entries: dict = {}
-        xi = None
-        phi_cols: dict = {}
-        h_cols: dict = {}
-        eta = None
-        declared: dict = {}
-
-        d_markers = {"d" + c: j for j, c in enumerate(self.coords)}
-        e_markers = {f"E{i + 1}": i for i in range(dim)}
-
-        for line_no, body in lines:
-            words = body.split()
-            key = words[0]
-            if key in _PASS1:
-                continue
-            if key == "vector":
-                if self.mode != "vector":
-                    self.err("vector line in bracket mode", line_no)
-                m = re.match(r"^vector\s+(\S+)\s*=\s*(.*)$", body)
-                if not m:
-                    self.err("vector must look like: vector E<i> = ...",
-                             line_no)
-                i = self.frame_index(m.group(1), line_no,
-                                     body.find(m.group(1)) + 1)
-                if i in vec_rows:
-                    self.err(f"duplicate vector line for E{i + 1}", line_no)
-                vec_rows[i] = self.parse_row(m.group(2), d_markers, line_no,
-                                             m.start(2))
-            elif key == "bracket":
-                if self.mode != "bracket":
-                    self.err("bracket line in vector mode", line_no)
-                m = re.match(r"^bracket\s+(\S+)\s*=\s*(.*)$", body)
-                if not m:
-                    self.err("bracket must look like: bracket [E<i>,E<j>] "
-                             "= ...", line_no)
-                bm = _BRACKET_RE.match(m.group(1))
-                if not bm:
-                    self.err(f"bad bracket pair {m.group(1)!r}", line_no)
-                i, j = int(bm.group(1)) - 1, int(bm.group(2)) - 1
-                if not (0 <= i < dim and 0 <= j < dim):
-                    self.err("bracket frame index out of range", line_no)
-                if i == j:
-                    self.err("bracket of a field with itself is ZERO",
-                             line_no)
-                if (i, j) in brackets or (j, i) in brackets:
-                    self.err(f"duplicate bracket for [E{i + 1},E{j + 1}]",
-                             line_no)
-                brackets[(i, j)] = self.parse_row(m.group(2), e_markers,
-                                                  line_no, m.start(2))
-            elif key == "act":
-                if self.mode != "bracket":
-                    self.err("act line in vector mode", line_no)
-                m = re.match(r"^act\s+(\S+)\s*:\s*(\w+)\s*->\s*(.*)$", body)
-                if not m:
-                    self.err("act must look like: act E<i> : <coord> -> "
-                             "<expr>", line_no)
-                i = self.frame_index(m.group(1), line_no,
-                                     body.find(m.group(1)) + 1)
-                coord = m.group(2)
-                if coord not in self.coords:
-                    self.err(f"act references unknown coordinate {coord!r}",
-                             line_no)
-                j = self.coords.index(coord)
-                if (i, j) in act:
-                    self.err(f"duplicate act for E{i + 1} on {coord}",
-                             line_no)
-                act[(i, j)] = self.parse_expr_at(m.group(3), line_no,
-                                                 m.start(3))
-            elif key == "metric":
-                if len(words) == 2 and words[1] == "identity":
-                    if metric_entries:
-                        self.err("metric identity mixed with explicit "
-                                 "entries", line_no)
-                    metric_identity = True
-                    continue
-                m = re.match(r"^metric\s+(\S+)\s*=\s*(.*)$", body)
-                if not m:
-                    self.err("metric must be 'metric identity' or "
-                             "'metric g<i><j> = <expr>'", line_no)
-                gm = _METRIC_RE.match(m.group(1))
-                if not gm:
-                    self.err(f"bad metric entry {m.group(1)!r}", line_no)
-                if metric_identity:
-                    self.err("metric identity mixed with explicit entries",
-                             line_no)
-                i, j = int(gm.group(1)) - 1, int(gm.group(2)) - 1
-                if not (0 <= i < dim and 0 <= j < dim):
-                    self.err("metric index out of range", line_no)
-                if (i, j) in metric_entries or (j, i) in metric_entries:
-                    self.err(f"duplicate metric entry g{i + 1}{j + 1}",
-                             line_no)
-                val = self.parse_expr_at(m.group(2), line_no, m.start(2))
-                metric_entries[(i, j)] = val
-            elif key == "contact":
-                msub = re.match(r"^contact\s+([a-z]+)", body)
-                sub = msub.group(1) if msub else ""
-                if sub == "xi":
-                    m = re.match(r"^contact\s+xi\s*=\s*(\S+)\s*$", body)
-                    if not m:
-                        self.err("contact xi must look like: contact xi "
-                                 "= E<i>", line_no)
-                    if xi is not None:
-                        self.err("duplicate contact xi", line_no)
-                    i = self.frame_index(m.group(1), line_no,
-                                         body.find(m.group(1)) + 1)
-                    xi = tuple(ONE if w == i else ZERO for w in range(dim))
-                elif sub in ("phi", "h"):
-                    m = re.match(r"^contact\s+(?:phi|h)\s*:\s*(\S+)\s*->"
-                                 r"\s*(.*)$", body)
-                    if not m:
-                        self.err(f"contact {sub} must look like: contact "
-                                 f"{sub} : E<i> -> ...", line_no)
-                    i = self.frame_index(m.group(1), line_no,
-                                         body.find(m.group(1)) + 1)
-                    target = phi_cols if sub == "phi" else h_cols
-                    if i in target:
-                        self.err(f"duplicate contact {sub} line for "
-                                 f"E{i + 1}", line_no)
-                    target[i] = self.parse_row(m.group(2), e_markers,
-                                               line_no, m.start(2))
-                elif sub == "eta":
-                    m = re.match(r"^contact\s+eta\s*:\s*(.*)$", body)
-                    if not m:
-                        self.err("contact eta must look like: contact eta "
-                                 ": <expr> E<i> [+ ...]", line_no)
-                    if eta is not None:
-                        self.err("duplicate contact eta", line_no)
-                    eta = self.parse_row(m.group(1), e_markers, line_no,
-                                         m.start(1))
-                else:
-                    self.err(f"unknown contact subkey {sub!r}", line_no)
-            elif key == "declare":
-                m = re.match(r"^declare\s+(\w+)\s*=\s*(.*)$", body)
-                if not m or m.group(1) not in RESERVED_NAMES:
-                    self.err("declare must look like: declare k = <expr> "
-                             "or declare mu = <expr>", line_no)
-                which = m.group(1)
-                if which in declared:
-                    self.err(f"duplicate declare {which}", line_no)
-                declared[which] = self.parse_expr_at(m.group(2), line_no,
-                                                     m.start(2))
-
+        v = self.values
         if self.mode == "vector":
-            missing = [i for i in range(dim) if i not in vec_rows]
+            missing = [i for i in range(dim) if i not in v["vector"]]
             if missing:
                 self.err("vector line missing for "
                          + ", ".join(f"E{i + 1}" for i in missing))
-            mode = CoordinateMode(tuple(vec_rows[i] for i in range(dim)))
+            mode = CoordinateMode(tuple(v["vector"][i] for i in range(dim)))
         else:
-            c = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
-            for (i, j), row in brackets.items():
-                c[i][j] = list(row)
-                c[j][i] = [-e for e in row]
-            a = [[ZERO] * dim for _ in range(dim)]
-            for (i, j), val in act.items():
-                a[i][j] = val
-            mode = BracketMode(
-                tuple(tuple(tuple(r) for r in plane) for plane in c),
-                tuple(tuple(r) for r in a))
-
-        if metric_identity:
-            metric = tuple(tuple(ONE if i == j else ZERO
-                                 for j in range(dim)) for i in range(dim))
-        elif metric_entries:
-            g = [[ZERO] * dim for _ in range(dim)]
-            for (i, j), val in metric_entries.items():
-                g[i][j] = val
-                g[j][i] = val
-            metric = tuple(tuple(r) for r in g)
-        else:
+            mode = BracketMode(_table(v["bracket"], dim, (ZERO,) * dim),
+                               _table(v["act"], dim, ZERO))
+        metric = v["metric identity"] or v["metric"]
+        if not metric:
             self.err("no metric declared")
+        chart = CoordSystem(tuple(self.coords),
+                            tuple(c for _, c in self.constraints))
+        spec = FrameSpec(self.name, chart, tuple(self.params), mode,
+                         _table(metric, dim, ZERO))
+        decl = ContactDecl(xi=v["contact xi"].get(None),
+                           phi=_operator(v["contact phi"], dim),
+                           eta=v["contact eta"].get(None),
+                           h=_operator(v["contact h"], dim))
+        return ParsedSpec(self.name, spec, decl, v["declare"].get("k"),
+                          v["declare"].get("mu"))
 
-        spec = FrameSpec(self.name, CoordSystem(tuple(self.coords),
-                                                tuple(self.constraints)),
-                         tuple(self.params), mode, metric)
-        decl = ContactDecl(xi=xi, phi=_operator(phi_cols, dim), eta=eta,
-                           h=_operator(h_cols, dim))
-        return ParsedSpec(self.name, spec, decl,
-                          declared.get("k"), declared.get("mu"))
+
+# How each directive's lines are read: in pass 1, or in pass 2 when they
+# hold expressions, which need every name pass 1 declares; only in the
+# frame-mode `mode`, if one is given; and by the `_Loader` method `read`,
+# which takes the line apart with `pattern`: a line that does not fully
+# match it is the error `usage`.
+_Directive = namedtuple("_Directive", "pass_no read pattern usage mode",
+                        defaults=("", "", ""))
+_DIRECTIVES = {key: _Directive(*entry) for key, entry in {
+    "manifold": (1, _Loader.manifold, r"\s*manifold\s+(\S+)",
+                 "manifold takes exactly one name"),
+    "coords": (1, _Loader.names, r"\s*coords\s+(.*)",
+               "coords needs at least one name"),
+    "assume": (1, _Loader.assume, r"assume\s+(\w+)\s*!=\s*(-?\d+(?:/\d+)?)",
+               "assume must look like: assume <coord> != <rational>"),
+    "param": (1, _Loader.names, r"\s*param\s+(.*)",
+              "param needs at least one name"),
+    "frame-mode": (1, _Loader.frame_mode, r"\s*frame-mode\s+(vector|bracket)",
+                   "frame-mode must be 'vector' or 'bracket'"),
+    "vector": (2, _Loader.frame_row, r"vector\s+(\S+)\s*=\s*(.*)",
+               "vector must look like: vector E<i> = ...", "vector"),
+    "bracket": (2, _Loader.bracket, r"bracket\s+(\S+)\s*=\s*(.*)",
+                "bracket must look like: bracket [E<i>,E<j>] = ...",
+                "bracket"),
+    "act": (2, _Loader.act, r"act\s+(\S+)\s*:\s*(\w+)\s*->\s*(.*)",
+            "act must look like: act E<i> : <coord> -> <expr>", "bracket"),
+    "metric identity": (2, _Loader.metric_identity),
+    "metric": (2, _Loader.metric, r"metric\s+(\S+)\s*=\s*(.*)",
+               "metric must be 'metric identity' or "
+               "'metric g<i><j> = <expr>'"),
+    "contact xi": (2, _Loader.single, r"contact\s+xi\s*=\s*(\S+)\s*",
+                   "contact xi must look like: contact xi = E<i>"),
+    "contact phi": (2, _Loader.frame_row,
+                    r"contact\s+phi\s*:\s*(\S+)\s*->\s*(.*)",
+                    "contact phi must look like: contact phi : E<i> -> ..."),
+    "contact h": (2, _Loader.frame_row,
+                  r"contact\s+h\s*:\s*(\S+)\s*->\s*(.*)",
+                  "contact h must look like: contact h : E<i> -> ..."),
+    "contact eta": (2, _Loader.single, r"contact\s+eta\s*:\s*(.*)",
+                    "contact eta must look like: contact eta : <expr> E<i> "
+                    "[+ ...]"),
+    "declare": (2, _Loader.single, r"declare\s+(k|mu)\s*=\s*(.*)",
+                "declare must look like: declare k = <expr> or "
+                "declare mu = <expr>"),
+}.items()}
+
+
+def _table(entries: dict, dim: int, zero):
+    """The dim x dim table of `entries` ({(i, j): value}), `zero` elsewhere."""
+    return tuple(tuple(entries.get((i, j), zero) for j in range(dim))
+                 for i in range(dim))
 
 
 def _operator(cols: dict, dim: int):
@@ -453,8 +431,8 @@ def _operator(cols: dict, dim: int):
     given; None when none is."""
     if not cols:
         return None
-    return tuple(tuple(cols.get(j, (ZERO,) * dim)[i] for j in range(dim))
-                 for i in range(dim))
+    zero = (ZERO,) * dim
+    return tuple(zip(*(cols.get(j, zero) for j in range(dim))))
 
 
 def parse_spec_text(text: str, fallback_name: str = "spec") -> ParsedSpec:

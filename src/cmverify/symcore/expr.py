@@ -20,10 +20,12 @@ Expr = RationalFunction
 
 
 class ExprSyntaxError(ValueError):
-    """Malformed expression text; carries a character position."""
+    """Malformed expression text; carries a character position.  The
+    message ends with it; `reason` is the message without it."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
+        self.reason = message
         self.position = position
 
 

@@ -4,7 +4,8 @@ are compiler directives, so neither counts as unused.  No function under
 src/ reads a global its module never binds, every name
 `cmverify.symcore` exports is imported somewhere under src/, and every
 module-level function and class under src/ is used by code under src/,
-and every field of a dataclass under src/ is read under src/ or tests/.
+every field of a dataclass under src/ is read under src/ or tests/, and
+no function or method under src/ is longer than `MAX_FUNCTION_LINES`.
 
 The package has no runtime dependencies: modules under src/ import only
 the standard library and cmverify itself, although the tests use sympy
@@ -250,3 +251,30 @@ def test_every_dataclass_field_is_read():
                 for path in sorted((ROOT / "src").rglob("*.py"))}
     reading = [path.read_text() for path in (ROOT / "tests").rglob("*.py")]
     assert unread_fields(defining, [*defining.values(), *reading]) == []
+
+
+MAX_FUNCTION_LINES = 150
+
+
+def long_functions(source: str, limit: int) -> list:
+    """(line, name, length) of each function or method, nested ones
+    included, whose definition spans more than `limit` lines."""
+    return sorted((node.lineno, node.name, node.end_lineno - node.lineno + 1)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and node.end_lineno - node.lineno + 1 > limit)
+
+
+def test_long_function_is_found():
+    src = ("def short():\n    return 1\n\n\n"
+           "class K:\n    def long(self):\n" + "        pass\n" * 3)
+    assert long_functions(src, 3) == [(6, "long", 4)]
+    assert long_functions(src, 4) == []
+
+
+def test_no_function_under_src_is_too_long():
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name} ({length} lines)"
+                 for path in sorted((ROOT / "src").rglob("*.py"))
+                 for line, name, length in long_functions(path.read_text(),
+                                                          MAX_FUNCTION_LINES)]
+    assert offenders == []

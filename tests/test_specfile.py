@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,252 @@ class TestErrors:
         e = self.err("manifold t\ncoords x y z\nframe-mode vector\n"
                      "metric identity\nvector E1 = 1 dx\n")
         assert "vector line missing for E2, E3" in str(e)
+
+
+VECTOR = MINIMAL.replace("bracket", "vector")
+
+# One case per error the loader raises: the spec text, then the exact
+# message, line and column.  A column is given for the errors that point at
+# a token: a frame name, or a place in an expression.
+LOADER_ERRORS = {
+    "unknown-directive": (
+        MINIMAL + "frobnicate 1\n",
+        "line 5: unknown directive 'frobnicate'", 5, None),
+    "unknown-contact-subkey": (
+        MINIMAL + "contact foo : 1\n",
+        "line 5: unknown contact subkey 'foo'", 5, None),
+    "vector-in-bracket-mode": (
+        MINIMAL + "vector E1 = 1 dx\n",
+        "line 5: vector line in bracket mode", 5, None),
+    "bracket-in-vector-mode": (
+        VECTOR + "bracket [E1,E2] = 1 E3\n",
+        "line 5: bracket line in vector mode", 5, None),
+    "act-in-vector-mode": (
+        VECTOR + "act E1 : y -> 1\n",
+        "line 5: act line in vector mode", 5, None),
+    "usage-manifold": (
+        "manifold a b\n" + MINIMAL,
+        "line 1: manifold takes exactly one name", 1, None),
+    "usage-coords": (
+        "manifold t\ncoords\n",
+        "line 2: coords needs at least one name", 2, None),
+    "usage-param": (
+        MINIMAL + "param\n",
+        "line 5: param needs at least one name", 5, None),
+    "usage-assume": (
+        MINIMAL + "assume y = 0\n",
+        "line 5: assume must look like: assume <coord> != <rational>",
+        5, None),
+    "usage-frame-mode": (
+        "manifold t\ncoords x\nframe-mode other\n",
+        "line 3: frame-mode must be 'vector' or 'bracket'", 3, None),
+    "usage-vector": (
+        VECTOR + "vector E1 1 dx\n",
+        "line 5: vector must look like: vector E<i> = ...", 5, None),
+    "usage-bracket": (
+        MINIMAL + "bracket [E1,E2] 1 E3\n",
+        "line 5: bracket must look like: bracket [E<i>,E<j>] = ...",
+        5, None),
+    "usage-act": (
+        MINIMAL + "act E1 y -> 1\n",
+        "line 5: act must look like: act E<i> : <coord> -> <expr>",
+        5, None),
+    "usage-metric": (
+        MINIMAL.replace("metric identity", "metric g11"),
+        "line 4: metric must be 'metric identity' or "
+        "'metric g<i><j> = <expr>'", 4, None),
+    "usage-contact-xi": (
+        MINIMAL + "contact xi E3\n",
+        "line 5: contact xi must look like: contact xi = E<i>", 5, None),
+    "usage-contact-phi": (
+        MINIMAL + "contact phi E1 -> 1 E2\n",
+        "line 5: contact phi must look like: contact phi : E<i> -> ...",
+        5, None),
+    "usage-contact-h": (
+        MINIMAL + "contact h E1 -> 1 E2\n",
+        "line 5: contact h must look like: contact h : E<i> -> ...",
+        5, None),
+    "usage-contact-eta": (
+        MINIMAL + "contact eta 1 E3\n",
+        "line 5: contact eta must look like: contact eta : <expr> E<i> "
+        "[+ ...]", 5, None),
+    "usage-declare": (
+        MINIMAL + "declare q = 3\n",
+        "line 5: declare must look like: declare k = <expr> or "
+        "declare mu = <expr>", 5, None),
+    # each frame name also occurs earlier on its line
+    "frame-name-vector": (
+        VECTOR + "vector e = 1 dx\n",
+        "line 5, col 8: expected a frame name E1..E3, got 'e'", 5, 8),
+    "frame-name-act": (
+        MINIMAL + "act c : y -> 1\n",
+        "line 5, col 5: expected a frame name E1..E3, got 'c'", 5, 5),
+    "frame-name-contact-xi": (
+        MINIMAL + "contact xi = c\n",
+        "line 5, col 14: expected a frame name E1..E3, got 'c'", 5, 14),
+    "frame-name-contact-phi": (
+        MINIMAL + "contact phi : c -> 1 E2\n",
+        "line 5, col 15: expected a frame name E1..E3, got 'c'", 5, 15),
+    "frame-name-contact-h": (
+        MINIMAL + "contact h : h -> 1 E1\n",
+        "line 5, col 13: expected a frame name E1..E3, got 'h'", 5, 13),
+    "duplicate-vector": (
+        VECTOR + "vector E1 = 1 dx\nvector E1 = 1 dy\n",
+        "line 6: duplicate vector line for E1", 6, None),
+    "duplicate-bracket": (
+        MINIMAL + "bracket [E1,E2] = 1 E3\nbracket [E2,E1] = 1 E3\n",
+        "line 6: duplicate bracket for [E2,E1]", 6, None),
+    "duplicate-act": (
+        MINIMAL + "act E1 : y -> 1\nact E1 : y -> 2\n",
+        "line 6: duplicate act for E1 on y", 6, None),
+    "duplicate-metric": (
+        MINIMAL.replace("metric identity", "metric g12 = 1\nmetric g21 = 1"),
+        "line 5: duplicate metric entry g21", 5, None),
+    "duplicate-contact-xi": (
+        MINIMAL + "contact xi = E3\ncontact xi = E3\n",
+        "line 6: duplicate contact xi", 6, None),
+    "duplicate-contact-phi": (
+        MINIMAL + "contact phi : E1 -> 1 E2\ncontact phi : E1 -> 1 E2\n",
+        "line 6: duplicate contact phi line for E1", 6, None),
+    "duplicate-contact-h": (
+        MINIMAL + "contact h : E2 -> 1 E2\ncontact h : E2 -> 1 E2\n",
+        "line 6: duplicate contact h line for E2", 6, None),
+    "duplicate-contact-eta": (
+        MINIMAL + "contact eta : 1 E3\ncontact eta : 1 E3\n",
+        "line 6: duplicate contact eta", 6, None),
+    "duplicate-declare": (
+        MINIMAL + "declare mu = 1\ndeclare mu = 2\n",
+        "line 6: duplicate declare mu", 6, None),
+    "act-unknown-coordinate": (
+        MINIMAL + "act E1 : q -> 1\n",
+        "line 5: act references unknown coordinate 'q'", 5, None),
+    "assume-unknown-coordinate": (
+        MINIMAL + "assume q != 0\n",
+        "line 5: assume references unknown coordinate 'q'", 5, None),
+    "assume-unknown-coordinate-before-coords": (
+        "assume q != 0\n" + MINIMAL,
+        "line 1: assume references unknown coordinate 'q'", 1, None),
+    "assume-zero-denominator": (
+        MINIMAL + "assume y != 1/0\n",
+        "line 5: assume value 1/0 has a zero denominator", 5, None),
+    "coords-twice": (
+        MINIMAL + "coords a b c\n",
+        "line 5: coords declared twice", 5, None),
+    "frame-mode-twice": (
+        MINIMAL + "frame-mode vector\n",
+        "line 5: frame-mode declared twice", 5, None),
+    "invalid-identifier": (
+        "manifold t\ncoords x 1y z\n",
+        "line 2: invalid identifier '1y'", 2, None),
+    "reserved-name": (
+        "manifold t\ncoords x y z\nparam mu\n",
+        "line 3: 'mu' is reserved for the nullity functions", 3, None),
+    "frame-name-collision": (
+        "manifold t\ncoords x y z\nparam E4\n",
+        "line 3: 'E4' collides with frame names", 3, None),
+    "duplicate-name": (
+        "manifold t\ncoords x y z\nparam a x\n",
+        "line 3: duplicate name 'x'", 3, None),
+    "bad-bracket-pair": (
+        MINIMAL + "bracket [E1;E2] = 1 E3\n",
+        "line 5: bad bracket pair '[E1;E2]'", 5, None),
+    "bracket-out-of-range": (
+        MINIMAL + "bracket [E1,E4] = 1 E3\n",
+        "line 5: bracket frame index out of range", 5, None),
+    "bracket-with-itself": (
+        MINIMAL + "bracket [E2,E2] = 1 E3\n",
+        "line 5: bracket of a field with itself is ZERO", 5, None),
+    "bad-metric-entry": (
+        MINIMAL.replace("metric identity", "metric gx = 1"),
+        "line 4: bad metric entry 'gx'", 4, None),
+    "metric-entry-after-identity": (
+        MINIMAL + "metric g11 = 2\n",
+        "line 5: metric identity mixed with explicit entries", 5, None),
+    "metric-identity-after-entry": (
+        MINIMAL.replace("metric identity",
+                        "metric g11 = 2\nmetric identity"),
+        "line 5: metric identity mixed with explicit entries", 5, None),
+    "metric-out-of-range": (
+        MINIMAL.replace("metric identity", "metric g41 = 1"),
+        "line 4: metric index out of range", 4, None),
+    "syntax-error-in-expression": (
+        MINIMAL + "declare k = 1 +\n",
+        "line 5, col 16: unexpected end of expression", 5, 16),
+    "syntax-error-in-tokens": (
+        MINIMAL + "bracket [E1,E2] = 1 E3 @\n",
+        "line 5, col 24: unexpected character '@'", 5, 24),
+    "syntax-error-in-coefficient": (
+        MINIMAL + "bracket [E1,E2] = x*E3\n",
+        "line 5, col 21: unexpected end of expression", 5, 21),
+    "unknown-symbol-in-expression": (
+        MINIMAL + "act E1 : y -> q\n",
+        "line 5, col 15: symbol 'q' is not a declared coordinate or "
+        "parameter", 5, 15),
+    "unknown-symbol-in-coefficient": (
+        MINIMAL + "bracket [E1,E2] = 1 E1 + 2*q E3\n",
+        "line 5, col 26: symbol 'q' is not a declared coordinate or "
+        "parameter", 5, 26),
+    "zero-division-in-expression": (
+        MINIMAL + "declare k = 1/(x - x)\n",
+        "line 5, col 13: division by an identically zero expression",
+        5, 13),
+    "missing-expression": (
+        MINIMAL + "declare k =\n",
+        "line 5, col 12: missing expression", 5, 12),
+    "missing-right-hand-side": (
+        MINIMAL + "contact eta :\n",
+        "line 5, col 14: missing right-hand side", 5, 14),
+    "no-separator-after-term": (
+        MINIMAL + "bracket [E1,E2] = 1 E1 2 E2\n",
+        "line 5, col 24: expected '+' or '-' after frame term", 5, 24),
+    "repeated-term": (
+        MINIMAL + "bracket [E1,E2] = 1 E1 + 2 E1\n",
+        "line 5, col 28: repeated term E1", 5, 28),
+    "dangling-tokens": (
+        MINIMAL + "bracket [E1,E2] = 1 E1 + y\n",
+        "line 5, col 26: dangling tokens after last frame term", 5, 26),
+    "dangling-sign": (
+        MINIMAL + "bracket [E1,E2] = 1 E1 +\n",
+        "line 5, col 24: dangling tokens after last frame term", 5, 24),
+    "no-frame-term": (
+        MINIMAL + "bracket [E1,E2] = y\n",
+        "line 5, col 19: right-hand side has no frame term and is not 0",
+        5, 19),
+    "no-coords": (
+        "manifold t\nframe-mode bracket\nmetric identity\n",
+        "no coords declared", None, None),
+    "no-frame-mode": (
+        "manifold t\ncoords x y z\nmetric identity\n",
+        "no frame-mode declared", None, None),
+    "basis-marker-collision": (
+        "manifold t\ncoords x y\nparam dx\nframe-mode bracket\n"
+        "metric identity\n",
+        "name 'dx' collides with the basis marker for coordinate 'x'",
+        None, None),
+    "vector-line-missing": (
+        VECTOR + "vector E2 = 1 dy\n",
+        "vector line missing for E1, E3", None, None),
+    "no-metric": (
+        "manifold t\ncoords x y z\nframe-mode bracket\n",
+        "no metric declared", None, None),
+}
+
+
+@pytest.mark.parametrize("text, message, line_no, col",
+                         LOADER_ERRORS.values(), ids=LOADER_ERRORS.keys())
+def test_loader_error_message_line_and_column(text, message, line_no, col):
+    with pytest.raises(SpecFileError) as info:
+        parse_spec_text(text, "t")
+    e = info.value
+    assert (str(e), e.line_no, e.col) == (message, line_no, col)
+
+
+def test_assume_may_come_before_coords():
+    # pass 1 checks an assume's coordinate once it has read every line
+    text = "assume y != 1/2\n" + MINIMAL + "assume x != 0\n"
+    con = parse_spec_text(text, "t").spec.coords.constraints
+    assert [(c.coord, c.excluded) for c in con] == [("y", Fraction(1, 2)),
+                                                    ("x", 0)]
 
 
 def test_assume_zero_denominator_exits_one(tmp_path, capsys):
