@@ -14,11 +14,9 @@ from .frames import (
     FrameSpec,
     ShapeError,
     apply_vector,
-    covariant_derivative_vector,
     dot,
     frame_apply,
     frame_pairing,
-    lie_bracket,
     matmul,
     matvec,
     nonzero_entries,
@@ -45,16 +43,10 @@ class ContactDecl:
 
 @dataclass
 class ContactStructure:
-    spec: FrameSpec
     xi: tuple
     phi: tuple
     eta: tuple
     h_declared: tuple | None
-    n: int
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n + 1
 
 
 def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
@@ -80,12 +72,12 @@ def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
             if not (a - b).is_zero:
                 raise InconsistentEta(
                     f"eta(E{i + 1}) declared as {a} but g(E{i + 1}, xi) = {b}")
-    return ContactStructure(spec, decl.xi, decl.phi, eta, decl.h,
-                            (dim - 1) // 2)
+    return ContactStructure(decl.xi, decl.phi, eta, decl.h)
 
 
-def _xi_brackets(spec: FrameSpec, cs: ContactStructure, brackets):
-    """The operator whose column j is [xi, E_j]."""
+def xi_brackets(spec: FrameSpec, cs: ContactStructure, brackets):
+    """The operator L whose column j is [xi, E_j], so that
+    [xi, v] = xi(v) + L v for a vector v."""
     dim = spec.dim
     xi = cs.xi
     return tuple(
@@ -94,14 +86,16 @@ def _xi_brackets(spec: FrameSpec, cs: ContactStructure, brackets):
         for l in range(dim))
 
 
-def compute_h(spec: FrameSpec, cs: ContactStructure, brackets):
+def compute_h(spec: FrameSpec, cs: ContactStructure, lie):
     """Half the Lie derivative of phi along xi, columnwise on frame fields:
-    column j is (1/2)([xi, phi E_j] - phi [xi, E_j])."""
-    dim = spec.dim
-    phi_lie = matmul(cs.phi, _xi_brackets(spec, cs, brackets))
-    lie = [lie_bracket(spec, cs.xi, col, brackets) for col in zip(*cs.phi)]
-    return tuple(tuple(HALF * (lie[j][l] - phi_lie[l][j]) for j in range(dim))
-                 for l in range(dim))
+    column j is (1/2)([xi, phi E_j] - phi [xi, E_j]), which is
+    (1/2)(xi(phi) + L phi - phi L) for the operator `lie` = L of
+    `xi_brackets`, with xi(phi) taken entrywise."""
+    lie_phi, phi_lie = matmul(lie, cs.phi), matmul(cs.phi, lie)
+    return tuple(
+        tuple(HALF * (apply_vector(spec, cs.xi, p) + a - b)
+              for p, a, b in zip(*rows))
+        for rows in zip(cs.phi, lie_phi, phi_lie))
 
 
 def h_variants(cs: ContactStructure, h_computed):
@@ -137,36 +131,21 @@ class HTables:
         self.g_phih = frame_pairing(self.phih, g, None)
 
 
-def deta_tensor(spec: FrameSpec, cs: ContactStructure, brackets,
-                factor: Fraction = Fraction(1, 2)):
-    """factor * (E_i eta(E_j) - E_j eta(E_i) - eta([E_i, E_j])), indexed
-    [i][j]: d eta in the convention `factor` picks."""
-    dim = spec.dim
+def deta_tensor(nabla_eta, factor: Fraction = Fraction(1, 2)):
+    """factor * ((nabla_{E_i} eta)(E_j) - (nabla_{E_j} eta)(E_i)), indexed
+    [i][j], from nabla_eta[i][j] = (nabla_{E_i} eta)(E_j): d eta in the
+    convention `factor` picks, since the connection is torsion-free."""
     f = Expr.const(factor)
-    m = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        m[i][i] = ZERO
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            val = f * (frame_apply(spec, i, cs.eta[j])
-                       - frame_apply(spec, j, cs.eta[i])
-                       - dot(cs.eta, brackets[i][j]))
-            m[i][j] = val
-            m[j][i] = -val
-    return tuple(tuple(r) for r in m)
+    return tuple(tuple(f * (a - b) for a, b in zip(row, col))
+                 for row, col in zip(nabla_eta, zip(*nabla_eta)))
 
 
-def lie_xi_g(spec: FrameSpec, cs: ContactStructure, brackets):
-    """(Lie_xi g)(E_i, E_j), the Killing residual of xi."""
-    dim = spec.dim
-    g = spec.metric
-    lie = _xi_brackets(spec, cs, brackets)
-    g_lie = frame_pairing(lie, g, None)
-    g_e_lie = frame_pairing(None, g, lie)
-    return tuple(
-        tuple(apply_vector(spec, cs.xi, g[i][j]) - g_lie[i][j]
-              - g_e_lie[i][j] for j in range(dim))
-        for i in range(dim))
+def lie_xi_g(nabla_eta):
+    """(Lie_xi g)(E_i, E_j) = (nabla_{E_i} eta)(E_j) + (nabla_{E_j} eta)(E_i),
+    the Killing residual of xi, from the `deta_tensor` table nabla_eta of
+    the Levi-Civita connection."""
+    return tuple(tuple(a + b for a, b in zip(row, col))
+                 for row, col in zip(nabla_eta, zip(*nabla_eta)))
 
 
 def phi2_rows(cs: ContactStructure, rows) -> list:
@@ -205,7 +184,7 @@ def _pfaffian(m, rows):
 def contact_volume(cs: ContactStructure, deta) -> Expr:
     """eta wedge (d eta)^n evaluated on the frame, up to the constant n!
     factor: sum_i (-1)^(i-1) eta_i Pf(deta with row/col i removed)."""
-    dim = cs.dim
+    dim = len(cs.eta)
     acc = ZERO
     for i in range(dim):
         e = cs.eta[i]
@@ -219,7 +198,7 @@ def contact_volume(cs: ContactStructure, deta) -> Expr:
 
 def axiom_suite(ws):
     """One CheckReport per defining relation of the workspace's structure."""
-    spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
+    spec, cs, sampler = ws.spec, ws.cs, ws.sampler
     dim = spec.dim
     g = spec.metric
     xi, eta, phi = cs.xi, cs.eta, cs.phi
@@ -255,11 +234,10 @@ def axiom_suite(ws):
         notes="g(phi X, phi Y) - g(X,Y) + eta(X) eta(Y)"))
 
     variants = [(label, h, ws.h_tables(h)) for label, h in ws.variants]
-    nabla_xi = [covariant_derivative_vector(spec, conn, i, xi)
-                for i in range(dim)]
     for label, _, t in variants:
         # nabla_{E_i} xi - (-phi E_i - phi h E_i), per component
-        res = [(f"W=E{i + 1}", nabla_xi[i][l] - (-phi[l][i] - t.phih[l][i]))
+        res = [(f"W=E{i + 1}",
+                ws.nabla_xi[i][l] - (-phi[l][i] - t.phih[l][i]))
                for i in range(dim) for l in range(dim)]
         reports.append(residual_check(
             "I2.4", res, sampler,
@@ -291,7 +269,7 @@ def axiom_suite(ws):
             notes="declared h minus (1/2) Lie_xi phi",
             pass_notes="declared h matches the computed operator"))
 
-    lie_g = [c for row in lie_xi_g(spec, cs, ws.brackets) for c in row]
+    lie_g = [c for row in lie_xi_g(ws.nabla_eta) for c in row]
     killing = all(c.is_zero for c in lie_g)
     h_zero = all(c.is_zero for row in h_comp for c in row)
     if killing == h_zero:

@@ -19,6 +19,12 @@ two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
 Checks read frame components by index: g(E_i, E_j) is metric[i][j], and
 a value such as g(h E_i, phi E_j) is entry [i][j] of
 `frame_pairing(h, metric, phi)`.
+
+`koszul_connection` is the Levi-Civita connection: torsion-free,
+nabla_X Y - nabla_Y X = [X, Y], and metric, nabla g = 0.  The contact
+layer reads nabla eta, d eta and Lie_xi g off nabla xi through these two
+identities.  Column j of nabla_{E_i} t, for a (1,1) operator t, is
+nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j).
 """
 from __future__ import annotations
 
@@ -185,19 +191,6 @@ def compute_brackets(spec: FrameSpec):
     return tuple(c)
 
 
-def lie_bracket(spec: FrameSpec, v, w, brackets):
-    """The vector [v, w]."""
-    dim = spec.dim
-    comps = []
-    for l in range(dim):
-        terms = [apply_vector(spec, v, w[l]), -apply_vector(spec, w, v[l])]
-        terms.extend(v[a] * w[b] * brackets[a][b][l]
-                     for a in range(dim) for b in range(dim)
-                     if not v[a].is_zero and not w[b].is_zero)
-        comps.append(esum(terms))
-    return tuple(comps)
-
-
 def validate_frame(spec: FrameSpec) -> ValidationReport:
     report = ValidationReport()
     dim = spec.dim
@@ -331,22 +324,14 @@ def covariant_derivative_vector(spec: FrameSpec, gamma, i: int, v):
                   else (esum(p) if p else ZERO) for vk, p in zip(v, comps)])
 
 
-def covariant_derivative_oneform(spec: FrameSpec, gamma, i: int, w):
-    """nabla_{E_i} w for a 1-form w."""
-    return tuple(frame_apply(spec, i, w[j]) - dot(gamma[i][j], w)
-                 for j in range(spec.dim))
-
-
 def covariant_derivative_tensor11(spec: FrameSpec, gamma, i: int, t):
-    """nabla_{E_i} t for a (1,1) operator t."""
-    dim = spec.dim
-    gi = gamma[i]
-    gi_t, cols = tuple(zip(*gi)), tuple(zip(*t))
-    return tuple(
-        tuple(frame_apply(spec, i, t[k][j]) + dot(gi_t[k], cols[j])
-              - dot(gi[j], t[k])
-              for j in range(dim))
-        for k in range(dim))
+    """nabla_{E_i} t for a (1,1) operator t: column j is
+    nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j)."""
+    cols = [tuple(a - b for a, b in zip(
+                covariant_derivative_vector(spec, gamma, i, col),
+                matvec(t, gamma[i][j])))
+            for j, col in enumerate(zip(*t))]
+    return tuple(zip(*cols))
 
 
 def covariant_derivative_tensor02(spec: FrameSpec, gamma, i: int, t):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from .curvature import riemann_on
 from .frames import (
-    covariant_derivative_oneform,
     covariant_derivative_tensor11,
     dot,
     frame_pairing,
@@ -245,11 +244,8 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
            for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.11", params, res, sampler, notes=note))
 
-    res = []
-    for i in range(dim):
-        nabla_eta = covariant_derivative_oneform(spec, conn, i, eta)
-        res += [(f"(E{i + 1},E{j + 1})", nabla_eta[j] - t.g_idh_phi[i][j])
-                for j in range(dim)]
+    res = [(f"(E{i + 1},E{j + 1})", ws.nabla_eta[i][j] - t.g_idh_phi[i][j])
+           for i in range(dim) for j in range(dim)]
     reports.append(residual_check(
         "I3.12", res, sampler,
         notes=join_notes(note, "stated relation lacks the second argument; "

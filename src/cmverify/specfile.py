@@ -57,7 +57,7 @@ _ID_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 _FRAME_RE = re.compile(r"^E(\d+)$")
 _BRACKET_RE = re.compile(r"^\[E(\d+),E(\d+)\]$")
 _METRIC_RE = re.compile(r"^g(\d)(\d)$")
-_CONTACT_RE = re.compile(r"^contact\s+([a-z]+)")
+_CONTACT_RE = re.compile(r"^\s*contact\s+([a-z]+)")
 
 
 class SpecFileError(Exception):
@@ -128,8 +128,10 @@ class _Loader:
                 d.read(self, key, line_no, body)
 
     def match(self, key, line_no, body) -> re.Match:
+        """`body` matched against the pattern of `key` after any leading
+        whitespace, so group offsets are columns of the raw line."""
         d = _DIRECTIVES[key]
-        m = re.fullmatch(d.pattern, body)
+        m = re.fullmatch(r"\s*" + d.pattern, body)
         if not m:
             self.err(d.usage, line_no)
         return m
@@ -382,15 +384,15 @@ class _Loader:
 _Directive = namedtuple("_Directive", "pass_no read pattern usage mode",
                         defaults=("", "", ""))
 _DIRECTIVES = {key: _Directive(*entry) for key, entry in {
-    "manifold": (1, _Loader.manifold, r"\s*manifold\s+(\S+)",
+    "manifold": (1, _Loader.manifold, r"manifold\s+(\S+)",
                  "manifold takes exactly one name"),
-    "coords": (1, _Loader.names, r"\s*coords\s+(.*)",
+    "coords": (1, _Loader.names, r"coords\s+(.*)",
                "coords needs at least one name"),
     "assume": (1, _Loader.assume, r"assume\s+(\w+)\s*!=\s*(-?\d+(?:/\d+)?)",
                "assume must look like: assume <coord> != <rational>"),
-    "param": (1, _Loader.names, r"\s*param\s+(.*)",
+    "param": (1, _Loader.names, r"param\s+(.*)",
               "param needs at least one name"),
-    "frame-mode": (1, _Loader.frame_mode, r"\s*frame-mode\s+(vector|bracket)",
+    "frame-mode": (1, _Loader.frame_mode, r"frame-mode\s+(vector|bracket)",
                    "frame-mode must be 'vector' or 'bracket'"),
     "vector": (2, _Loader.frame_row, r"vector\s+(\S+)\s*=\s*(.*)",
                "vector must look like: vector E<i> = ...", "vector"),

@@ -6,7 +6,9 @@ the model tensor G, Ricci data, contact structure, g(E_i, phi E_j), the
 h operators and the tables built from each h from it instead of
 rebuilding them, and each is built on first use, so a command builds
 only what its suites read: `check axioms` never builds R or nabla R.
-Each is a frame table in the conventions of `frames`.
+Each is a frame table in the conventions of `frames`.  The derivatives
+of xi and eta come from two of them: h from the operator [xi, .]
+(`xi_lie`), and nabla eta, d eta and Lie_xi g from nabla xi.
 """
 from __future__ import annotations
 
@@ -14,10 +16,11 @@ from fractions import Fraction
 from functools import cached_property
 
 from .contact import (HTables, build_structure, compute_h, deta_tensor,
-                      h_variants)
+                      h_variants, xi_brackets)
 from .curvature import (covariant_ricci_table, g_tensor_table,
                         nabla_riemann_table, ricci, riemann, riemann_on)
-from .frames import (compute_brackets, dot, frame_pairing, koszul_connection,
+from .frames import (compute_brackets, covariant_derivative_vector, dot,
+                     frame_pairing, koszul_connection, matvec,
                      metric_inverse, validate_frame)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
@@ -131,8 +134,26 @@ class Workspace:
         return frame_pairing(None, self.spec.metric, self.cs.phi)
 
     @cached_property
+    def xi_lie(self):
+        """The operator whose column j is [xi, E_j]."""
+        return xi_brackets(self.spec, self.cs, self.brackets)
+
+    @cached_property
+    def nabla_xi(self):
+        """nabla_{E_i} xi, indexed [i][l]."""
+        return tuple(covariant_derivative_vector(self.spec, self.conn, i,
+                                                 self.cs.xi)
+                     for i in range(self.spec.dim))
+
+    @cached_property
+    def nabla_eta(self):
+        """(nabla_{E_i} eta)(E_j) = g(nabla_{E_i} xi, E_j), indexed [i][j];
+        eta = g(., xi) and nabla g = 0."""
+        return tuple(matvec(self.spec.metric, v) for v in self.nabla_xi)
+
+    @cached_property
     def h_computed(self):
-        return compute_h(self.spec, self.cs, self.brackets)
+        return compute_h(self.spec, self.cs, self.xi_lie)
 
     @cached_property
     def variants(self):
@@ -145,8 +166,7 @@ class Workspace:
 
     @cached_property
     def deta(self):
-        return deta_tensor(self.spec, self.cs, self.brackets,
-                           self.deta_factor)
+        return deta_tensor(self.nabla_eta, self.deta_factor)
 
     @cached_property
     def params(self):

@@ -60,25 +60,29 @@ def random_spec(seed, dim=DIM, density=0.7):
 
 
 def torsion_residuals(spec, conn, brackets):
+    """nabla_{E_i} E_j - nabla_{E_j} E_i - [E_i, E_j], per component."""
+    dim = spec.dim
     out = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(DIM):
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(dim):
                 out.append(conn[i][j][k] - conn[j][i][k] - brackets[i][j][k])
     return out
 
 
 def compatibility_residuals(spec, conn):
+    """E_k g_ij - g(nabla_{E_k} E_i, E_j) - g(E_i, nabla_{E_k} E_j)."""
     g = spec.metric
+    dim = spec.dim
     out = []
-    for k in range(DIM):
-        for i in range(DIM):
-            for j in range(i, DIM):
+    for k in range(dim):
+        for i in range(dim):
+            for j in range(i, dim):
                 out.append(frame_apply(spec, k, g[i][j])
                            - esum(conn[k][i][m] * g[m][j]
-                                  for m in range(DIM))
+                                  for m in range(dim))
                            - esum(conn[k][j][m] * g[i][m]
-                                  for m in range(DIM)))
+                                  for m in range(dim)))
     return out
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -6,10 +7,14 @@ from _geometry_cases import basis, vanishes
 from cmverify.contact import (InconsistentEta, axiom_suite, build_structure,
                               contact_volume, deta_tensor, h_variants,
                               lie_xi_g, phi2_rows)
-from cmverify.frames import ShapeError, dot
-from cmverify.specfile import parse_spec_text
-from cmverify.symcore import render
+from cmverify.frames import (ShapeError, apply_vector,
+                             covariant_derivative_tensor11, dot, frame_apply,
+                             matvec)
+from cmverify.specfile import load_spec, parse_spec_text, resolve_spec_path
+from cmverify.symcore import Expr, esum, render
 from cmverify.workspace import Workspace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 def _sphere_text():
     from cmverify.specfile import resolve_spec_path
@@ -69,30 +74,128 @@ def test_h_variant_labels(ex3, sph):
 
 
 def test_deta_halved_bracket_convention(sph):
-    deta = deta_tensor(sph.spec, sph.cs, sph.brackets)
+    deta = deta_tensor(sph.nabla_eta)
     assert render(deta[0][1]) == "-1"
     assert render(deta[1][0]) == "1"
-    doubled = deta_tensor(sph.spec, sph.cs, sph.brackets,
-                          factor=Fraction(1))
+    doubled = deta_tensor(sph.nabla_eta, factor=Fraction(1))
     assert render(doubled[0][1]) == "-2"
 
 
 def test_contact_volume(sph, flat):
-    vol = contact_volume(sph.cs, deta_tensor(sph.spec, sph.cs,
-                                             sph.brackets))
+    vol = contact_volume(sph.cs, deta_tensor(sph.nabla_eta))
     assert render(vol) == "-1"
-    flat_vol = contact_volume(flat.cs, deta_tensor(flat.spec, flat.cs,
-                                                   flat.brackets))
+    flat_vol = contact_volume(flat.cs, deta_tensor(flat.nabla_eta))
     assert flat_vol.is_zero
 
 
 def test_xi_killing_on_sphere(sph):
-    assert vanishes(lie_xi_g(sph.spec, sph.cs, sph.brackets))
+    assert vanishes(lie_xi_g(sph.nabla_eta))
 
 
 def test_xi_not_killing_under_declared_h_example(ex3):
     # example frame: Lie_xi g = 0 as well, which is what H-COMP flags
-    assert vanishes(lie_xi_g(ex3.spec, ex3.cs, ex3.brackets))
+    assert vanishes(lie_xi_g(ex3.nabla_eta))
+
+
+def test_xi_lie_on_sphere(sph):
+    # xi = E3 and [E3,E1] = 2 E2, [E3,E2] = -[E2,E3] = -2 E1, [E3,E3] = 0
+    assert [[render(c) for c in row] for row in sph.xi_lie] \
+        == [["0", "-2", "0"], ["2", "0", "0"], ["0", "0", "0"]]
+
+
+def test_xi_lie_on_example(ex3):
+    # xi = E3 brackets to zero with every frame field, so [xi, z E1] is
+    # xi(z) E1 = E1, read off xi(v) + L v
+    assert vanishes(ex3.xi_lie)
+    z_e1 = tuple(Expr.sym("z") * c for c in basis(0))
+    got = [apply_vector(ex3.spec, ex3.cs.xi, c) + lc
+           for c, lc in zip(z_e1, matvec(ex3.xi_lie, z_e1))]
+    assert [render(c) for c in got] == ["1", "0", "0"]
+
+
+# --- references: the bracket and 1-form formulas that the Workspace tables
+# xi_lie and nabla_eta replaced -------------------------------------------
+
+def ref_lie_bracket(spec, v, w, brackets):
+    """[v, w] = v(w) - w(v) + sum_{a,b} v^a w^b [E_a, E_b]."""
+    dim = spec.dim
+    comps = []
+    for l in range(dim):
+        terms = [apply_vector(spec, v, w[l]), -apply_vector(spec, w, v[l])]
+        terms.extend(v[a] * w[b] * brackets[a][b][l]
+                     for a in range(dim) for b in range(dim)
+                     if not v[a].is_zero and not w[b].is_zero)
+        comps.append(esum(terms))
+    return tuple(comps)
+
+
+def ref_tables(ws):
+    """[xi, E_j] (column j), d eta, Lie_xi g, h and nabla eta by the
+    bracket formulas, each indexed as its Workspace table."""
+    spec, b, conn = ws.spec, ws.brackets, ws.conn
+    dim, g = spec.dim, spec.metric
+    xi, eta, phi = ws.cs.xi, ws.cs.eta, ws.cs.phi
+    half = Expr.const(Fraction(1, 2))
+    lie = [ref_lie_bracket(spec, xi, basis(j, dim), b) for j in range(dim)]
+
+    def pair(u, v):
+        return dot(u, matvec(g, v))
+
+    deta = [[half * (frame_apply(spec, i, eta[j])
+                     - frame_apply(spec, j, eta[i]) - dot(eta, b[i][j]))
+             for j in range(dim)] for i in range(dim)]
+    lie_g = [[apply_vector(spec, xi, g[i][j]) - pair(lie[i], basis(j, dim))
+              - pair(basis(i, dim), lie[j]) for j in range(dim)]
+             for i in range(dim)]
+    h_cols = [[half * (a - c) for a, c in zip(
+        ref_lie_bracket(spec, xi, col, b), matvec(phi, lie[j]))]
+        for j, col in enumerate(zip(*phi))]
+    nabla_eta = [[frame_apply(spec, i, eta[j]) - dot(conn[i][j], eta)
+                  for j in range(dim)] for i in range(dim)]
+    return {"xi_lie": _rows(zip(*lie)), "deta": deta, "lie_g": lie_g,
+            "h": _rows(zip(*h_cols)), "nabla_eta": nabla_eta}
+
+
+def ref_tensor11(spec, gamma, i, t):
+    """nabla_{E_i} t for a (1,1) operator t, entry by entry."""
+    dim = spec.dim
+    gi = gamma[i]
+    gi_t, cols = tuple(zip(*gi)), tuple(zip(*t))
+    return [[frame_apply(spec, i, t[k][j]) + dot(gi_t[k], cols[j])
+             - dot(gi[j], t[k]) for j in range(dim)] for k in range(dim)]
+
+
+def _rows(table):
+    return [list(row) for row in table]
+
+
+ORACLE_SPECS = {
+    # example3d-vector is left out: its frame is dependent, so it has no
+    # connection
+    **{name: resolve_spec_path(name)
+       for name in ("sphere3", "flat3", "example3d")},
+    **{name: ROOT / "bench" / "specs" / f"{name}.cmspec"
+       for name in ("conf3", "heis5", "heis7", "polyboth3", "polyframe3",
+                    "polymetric3")},
+    "asym3": ROOT / "tests" / "specs" / "asym3.cmspec",
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_SPECS)
+def test_xi_tables_match_bracket_formulas(name):
+    ws = Workspace(load_spec(ORACLE_SPECS[name]))
+    ref = ref_tables(ws)
+    assert _rows(ws.xi_lie) == ref["xi_lie"]
+    assert _rows(ws.deta) == ref["deta"]
+    assert _rows(lie_xi_g(ws.nabla_eta)) == ref["lie_g"]
+    assert _rows(ws.h_computed) == ref["h"]
+    assert _rows(ws.nabla_eta) == ref["nabla_eta"]
+    ops = [ws.cs.phi] + [h for _, h in ws.variants]
+    for i in range(ws.spec.dim):
+        for t in ops:
+            assert _rows(covariant_derivative_tensor11(ws.spec, ws.conn, i,
+                                                       t)) \
+                == ref_tensor11(ws.spec, ws.conn, i, t)
 
 
 def test_phi2_projection(sph):

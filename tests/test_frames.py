@@ -2,13 +2,17 @@ from pathlib import Path
 
 import pytest
 
+import _geometry_cases as gc
 from _geometry_cases import basis
 from cmverify.frames import (FrameDependent, compute_brackets,
                              covariant_derivative_vector, dot, frame_apply,
-                             frame_pairing, lie_bracket, matvec,
-                             validate_frame)
+                             frame_pairing, koszul_connection, matvec,
+                             metric_inverse, validate_frame)
 from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import Expr, parse_expr, render
+from cmverify.workspace import Workspace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_bracket_mode_structure_constants(ex3):
@@ -29,21 +33,6 @@ def test_frame_apply_uses_declared_actions(ex3):
     assert frame_apply(ex3.spec, 1, y).is_zero
     z = Expr.sym("z")
     assert render(frame_apply(ex3.spec, 1, z)) == "2*x*y"
-
-
-def test_lie_bracket_leibniz_rule(ex3):
-    # [E1, y E2] = y [E1,E2] + E1(y) E2 = E2 + E2
-    e1 = basis(0)
-    ye2 = tuple(Expr.sym("y") * c for c in basis(1))
-    got = lie_bracket(ex3.spec, e1, ye2, ex3.brackets)
-    assert [render(c) for c in got] == ["0", "2", "0"]
-
-
-def test_lie_bracket_antisymmetry(sph):
-    e1, e2 = basis(0), basis(1)
-    assert all((a + b).is_zero
-               for a, b in zip(lie_bracket(sph.spec, e1, e2, sph.brackets),
-                               lie_bracket(sph.spec, e2, e1, sph.brackets)))
 
 
 def test_koszul_bi_invariant_metric(sph):
@@ -76,6 +65,37 @@ def test_koszul_torsion_free(sph):
             for k in range(3):
                 assert (conn[i][j][k] - conn[j][i][k]
                         - b[i][j][k]).is_zero
+
+
+# nabla xi, nabla eta, d eta and Lie_xi g are read off one another through
+# nabla g = 0 and torsion-freeness, so both are checked exactly on frames
+# with polynomial metrics (conf3: its connection only) and at dimension 5.
+CONNECTION_SPECS = {
+    **{name: ROOT / "bench" / "specs" / f"{name}.cmspec"
+       for name in ("polymetric3", "polyframe3", "polyboth3", "heis5",
+                    "conf3")},
+    "asym3": ROOT / "tests" / "specs" / "asym3.cmspec",
+}
+
+
+@pytest.mark.parametrize("name", CONNECTION_SPECS)
+def test_connection_is_torsion_free_and_metric_on_specs(name):
+    ws = Workspace(load_spec(CONNECTION_SPECS[name]))
+    assert gc.vanishes(tuple(gc.torsion_residuals(ws.spec, ws.conn,
+                                                  ws.brackets)))
+    assert gc.vanishes(tuple(gc.compatibility_residuals(ws.spec, ws.conn)))
+
+
+def test_connection_is_torsion_free_and_metric_at_dim5():
+    for seed in range(6):
+        spec = gc.random_spec(seed, 5, 0.3)
+        brackets = compute_brackets(spec)
+        conn = koszul_connection(spec, brackets, metric_inverse(spec))
+        assert not gc.vanishes(brackets), seed
+        assert gc.vanishes(tuple(gc.torsion_residuals(spec, conn,
+                                                      brackets))), seed
+        assert gc.vanishes(tuple(gc.compatibility_residuals(spec, conn))), \
+            seed
 
 
 def test_covariant_derivative_leibniz(ex3):

@@ -402,6 +402,33 @@ def test_loader_error_message_line_and_column(text, message, line_no, col):
     assert (str(e), e.line_no, e.col) == (message, line_no, col)
 
 
+def _indented(text, pad):
+    return "".join(pad + line for line in text.splitlines(keepends=True))
+
+
+def test_indented_lines_load_like_unindented():
+    specs = [resolve_spec_path(name) for name in bundled_names()]
+    specs.append(Path(__file__).parent / "specs" / "asym3.cmspec")
+    for path in specs:
+        text = path.read_text()
+        assert parse_spec_text(_indented(text, " \t "), "t") \
+            == parse_spec_text(text, "t"), path.name
+
+
+@pytest.mark.parametrize("text, message, line_no, col",
+                         LOADER_ERRORS.values(), ids=LOADER_ERRORS.keys())
+def test_indented_line_gives_the_same_error(text, message, line_no, col):
+    # columns count from the start of the raw line, indentation included
+    pad = " \t "
+    with pytest.raises(SpecFileError) as info:
+        parse_spec_text(_indented(text, pad), "t")
+    e = info.value
+    if col is not None:
+        message = message.replace(f"col {col}:", f"col {col + len(pad)}:")
+        col += len(pad)
+    assert (str(e), e.line_no, e.col) == (message, line_no, col)
+
+
 def test_assume_may_come_before_coords():
     # pass 1 checks an assume's coordinate once it has read every line
     text = "assume y != 1/2\n" + MINIMAL + "assume x != 0\n"

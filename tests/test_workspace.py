@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from cmverify import cli, curvature
+from cmverify import cli, contact, curvature, frames
 from cmverify.recurrence import solve_recurrence
 from cmverify.report import ReportDocument
 from cmverify.specfile import load_spec
@@ -161,6 +161,41 @@ def test_all_builds_shared_tables_once(capsys, monkeypatch, spec):
     assert len(calls["g_tensor_table"]) == 1
     hs = [h for (_, _, h), _ in calls["HTables"]]
     assert len(hs) == len(set(hs)) == 2
+
+
+@pytest.mark.parametrize("command", [["all"], ["check", "axioms"]],
+                         ids=["all", "check-axioms"])
+@pytest.mark.parametrize("spec", ["example3d", str(ASYM3)],
+                         ids=["example3d", "asym3"])
+def test_xi_derivatives_built_once(capsys, monkeypatch, command, spec):
+    # Both specs audit a declared and a computed h.  The computed h reads
+    # [xi, .]; d eta, Lie_xi g, and I2.4 and I3.12 of each h read nabla xi,
+    # which is one nabla_{E_i} xi per frame direction.
+    built, lie_calls, nabla_dirs = {}, [], []
+    original = contact.build_structure
+
+    def kept(*args):
+        built["cs"] = original(*args)
+        return built["cs"]
+
+    def counted_lie(*args, _fn=contact.xi_brackets):
+        lie_calls.append(args)
+        return _fn(*args)
+
+    def recorded(spec, gamma, i, v, _fn=frames.covariant_derivative_vector):
+        if "cs" in built and v is built["cs"].xi:
+            nabla_dirs.append(i)
+        return _fn(spec, gamma, i, v)
+
+    _patch_everywhere(monkeypatch, "build_structure", original, kept)
+    _patch_everywhere(monkeypatch, "xi_brackets", contact.xi_brackets,
+                      counted_lie)
+    _patch_everywhere(monkeypatch, "covariant_derivative_vector",
+                      frames.covariant_derivative_vector, recorded)
+    cli.run(command + [spec])
+    capsys.readouterr()
+    assert len(lie_calls) == 1
+    assert nabla_dirs == [0, 1, 2]
 
 
 def test_check_axioms_builds_no_curvature(capsys, build_counts):
