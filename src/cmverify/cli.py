@@ -20,8 +20,7 @@ from fractions import Fraction
 from functools import cache
 
 from .contact import InconsistentEta, axiom_suite
-from .frames import FrameDependent, ShapeError, SingularMetric
-from .linalg import SingularMatrix
+from .frames import FrameDependent, ShapeError
 from .nullity import extraction_report, identity_battery
 from .recurrence import (KINDS, classification_phrase, example_pipeline,
                          pipeline_available, recurrence_report,
@@ -187,9 +186,8 @@ def run(argv=None) -> int:
             run_all(ws, doc)
         warnings = ws.validation.warnings
     except (SpecFileError, FileNotFoundError, FrameInvalid, FrameDependent,
-            SingularMetric, SingularMatrix, ShapeError, InconsistentEta,
-            ExprSyntaxError, UnknownSymbol, DivisionByZeroExpr,
-            BadOverride) as exc:
+            ShapeError, InconsistentEta, ExprSyntaxError, UnknownSymbol,
+            DivisionByZeroExpr, BadOverride) as exc:
         print(f"cmverify: error: {exc}", file=sys.stderr)
         return 1
     for issue in warnings:

@@ -9,8 +9,7 @@ position (E_1 is index 0); there is no wrapper class:
   (0,2) tensor    m[i][j] = T(E_i, E_j), as for the metric and S
   connection      gamma[i][j][k]: nabla_{E_i} E_j = sum_k gamma[i][j][k] E_k
   brackets        c[i][j][k]: [E_i, E_j] = sum_k c[i][j][k] E_k
-  frame           CoordinateMode a[i][j]: E_i = sum_j a[i][j] d/dx_j;
-                  BracketMode act[i][j] = E_i(x_j)
+  frame           act[i][j] = E_i(x_j), so E_i = sum_j act[i][j] d/dx_j
 
 Curvature tables extend the same rule (see `curvature`).  `dot` pairs
 two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
@@ -32,16 +31,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 
-from .linalg import SingularMatrix, mat_det, mat_inv
+from .linalg import mat_inv
 from .symcore import ZERO, Expr, esum, render
 
 
 class FrameDependent(ValueError):
     """The declared coordinate frame is linearly dependent."""
-
-
-class SingularMetric(ValueError):
-    pass
 
 
 class ShapeError(ValueError):
@@ -94,23 +89,15 @@ class CoordSystem:
 
 
 @dataclass(frozen=True)
-class CoordinateMode:
-    a: tuple
-
-
-@dataclass(frozen=True)
-class BracketMode:
-    c: tuple
-    act: tuple
-
-
-@dataclass(frozen=True)
 class FrameSpec:
+    """`act` is the frame table; `brackets` is the declared bracket table
+    of a bracket-mode spec, None when the brackets are derived from act."""
     name: str
     coords: CoordSystem
     params: tuple
-    mode: object
+    act: tuple
     metric: tuple
+    brackets: tuple | None = None
 
     @property
     def dim(self) -> int:
@@ -133,7 +120,11 @@ class ValidationIssue:
 
 @dataclass
 class ValidationReport:
+    """The issues found, plus the inverses validation computed: g^-1, and
+    the inverse frame table when the brackets are derived (else None)."""
     issues: list = field(default_factory=list)
+    ginv: tuple | None = None
+    a_inv: tuple | None = None
 
     def add(self, name, level, detail=""):
         self.issues.append(ValidationIssue(name, level, detail))
@@ -152,10 +143,8 @@ def frame_apply(spec: FrameSpec, i: int, f: Expr) -> Expr:
     f is a constant."""
     if f.is_const:
         return ZERO
-    coeffs = spec.mode.a[i] if isinstance(spec.mode, CoordinateMode) \
-        else spec.mode.act[i]
     return esum([c * f.derivative(name)
-                 for c, name in zip(coeffs, spec.coords.names)
+                 for c, name in zip(spec.act[i], spec.coords.names)
                  if not c.is_zero])
 
 
@@ -165,18 +154,13 @@ def apply_vector(spec: FrameSpec, v, f: Expr) -> Expr:
                 for i, c in enumerate(v) if not c.is_zero)
 
 
-def compute_brackets(spec: FrameSpec):
-    """Structure functions c[i][j][k] for the frame."""
-    if isinstance(spec.mode, BracketMode):
-        return spec.mode.c
-    a = spec.mode.a
+def compute_brackets(spec: FrameSpec, a_inv):
+    """Structure functions c[i][j][k] for the frame: the declared table,
+    or else derived through `a_inv`, the inverse of the frame table."""
+    if spec.brackets is not None:
+        return spec.brackets
+    a = spec.act
     dim = spec.dim
-    try:
-        a_inv = mat_inv([list(r) for r in a])
-    except SingularMatrix:
-        raise FrameDependent(
-            "frame coefficient matrix is singular; fields are dependent") from None
-    names = spec.coords.names
     c = []
     for i in range(dim):
         row = []
@@ -199,7 +183,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     else:
         report.add("odd-dimension", "ok")
 
-    gdet = mat_det(spec.metric)
+    report.ginv, gdet = metric_inverse(spec)
     if gdet.is_zero:
         report.add("metric-nondegenerate", "error",
                    "metric determinant is identically zero")
@@ -209,8 +193,8 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     else:
         report.add("metric-nondegenerate", "ok")
 
-    if isinstance(spec.mode, CoordinateMode):
-        det = mat_det(spec.mode.a)
+    if spec.brackets is None:
+        report.a_inv, det = mat_inv(spec.act)
         if det.is_zero:
             raise FrameDependent(
                 "coordinate frame determinant is identically zero")
@@ -221,7 +205,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
             report.add("frame-independent", "ok")
         return report
 
-    c, act = spec.mode.c, spec.mode.act
+    c, act = spec.brackets, spec.act
     anti_bad = [(i, j, k) for i in range(dim) for j in range(dim)
                 for k in range(dim)
                 if not (c[i][j][k] + c[j][i][k]).is_zero]
@@ -266,10 +250,8 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
 
 
 def metric_inverse(spec: FrameSpec):
-    try:
-        return mat_inv(spec.metric)
-    except SingularMatrix:
-        raise SingularMetric("metric is singular") from None
+    """(g^-1, det g), as `mat_inv` gives them."""
+    return mat_inv(spec.metric)
 
 
 def frame_pairing(a, t, b):

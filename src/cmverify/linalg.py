@@ -6,52 +6,31 @@ from dataclasses import dataclass
 from .symcore import ONE, ZERO, Expr, render
 
 
-class SingularMatrix(ValueError):
-    pass
-
-
-def mat_det(m) -> Expr:
+def mat_inv(m):
+    """(inverse, det) over the rational-function field from one
+    Gauss-Jordan pass; det is the signed product of the pivots, the same
+    canonical value a cofactor expansion gives.  (None, ZERO) when the
+    determinant is identically zero."""
     n = len(m)
-    rows = [list(r) for r in m]
+    rows = [list(r) + [ONE if i == j else ZERO for j in range(n)]
+            for i, r in enumerate(m)]
     det = ONE
     for col in range(n):
         pivot = next((r for r in range(col, n) if not rows[r][col].is_zero), None)
         if pivot is None:
-            return ZERO
+            return None, ZERO
         if pivot != col:
             rows[col], rows[pivot] = rows[pivot], rows[col]
             det = -det
         p = rows[col][col]
         det = det * p
-        for r in range(col + 1, n):
-            if rows[r][col].is_zero:
-                continue
-            f = rows[r][col] / p
-            for c in range(col, n):
-                rows[r][c] = rows[r][c] - f * rows[col][c]
-    return det
-
-
-def mat_inv(m):
-    """Inverse over the rational-function field; SingularMatrix when the
-    determinant is identically zero."""
-    n = len(m)
-    rows = [list(r) + [ONE if i == j else ZERO for j in range(n)]
-            for i, r in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not rows[r][col].is_zero), None)
-        if pivot is None:
-            raise SingularMatrix("matrix is singular as a rational-function matrix")
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-        p = rows[col][col]
         rows[col] = [c / p for c in rows[col]]
         for r in range(n):
             if r == col or rows[r][col].is_zero:
                 continue
             f = rows[r][col]
             rows[r] = [rc - f * cc for rc, cc in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(tuple(row[n:]) for row in rows), det
 
 
 @dataclass

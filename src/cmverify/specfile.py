@@ -34,13 +34,7 @@ from importlib import resources
 from pathlib import Path
 
 from .contact import ContactDecl
-from .frames import (
-    BracketMode,
-    CoordSystem,
-    CoordinateMode,
-    DomainConstraint,
-    FrameSpec,
-)
+from .frames import CoordSystem, DomainConstraint, FrameSpec
 from .nullity import RESERVED_NAMES
 from .symcore import (
     ONE,
@@ -92,7 +86,7 @@ class _Loader:
         self.text = text
         self.name = fallback_name
         self.coords: list = []
-        self.constraints: list = []  # (line_no, DomainConstraint)
+        self.constraints: list = []  # (line_no, col, DomainConstraint)
         self.params: list = []
         self.mode: str | None = None
         self.symbols: set = set()
@@ -150,10 +144,10 @@ class _Loader:
         if index in self.values[key]:
             self.err(f"duplicate {key}{what}", line_no)
 
-    def coord_index(self, key, coord, line_no) -> int:
+    def coord_index(self, key, coord, line_no, col) -> int:
         if coord not in self.coords:
             self.err(f"{key} references unknown coordinate {coord!r}",
-                     line_no)
+                     line_no, col)
         return self.coords.index(coord)
 
     def located(self, line_no, col0, at, parse, *args):
@@ -239,27 +233,31 @@ class _Loader:
         """coords and param lines."""
         if key == "coords" and self.coords:
             self.err("coords declared twice", line_no)
-        for w in self.match(key, line_no, body)[1].split():
+        m = self.match(key, line_no, body)
+        for wm in re.finditer(r"\S+", m[1]):
+            w, col = wm[0], m.start(1) + wm.start() + 1
             if not _ID_RE.match(w):
-                self.err(f"invalid identifier {w!r}", line_no)
+                self.err(f"invalid identifier {w!r}", line_no, col)
             if w in RESERVED_NAMES:
                 self.err(f"{w!r} is reserved for the nullity functions",
-                         line_no)
+                         line_no, col)
             if _FRAME_RE.match(w):
-                self.err(f"{w!r} collides with frame names", line_no)
+                self.err(f"{w!r} collides with frame names", line_no, col)
             if w in self.coords or w in self.params:
-                self.err(f"duplicate name {w!r}", line_no)
+                self.err(f"duplicate name {w!r}", line_no, col)
             (self.coords if key == "coords" else self.params).append(w)
 
     def assume(self, key, line_no, body):
         m = self.match(key, line_no, body)
+        col = m.start(1) + 1
         if self.coords:  # else checked once pass 1 has read every line
-            self.coord_index(key, m[1], line_no)
+            self.coord_index(key, m[1], line_no, col)
         try:
             value = Fraction(m[2])
         except ZeroDivisionError:
             self.err(f"assume value {m[2]} has a zero denominator", line_no)
-        self.constraints.append((line_no, DomainConstraint(m[1], value)))
+        self.constraints.append((line_no, col,
+                                 DomainConstraint(m[1], value)))
 
     def frame_mode(self, key, line_no, body):
         if self.mode is not None:
@@ -278,12 +276,12 @@ class _Loader:
 
     def bracket(self, key, line_no, body):
         m = self.match(key, line_no, body)
-        bm = _BRACKET_RE.match(m[1])
+        bm, col = _BRACKET_RE.match(m[1]), m.start(1) + 1
         if not bm:
-            self.err(f"bad bracket pair {m[1]!r}", line_no)
+            self.err(f"bad bracket pair {m[1]!r}", line_no, col)
         i, j = int(bm[1]) - 1, int(bm[2]) - 1
         if not (0 <= i < len(self.coords) and 0 <= j < len(self.coords)):
-            self.err("bracket frame index out of range", line_no)
+            self.err("bracket frame index out of range", line_no, col)
         if i == j:
             self.err("bracket of a field with itself is ZERO", line_no)
         self.fresh(key, (i, j), f" for [E{i + 1},E{j + 1}]", line_no)
@@ -294,7 +292,7 @@ class _Loader:
     def act(self, key, line_no, body):
         m = self.match(key, line_no, body)
         i = self.frame(m, 1, line_no)
-        j = self.coord_index(key, m[2], line_no)
+        j = self.coord_index(key, m[2], line_no, m.start(2) + 1)
         self.fresh(key, (i, j), f" for E{i + 1} on {m[2]}", line_no)
         self.values[key][i, j] = self.expr(m, 3, line_no)
 
@@ -305,14 +303,14 @@ class _Loader:
 
     def metric(self, key, line_no, body):
         m = self.match(key, line_no, body)
-        gm = _METRIC_RE.match(m[1])
+        gm, col = _METRIC_RE.match(m[1]), m.start(1) + 1
         if not gm:
-            self.err(f"bad metric entry {m[1]!r}", line_no)
+            self.err(f"bad metric entry {m[1]!r}", line_no, col)
         if self.values["metric identity"]:
             self.err("metric identity mixed with explicit entries", line_no)
         i, j = int(gm[1]) - 1, int(gm[2]) - 1
         if not (0 <= i < len(self.coords) and 0 <= j < len(self.coords)):
-            self.err("metric index out of range", line_no)
+            self.err("metric index out of range", line_no, col)
         self.fresh(key, (i, j), f" entry g{i + 1}{j + 1}", line_no)
         self.values[key][i, j] = self.values[key][j, i] = self.expr(m, 2,
                                                                     line_no)
@@ -335,8 +333,8 @@ class _Loader:
     def load(self) -> ParsedSpec:
         lines = list(_numbered_lines(self.text))
         self.read(lines, 1)
-        for line_no, c in self.constraints:
-            self.coord_index("assume", c.coord, line_no)
+        for line_no, col, c in self.constraints:
+            self.coord_index("assume", c.coord, line_no, col)
         if not self.coords:
             self.err("no coords declared")
         if self.mode is None:
@@ -357,17 +355,17 @@ class _Loader:
             if missing:
                 self.err("vector line missing for "
                          + ", ".join(f"E{i + 1}" for i in missing))
-            mode = CoordinateMode(tuple(v["vector"][i] for i in range(dim)))
+            act, brackets = tuple(v["vector"][i] for i in range(dim)), None
         else:
-            mode = BracketMode(_table(v["bracket"], dim, (ZERO,) * dim),
-                               _table(v["act"], dim, ZERO))
+            act = _table(v["act"], dim, ZERO)
+            brackets = _table(v["bracket"], dim, (ZERO,) * dim)
         metric = v["metric identity"] or v["metric"]
         if not metric:
             self.err("no metric declared")
         chart = CoordSystem(tuple(self.coords),
-                            tuple(c for _, c in self.constraints))
-        spec = FrameSpec(self.name, chart, tuple(self.params), mode,
-                         _table(metric, dim, ZERO))
+                            tuple(c for _, _, c in self.constraints))
+        spec = FrameSpec(self.name, chart, tuple(self.params), act,
+                         _table(metric, dim, ZERO), brackets)
         decl = ContactDecl(xi=v["contact xi"].get(None),
                            phi=_operator(v["contact phi"], dim),
                            eta=v["contact eta"].get(None),

@@ -21,7 +21,7 @@ from .curvature import (covariant_ricci_table, g_tensor_table,
                         nabla_riemann_table, ricci, riemann, riemann_on)
 from .frames import (compute_brackets, covariant_derivative_vector, dot,
                      frame_pairing, koszul_connection, matvec,
-                     metric_inverse, validate_frame)
+                     validate_frame)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
 from .symcore import (DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol,
@@ -71,13 +71,11 @@ class Workspace:
 
     @cached_property
     def brackets(self):
-        self.validation
-        return compute_brackets(self.spec)
+        return compute_brackets(self.spec, self.validation.a_inv)
 
     @cached_property
     def ginv(self):
-        self.validation
-        return metric_inverse(self.spec)
+        return self.validation.ginv
 
     @cached_property
     def conn(self):

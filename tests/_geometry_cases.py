@@ -10,9 +10,8 @@ inside the polynomial ring and the exact checks carry no denominators.
 import random
 from fractions import Fraction
 
-from cmverify.frames import (CoordSystem, CoordinateMode, FrameSpec,
-                             compute_brackets, frame_apply,
-                             koszul_connection, metric_inverse)
+from cmverify.frames import (CoordSystem, FrameSpec, compute_brackets,
+                             frame_apply, koszul_connection, validate_frame)
 from cmverify.curvature import nabla_riemann_table, riemann
 from cmverify.symcore import ONE, ZERO, Expr, esum, eval_rational
 
@@ -55,7 +54,7 @@ def random_spec(seed, dim=DIM, density=0.7):
     metric = tuple(tuple(ONE if i == j else ZERO for j in range(dim))
                    for i in range(dim))
     return FrameSpec(name=f"case{seed}", coords=CoordSystem(coords, ()),
-                     params=(), mode=CoordinateMode(tuple(map(tuple, a))),
+                     params=(), act=tuple(map(tuple, a)),
                      metric=metric)
 
 
@@ -152,8 +151,9 @@ def sampled_max(exprs, points):
 
 def build_case(seed):
     spec = random_spec(seed)
-    brackets = compute_brackets(spec)
-    conn = koszul_connection(spec, brackets, metric_inverse(spec))
+    rep = validate_frame(spec)
+    brackets = compute_brackets(spec, rep.a_inv)
+    conn = koszul_connection(spec, brackets, rep.ginv)
     r_table = riemann(spec, conn, brackets)
     nr_table = nabla_riemann_table(spec, conn, r_table)
     return spec, brackets, conn, r_table, nr_table

@@ -14,6 +14,9 @@ from cmverify.cli import build_parser, run
 from cmverify.specfile import resolve_spec_path
 
 BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
+# A child interpreter imports the package from the tree under test.
+CHILD_ENV = dict(os.environ,
+                 PYTHONPATH=str(Path(cmverify.__file__).resolve().parents[1]))
 
 
 def out_of(capsys):
@@ -255,7 +258,7 @@ class TestJson:
 
 def test_console_script_help():
     proc = subprocess.run([sys.executable, "-m", "cmverify.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "check" in proc.stdout and "pipeline" in proc.stdout
 
@@ -263,12 +266,10 @@ def test_console_script_help():
 def test_closed_output_pipe_exits_one_without_traceback():
     # The reader closes its end before the report is printed, as
     # `cmverify all sphere3 --format json | head -0` would.
-    src = str(Path(cmverify.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.Popen(
         [sys.executable, "-m", "cmverify.cli", "all", "sphere3",
          "--format", "json"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV)
     proc.stdout.close()
     code = proc.wait(timeout=120)
     err = proc.stderr.read().decode()
@@ -279,10 +280,8 @@ def test_closed_output_pipe_exits_one_without_traceback():
 
 def _fresh_run(argv):
     """(stdout, stderr, exit code) of `argv` in a new interpreter."""
-    src = str(Path(cmverify.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "cmverify.cli", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=CHILD_ENV)
     return proc.stdout, proc.stderr, proc.returncode
 
 

@@ -1,0 +1,87 @@
+"""Two specs whose answers are known in closed form, with the facts taken
+from the literature, not from the program's output.
+
+t1e3 is the unit tangent bundle T_1 E^3 = E^3 x S^2(4) with its standard
+contact metric structure: dim 5 (n = 2), a rational non-constant metric
+and h != 0.  For n > 1, R(X,Y)xi = 0 iff M is locally E^{n+1} x S^n(4)
+(Blair 1977, Tohoku Math. J. 29), so k = mu = 0, and nabla R = 0 since M
+is a product of symmetric spaces.  T4.17 is not asserted: what it should
+report there is an open question about the verdict itself.
+
+uni3 is the family of 3-dim unimodular Lie groups (Milnor 1976, Adv.
+Math. 21) with their left-invariant contact metric structure, a
+(k, mu)-space with k = 1 - (l2 - l3)^2/4 and mu = 2 - (l2 + l3) (Blair
+2010, Riemannian Geometry of Contact and Symplectic Manifolds, 2nd ed.).
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from cmverify import cli
+from cmverify.specfile import load_spec
+from cmverify.symcore import ZERO, parse_expr, render
+from cmverify.workspace import Workspace
+
+SPECS = Path(__file__).resolve().parent / "specs"
+T1E3, UNI3 = SPECS / "t1e3.cmspec", SPECS / "uni3.cmspec"
+AXIOMS = ("I2.1", "I2.2", "I2.3", "I2.4", "H1", "H2", "H3", "H4",
+          "KILLING", "CONTACT", "NULLITY")
+IDENTITIES = tuple(f"I3.{i}" for i in range(1, 14))
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """`all` of each spec: the checks by id, and stderr."""
+    out = {}
+    for path in (T1E3, UNI3):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            cli.run(["all", str(path), "--format", "json"])
+        checks = json.loads(stdout.getvalue())["checks"]
+        out[path] = ({c["id"]: c for c in checks}, stderr.getvalue())
+    return out
+
+
+def primary_k_mu(path):
+    _, _, ext, _ = Workspace(load_spec(path)).params[0]
+    return ext
+
+
+@pytest.mark.parametrize("path", [T1E3, UNI3], ids=["t1e3", "uni3"])
+def test_every_axiom_and_identity_passes(runs, path):
+    checks, _ = runs[path]
+    assert {cid: checks[cid]["verdict"] for cid in AXIOMS + IDENTITIES} \
+        == dict.fromkeys(AXIOMS + IDENTITIES, "pass")
+
+
+def test_t1e3_has_k_and_mu_zero():
+    ext = primary_k_mu(T1E3)
+    assert (ext.status, ext.k, ext.mu) == ("unique", ZERO, ZERO)
+
+
+def test_t1e3_is_locally_symmetric(runs):
+    checks, _ = runs[T1E3]
+    for kind, phrase in (("FULL", "symmetric"), ("RICCI", "symmetric"),
+                         ("PHI", "φ-symmetric")):
+        assert checks[f"REC-{kind}"]["verdict"] == "pass"
+        assert f"classification: {phrase};" in checks[f"REC-{kind}"]["notes"]
+
+
+def test_t1e3_det_g_warning(runs):
+    # g = diag(s^2/4, s^2/4, s^2/4, s^2/4, 1) with s = 1 + u1^2 + u2^2
+    _, err = runs[T1E3]
+    det = parse_expr("((1 + u1^2 + u2^2)^2/4)^4", {"u1", "u2"})
+    assert (f"cmverify: warning: metric-nondegenerate: metric degenerates "
+            f"where {render(det)} = 0\n") in err
+
+
+def test_uni3_k_and_mu_in_closed_form():
+    ext = primary_k_mu(UNI3)
+    syms = {"l2", "l3"}
+    assert ext.status == "unique"
+    assert ext.k == parse_expr("1 - (l2 - l3)^2/4", syms)
+    assert ext.mu == parse_expr("2 - (l2 + l3)", syms)

@@ -1,14 +1,17 @@
+import json
 from pathlib import Path
 
 import pytest
 
 import _geometry_cases as gc
 from _geometry_cases import basis
+from cmverify import frames, linalg
 from cmverify.frames import (FrameDependent, compute_brackets,
                              covariant_derivative_vector, dot, frame_apply,
                              frame_pairing, koszul_connection, matvec,
-                             metric_inverse, validate_frame)
-from cmverify.specfile import load_spec, resolve_spec_path
+                             validate_frame)
+from cmverify.cli import run
+from cmverify.specfile import bundled_names, load_spec, resolve_spec_path
 from cmverify.symcore import Expr, parse_expr, render
 from cmverify.workspace import Workspace
 
@@ -16,14 +19,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_bracket_mode_structure_constants(ex3):
-    b = compute_brackets(ex3.spec)
+    b = compute_brackets(ex3.spec, None)
     assert [render(c) for c in b[0][1]] == ["0", "1/y", "0"]
     assert [render(c) for c in b[1][0]] == ["0", "-1/y", "0"]
     assert all(c.is_zero for c in b[0][2]) and all(c.is_zero for c in b[1][2])
 
 
 def test_vector_mode_brackets_vanish_for_coordinate_basis(flat):
-    b = compute_brackets(flat.spec)
+    b = compute_brackets(flat.spec, validate_frame(flat.spec).a_inv)
     assert all(c.is_zero for plane in b for row in plane for c in row)
 
 
@@ -89,8 +92,9 @@ def test_connection_is_torsion_free_and_metric_on_specs(name):
 def test_connection_is_torsion_free_and_metric_at_dim5():
     for seed in range(6):
         spec = gc.random_spec(seed, 5, 0.3)
-        brackets = compute_brackets(spec)
-        conn = koszul_connection(spec, brackets, metric_inverse(spec))
+        rep = validate_frame(spec)
+        brackets = compute_brackets(spec, rep.a_inv)
+        conn = koszul_connection(spec, brackets, rep.ginv)
         assert not gc.vanishes(brackets), seed
         assert gc.vanishes(tuple(gc.torsion_residuals(spec, conn,
                                                       brackets))), seed
@@ -134,19 +138,61 @@ def test_validate_frame_rejects_singular_coordinate_frame():
         validate_frame(ps.spec)
 
 
+def _every_spec() -> dict:
+    """Every spec the project ships: bundled ones by name, the bench and
+    test specs by path."""
+    specs = {name: name for name in bundled_names()}
+    for folder in ("bench/specs", "tests/specs"):
+        for path in sorted((ROOT / folder).glob("*.cmspec")):
+            specs[f"{folder}/{path.name}"] = str(path)
+    return specs
+
+
+def test_validation_stderr_is_pinned_for_every_spec(capsys):
+    # Exit code and stderr of `check axioms`: the warnings print det g
+    # and the frame determinant, and a singular frame is an error, exit 1.
+    golden = json.loads((ROOT / "tests" / "goldens"
+                         / "validation_stderr.json").read_text())
+    got = {}
+    for key, spec in _every_spec().items():
+        rc = run(["check", "axioms", spec])
+        got[key] = [rc, capsys.readouterr().err]
+    assert got == golden
+
+
+@pytest.mark.parametrize("name,calls", [("example3d", 1), ("flat3", 2)])
+def test_validation_is_the_one_elimination(capsys, monkeypatch, name, calls):
+    # validation inverts g, and in vector mode the frame, once each; the
+    # brackets and the connection read those inverses
+    counts = []
+    original = linalg.mat_inv
+
+    def counted(m):
+        counts.append(len(m))
+        return original(m)
+
+    for mod in (linalg, frames):
+        monkeypatch.setattr(mod, "mat_inv", counted)
+    validate_frame(load_spec(resolve_spec_path(name)).spec)
+    assert len(counts) == calls
+    counts.clear()
+    run(["all", name])
+    capsys.readouterr()
+    assert counts == [3] * calls
+
+
 def test_validate_frame_flags_bracket_antisymmetry_violation():
     from cmverify.specfile import parse_spec_text
     text = ("coords x y z\nframe-mode bracket\nmetric identity\n"
             "bracket [E1,E2] = 1 E3\n")
     ps = parse_spec_text(text, "t")
     # break antisymmetry by hand
-    c = [[list(row) for row in plane] for plane in ps.spec.mode.c]
+    c = [[list(row) for row in plane] for plane in ps.spec.brackets]
     c[1][0][2] = Expr.const(1)
-    from cmverify.frames import BracketMode, FrameSpec
+    from cmverify.frames import FrameSpec
     spec = FrameSpec(ps.spec.name, ps.spec.coords, ps.spec.params,
-                     BracketMode(tuple(tuple(tuple(r) for r in p)
-                                       for p in c), ps.spec.mode.act),
-                     ps.spec.metric)
+                     ps.spec.act, ps.spec.metric,
+                     tuple(tuple(tuple(r) for r in p) for p in c))
     rep = validate_frame(spec)
     assert not rep.ok
     assert any(i.name == "bracket-antisymmetry" and i.level == "error"

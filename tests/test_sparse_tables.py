@@ -23,10 +23,8 @@ from cmverify import curvature
 from cmverify.contact import phi2_rows
 from cmverify.curvature import (nabla_riemann_table, ricci, riemann,
                                 riemann_on)
-from cmverify.frames import (BracketMode, compute_brackets, dot,
-                             frame_apply, koszul_connection, metric_inverse,
-                             zero_row)
-from cmverify.linalg import mat_inv
+from cmverify.frames import (compute_brackets, dot, frame_apply,
+                             koszul_connection, validate_frame, zero_row)
 from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import ONE, ZERO, Expr, esum, render
 from cmverify.symcore.poly import Poly, RationalFunction
@@ -45,12 +43,11 @@ HEIS7 = ROOT / "bench" / "specs" / "heis7.cmspec"
 # --- dense reference: the builders as they were before zero rows were
 # skipped, kept here verbatim apart from names ---------------------------
 
-def dense_compute_brackets(spec):
-    if isinstance(spec.mode, BracketMode):
-        return spec.mode.c
-    a = spec.mode.a
+def dense_compute_brackets(spec, a_inv):
+    if spec.brackets is not None:
+        return spec.brackets
+    a = spec.act
     dim = spec.dim
-    a_inv = mat_inv([list(r) for r in a])
     c = []
     for i in range(dim):
         row = []
@@ -221,9 +218,10 @@ def _check_builders(kernel, spec, cs) -> Counter:
     """Every builder against its dense reference; the kernel calls made
     by the references."""
     seen = Counter()
+    rep = validate_frame(spec)
     brackets = _same(kernel, seen, dense_compute_brackets, compute_brackets,
-                     spec)
-    ginv = metric_inverse(spec)
+                     spec, rep.a_inv)
+    ginv = rep.ginv
     conn = _same(kernel, seen, dense_koszul_connection, koszul_connection,
                  spec, brackets, ginv)
     r_table = _same(kernel, seen, dense_riemann, riemann, spec, conn,
@@ -279,7 +277,7 @@ def test_random_spec_default_dimension_keeps_the_property_frames():
         spec = gc.random_spec(seed)
         digest.update(repr((spec.coords.names,
                             [[render(c) for c in row]
-                             for row in spec.mode.a])).encode())
+                             for row in spec.act])).encode())
     assert digest.hexdigest() == (
         "3abe345f86a7edce20422fcb04633778287c9856c6ece9177d7239f74c108d8d")
 

@@ -22,7 +22,7 @@ def test_minimal_bracket_spec():
     assert ps.spec.dim == 3
     assert ps.spec.coords.names == ("x", "y", "z")
     # unspecified brackets and actions default to zero
-    assert all(c.is_zero for plane in ps.spec.mode.c for row in plane
+    assert all(c.is_zero for plane in ps.spec.brackets for row in plane
                for c in row)
     assert ps.decl.xi is None and ps.declared_k is None
 
@@ -37,7 +37,7 @@ def test_comments_and_blank_lines_ignored():
 def test_bracket_terms_and_assume():
     text = MINIMAL + "assume y != 0\nbracket [E1,E2] = 1/y E2 - 2 E3\n"
     ps = parse_spec_text(text, "t")
-    c = ps.spec.mode.c
+    c = ps.spec.brackets
     assert render(c[0][1][1]) == "1/y"
     assert render(c[0][1][2]) == "-2"
     # antisymmetric completion
@@ -59,7 +59,8 @@ def test_vector_mode_spec():
     text = ("manifold t\ncoords x y z\nframe-mode vector\nmetric identity\n"
             "vector E1 = 1 dx\nvector E2 = x dy + 1 dz\nvector E3 = 1 dz\n")
     ps = parse_spec_text(text, "t")
-    a = ps.spec.mode.a
+    a = ps.spec.act
+    assert ps.spec.brackets is None
     assert render(a[1][1]) == "x"
     assert render(a[1][2]) == "1"
 
@@ -168,7 +169,8 @@ VECTOR = MINIMAL.replace("bracket", "vector")
 
 # One case per error the loader raises: the spec text, then the exact
 # message, line and column.  A column is given for the errors that point at
-# a token: a frame name, or a place in an expression.
+# a token: a frame name, a declared name, a coordinate, a bracket pair or
+# metric entry, or a place in an expression.
 LOADER_ERRORS = {
     "unknown-directive": (
         MINIMAL + "frobnicate 1\n",
@@ -280,13 +282,13 @@ LOADER_ERRORS = {
         "line 6: duplicate declare mu", 6, None),
     "act-unknown-coordinate": (
         MINIMAL + "act E1 : q -> 1\n",
-        "line 5: act references unknown coordinate 'q'", 5, None),
+        "line 5, col 10: act references unknown coordinate 'q'", 5, 10),
     "assume-unknown-coordinate": (
         MINIMAL + "assume q != 0\n",
-        "line 5: assume references unknown coordinate 'q'", 5, None),
+        "line 5, col 8: assume references unknown coordinate 'q'", 5, 8),
     "assume-unknown-coordinate-before-coords": (
         "assume q != 0\n" + MINIMAL,
-        "line 1: assume references unknown coordinate 'q'", 1, None),
+        "line 1, col 8: assume references unknown coordinate 'q'", 1, 8),
     "assume-zero-denominator": (
         MINIMAL + "assume y != 1/0\n",
         "line 5: assume value 1/0 has a zero denominator", 5, None),
@@ -298,28 +300,28 @@ LOADER_ERRORS = {
         "line 5: frame-mode declared twice", 5, None),
     "invalid-identifier": (
         "manifold t\ncoords x 1y z\n",
-        "line 2: invalid identifier '1y'", 2, None),
+        "line 2, col 10: invalid identifier '1y'", 2, 10),
     "reserved-name": (
         "manifold t\ncoords x y z\nparam mu\n",
-        "line 3: 'mu' is reserved for the nullity functions", 3, None),
+        "line 3, col 7: 'mu' is reserved for the nullity functions", 3, 7),
     "frame-name-collision": (
         "manifold t\ncoords x y z\nparam E4\n",
-        "line 3: 'E4' collides with frame names", 3, None),
+        "line 3, col 7: 'E4' collides with frame names", 3, 7),
     "duplicate-name": (
         "manifold t\ncoords x y z\nparam a x\n",
-        "line 3: duplicate name 'x'", 3, None),
+        "line 3, col 9: duplicate name 'x'", 3, 9),
     "bad-bracket-pair": (
         MINIMAL + "bracket [E1;E2] = 1 E3\n",
-        "line 5: bad bracket pair '[E1;E2]'", 5, None),
+        "line 5, col 9: bad bracket pair '[E1;E2]'", 5, 9),
     "bracket-out-of-range": (
         MINIMAL + "bracket [E1,E4] = 1 E3\n",
-        "line 5: bracket frame index out of range", 5, None),
+        "line 5, col 9: bracket frame index out of range", 5, 9),
     "bracket-with-itself": (
         MINIMAL + "bracket [E2,E2] = 1 E3\n",
         "line 5: bracket of a field with itself is ZERO", 5, None),
     "bad-metric-entry": (
         MINIMAL.replace("metric identity", "metric gx = 1"),
-        "line 4: bad metric entry 'gx'", 4, None),
+        "line 4, col 8: bad metric entry 'gx'", 4, 8),
     "metric-entry-after-identity": (
         MINIMAL + "metric g11 = 2\n",
         "line 5: metric identity mixed with explicit entries", 5, None),
@@ -329,7 +331,7 @@ LOADER_ERRORS = {
         "line 5: metric identity mixed with explicit entries", 5, None),
     "metric-out-of-range": (
         MINIMAL.replace("metric identity", "metric g41 = 1"),
-        "line 4: metric index out of range", 4, None),
+        "line 4, col 8: metric index out of range", 4, 8),
     "syntax-error-in-expression": (
         MINIMAL + "declare k = 1 +\n",
         "line 5, col 16: unexpected end of expression", 5, 16),
