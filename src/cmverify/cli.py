@@ -173,6 +173,8 @@ def run(argv=None) -> int:
         ws = Workspace(parsed, k=args.k, mu=args.mu,
                        seed=args.seed, points=args.points, tol=args.tol,
                        deta_factor=DETA_FACTORS[args.deta_factor])
+        # an invalid frame (such as an even dimension) fails before any suite
+        warnings = ws.validation.warnings
         doc = ReportDocument(str(path), parsed.sha256)
         if args.command == "check" and args.suite == "axioms":
             run_axioms(ws, doc)
@@ -184,7 +186,6 @@ def run(argv=None) -> int:
             run_pipeline(ws, doc)
         else:
             run_all(ws, doc)
-        warnings = ws.validation.warnings
     except (SpecFileError, FileNotFoundError, FrameInvalid, FrameDependent,
             ShapeError, InconsistentEta, ExprSyntaxError, UnknownSymbol,
             DivisionByZeroExpr, BadOverride) as exc:

@@ -20,6 +20,7 @@ from .frames import (
     matmul,
     matvec,
     nonzero_entries,
+    wedge,
 )
 from .report import FAIL, PASS, CheckReport, residual_check
 from .symcore import ONE, ZERO, Expr, esum
@@ -54,20 +55,8 @@ def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
         raise ShapeError("no xi declared")
     if decl.phi is None:
         raise ShapeError("no phi declared")
-    dim = spec.dim
-    if dim % 2 == 0:
-        raise ShapeError(f"dimension {dim} is even; need 2n+1")
-    if len(decl.xi) != dim:
-        raise ShapeError("xi has wrong number of components")
-    if len(decl.phi) != dim or any(len(r) != dim for r in decl.phi):
-        raise ShapeError("phi matrix is not square of frame dimension")
-    if decl.h is not None and (len(decl.h) != dim or
-                               any(len(r) != dim for r in decl.h)):
-        raise ShapeError("h matrix is not square of frame dimension")
     eta = matvec(spec.metric, decl.xi)
     if decl.eta is not None:
-        if len(decl.eta) != dim:
-            raise ShapeError("eta has wrong number of components")
         for i, (a, b) in enumerate(zip(decl.eta, eta)):
             if not (a - b).is_zero:
                 raise InconsistentEta(
@@ -111,7 +100,8 @@ def h_variants(cs: ContactStructure, h_computed):
 
 class HTables:
     """The frame tables the suites build from one h operator: its products
-    with phi and its g-pairings, each indexed [i][j]."""
+    with phi and its g-pairings, each indexed [i][j], and the two
+    `frames.wedge` tables of the (k, mu)-nullity form, indexed [i][j][l]."""
 
     def __init__(self, g, cs: ContactStructure, h):
         dim, phi = len(h), cs.phi
@@ -129,6 +119,8 @@ class HTables:
         self.g_idh_phi = frame_pairing(self.idh, g, phi)
         self.g_h_phi_idh = frame_pairing(h, g, self.phi_idh)
         self.g_phih = frame_pairing(self.phih, g, None)
+        # eta(E_j) E_i - eta(E_i) E_j and eta(E_j) h E_i - eta(E_i) h E_j
+        self.wedge_eta, self.wedge_eta_h = wedge(cs.eta), wedge(cs.eta, h)
 
 
 def deta_tensor(nabla_eta, factor: Fraction = Fraction(1, 2)):

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from functools import partial
 
 from .frames import (FrameSpec, covariant_derivative_tensor02,
-                     covariant_derivative_vector, nonzero_entries, zero_row)
+                     covariant_derivative_vector, nonzero_entries, wedge,
+                     zero_row)
 from .symcore import ZERO, Expr, esum
 
 
@@ -154,18 +155,11 @@ def ricci(spec: FrameSpec, r_table, ginv) -> RicciData:
 
 def g_tensor_table(spec: FrameSpec):
     """G(E_i,E_j)E_k components of G(X,Y)Z = g(Y,Z)X - g(X,Z)Y, the
-    constant-curvature model, indexed like the R table."""
-    dim = spec.dim
-    g = spec.metric
-    return tuple(
-        tuple(
-            tuple(
-                tuple((g[j][k] if l == i else ZERO)
-                      - (g[i][k] if l == j else ZERO)
-                      for l in range(dim))
-                for k in range(dim))
-            for j in range(dim))
-        for i in range(dim))
+    constant-curvature model, indexed like the R table: for each k, the
+    wedge of the 1-form g(., E_k)."""
+    planes = [wedge(col) for col in zip(*spec.metric)]
+    return tuple(tuple(tuple(p[i][j] for p in planes) for j in range(spec.dim))
+                 for i in range(spec.dim))
 
 
 def covariant_ricci_table(spec: FrameSpec, gamma, s):

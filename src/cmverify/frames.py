@@ -14,7 +14,8 @@ position (E_1 is index 0); there is no wrapper class:
 Curvature tables extend the same rule (see `curvature`).  `dot` pairs
 two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
 (1,1) operator to a vector (T v) or a (0,2) table to its second slot
-(g(E_i, v), which lowers an index); `matmul` composes two operators.
+(g(E_i, v), which lowers an index); `matmul` composes two operators;
+`wedge` builds the skew tables a(Y)BX - a(X)BY of the nullity form.
 Checks read frame components by index: g(E_i, E_j) is metric[i][j], and
 a value such as g(h E_i, phi E_j) is entry [i][j] of
 `frame_pairing(h, metric, phi)`.
@@ -179,7 +180,8 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     report = ValidationReport()
     dim = spec.dim
     if dim % 2 == 0:
-        report.add("odd-dimension", "error", f"dimension {dim} is even")
+        report.add("odd-dimension", "error",
+                   f"dimension {dim} is even; need 2n+1")
     else:
         report.add("odd-dimension", "ok")
 
@@ -252,6 +254,34 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
 def metric_inverse(spec: FrameSpec):
     """(g^-1, det g), as `mat_inv` gives them."""
     return mat_inv(spec.metric)
+
+
+def outer(v, w):
+    """The operator X -> w(X) v, for a vector v and a 1-form w."""
+    return tuple(tuple(x * c for c in w) for x in v)
+
+
+def wedge(a, b=None):
+    """a(E_j)(B E_i) - a(E_i)(B E_j), indexed [i][j][l], for a 1-form a
+    and a (1,1) operator b; None is the identity.  This is the skew form
+    a(Y)BX - a(X)BY of the (k, mu)-nullity condition.  Only products of
+    a nonzero a(E_j) and a nonzero (B E_i)^l are formed, and a pair with
+    no nonzero entry is the shared zero row."""
+    dim = len(a)
+    cols = ([[(i, None)] for i in range(dim)] if b is None
+            else [nonzero_entries(col) for col in zip(*b)])
+    table = [[zero_row(dim)] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            comps = [[] for _ in range(dim)]
+            for c, col in ((a[j], cols[i]), (-a[i], cols[j])):
+                if c.num.terms:
+                    for l, x in col:
+                        comps[l].append(c if x is None else c * x)
+            row = tuple([esum(p) if p else ZERO for p in comps])
+            if any([x.num.terms for x in row]):
+                table[i][j], table[j][i] = row, tuple([-x for x in row])
+    return tuple(map(tuple, table))
 
 
 def frame_pairing(a, t, b):

@@ -15,6 +15,8 @@ from .frames import (
     dot,
     frame_pairing,
     matmul,
+    outer,
+    wedge,
 )
 from .linalg import solve_two_unknowns
 from .report import (FAIL, NEEDS_INPUT, PASS, CheckReport, join_notes,
@@ -38,28 +40,15 @@ class NullityParams:
     kernel: str = ""
 
 
-def _nullity_terms(r_xi, eta, h) -> list:
-    """(label, a, b, c) per pair i < j and component l, where c is the
-    E_l-component of R(E_i,E_j)xi (`r_xi[i][j][l]`), and a and b are those
-    of eta(E_j)E_i - eta(E_i)E_j and eta(E_j) h E_i - eta(E_i) h E_j."""
-    dim = len(r_xi)
-    out = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei, ej = eta[i], eta[j]
-            out += [(f"(E{i + 1},E{j + 1})",
-                     (ej if l == i else ZERO) - (ei if l == j else ZERO),
-                     h[l][i] * ej - h[l][j] * ei, r_xi[i][j][l])
-                    for l in range(dim)]
-    return out
-
-
-def extract_k_mu(r_xi, eta, h) -> NullityParams:
+def extract_k_mu(r_xi, t) -> NullityParams:
     """Solve R(E_i,E_j)xi = k [eta(E_j)E_i - eta(E_i)E_j]
-    + mu [eta(E_j) h E_i - eta(E_i) h E_j] exactly over all pairs, from
-    the table r_xi[i][j][l] of R(E_i,E_j)xi."""
-    rows = [(ca, cb, rhs) for _, ca, cb, rhs in _nullity_terms(r_xi, eta, h)
-            if not (ca.is_zero and cb.is_zero and rhs.is_zero)]
+    + mu [eta(E_j) h E_i - eta(E_i) h E_j] exactly over all pairs i < j
+    and components l, from the table r_xi[i][j][l] of R(E_i,E_j)xi and
+    the two wedge tables of the `contact.HTables` t of h."""
+    dim = len(r_xi)
+    rows = [row for i in range(dim) for j in range(i + 1, dim)
+            for row in zip(t.wedge_eta[i][j], t.wedge_eta_h[i][j], r_xi[i][j])
+            if any([c.num.terms for c in row])]
     if not rows:
         return NullityParams(None, None, "underdetermined",
                              notes="nullity equation is vacuous",
@@ -157,8 +146,10 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     two_n = Expr.const(2 * n)
     reports = []
 
-    res = [(label, c - (k * a + mu * b))
-           for label, a, b, c in _nullity_terms(ws.r_xi, eta, h)]
+    res = [(f"(E{i + 1},E{j + 1})", c - (k * a + mu * b))
+           for i in range(dim) for j in range(i + 1, dim)
+           for a, b, c in zip(t.wedge_eta[i][j], t.wedge_eta_h[i][j],
+                              ws.r_xi[i][j])]
     reports.append(param_check("I3.1", params, res, sampler,
                                notes=join_notes(note, params.notes)))
 
@@ -203,15 +194,11 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
                     for l in range(dim)]
     reports.append(param_check("I3.5", params, res, sampler, notes=note))
 
-    res = []
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            ei, ej = eta[i], eta[j]
-            for l in range(dim):
-                rhs = (k * (g[j][l] * ei - g[i][l] * ej)
-                       + mu * (g_h[j][l] * ei - g_h[i][l] * ej))
-                res.append((f"(E{i + 1},E{j + 1},E{l + 1})",
-                            dot(eta, r_table[i][j][l]) - rhs))
+    # eta(X) g(Y, E_l) - eta(Y) g(X, E_l) = -wedge(eta, g); with hX, hY too
+    wg, wgh = wedge(eta, g), wedge(eta, t.g_e_h)
+    res = [(f"(E{i + 1},E{j + 1},E{l + 1})", dot(eta, r_table[i][j][l])
+            + (k * wg[i][j][l] + mu * wgh[i][j][l]))
+           for i in range(dim) for j in range(i + 1, dim) for l in range(dim)]
     reports.append(param_check("I3.6", params, res, sampler, notes=note))
 
     res = [(f"X=E{i + 1}", dot(ric.S[i], xi) - two_n * k * eta[i])
@@ -253,27 +240,21 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
 
     # R(E_i,E_j)(phi W + phi h W), indexed [w][i][j][l]
     r_phi_idh = [riemann_on(r_table, col) for col in zip(*t.phi_idh)]
+    w_phih = wedge(eta, t.phih)
     res = []
     for w in range(dim):
-        ew = eta[w]
-        for i in range(dim):
-            for j in range(dim):
-                if i == j:
-                    continue
-                a_y = t.g_idh_phi[w][j]
-                a_x = t.g_idh_phi[w][i]
-                cx = (ONE - k) * g_phi[w][i] + g_hphi[w][i]
-                cy = (ONE - k) * g_phi[w][j] + g_hphi[w][j]
-                for l in range(dim):
-                    inner = (a_y * h[l][i] - a_x * h[l][j]
-                             + (cx * eta[j] - cy * eta[i]) * xi[l]
-                             + mu * ew * (eta[i] * t.phih[l][j]
-                                          - eta[j] * t.phih[l][i]))
-                    rhs = ((k * a_y if l == i else ZERO)
-                           - (k * a_x if l == j else ZERO)
-                           + mu * inner + r_phi_idh[w][i][j][l])
-                    res.append((f"(E{w + 1};E{i + 1},E{j + 1})",
-                                nr_xi[w][i][j][l] - rhs))
+        # a_W = g(W + hW, phi .) and c_W = (1 - k) g(W, phi .) + g(W, h phi .)
+        a_w = t.g_idh_phi[w]
+        c_w = [(ONE - k) * x + y for x, y in zip(g_phi[w], g_hphi[w])]
+        wa, wah, wc = wedge(a_w), wedge(a_w, h), wedge(eta, outer(xi, c_w))
+        mu_ew = mu * eta[w]
+        res += [(f"(E{w + 1};E{i + 1},E{j + 1})", nr_xi[w][i][j][l]
+                 - (k * wa[i][j][l]
+                    + mu * (wah[i][j][l] + wc[i][j][l]
+                            - mu_ew * w_phih[i][j][l])
+                    + r_phi_idh[w][i][j][l]))
+                for i in range(dim) for j in range(dim) if i != j
+                for l in range(dim)]
     reports.append(param_check("I3.13", params, res, sampler, notes=note))
     return reports
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .contact import phi2_rows
 from .curvature import nabla_riemann, riemann_apply, riemann_on
-from .frames import FrameSpec, dot
+from .frames import FrameSpec, dot, outer, wedge
 from .linalg import solve_two_unknowns
 from .nullity import NullityParams, k_mu, param_check
 from .report import (DEGENERATE, FAIL, PASS, CheckReport, join_notes,
@@ -207,27 +207,28 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
     phi_cols = tuple(zip(*cs.phi))
     a_phi = [dot(a_w, col) for col in phi_cols]
     b_phi = [dot(b_w, col) for col in phi_cols]
+    # per W: wedge(g(W + hW, .), h), and wedge(eta, xi (x) d_W) with
+    # d_W = (1 - k) g(W, .) - g(W, h .) + eta(W) eta(h .)
+    w_gh = [wedge(row, h) for row in t.g_idh]
+    w_d = [wedge(eta, outer(xi, [(ONE - k) * x - y + eta[w] * z for x, y, z
+                                 in zip(g[w], t.g_e_h[w], eta_h)]))
+           for w in range(dim)]
+    wx, wh = t.wedge_eta, t.wedge_eta_h
+    mu_1k = mu * (ONE - k)
     res = []
     for i in range(dim):
         for j in range(i + 1, dim):
             for w in range(dim):
-                gy = t.g_idh[w][j]
-                gx = t.g_idh[w][i]
-                bx = (ONE - k) * g[w][i] - t.g_e_h[w][i] + eta[w] * eta_h[i]
-                by = (ONE - k) * g[w][i] - t.g_e_h[w][j] + eta[w] * eta_h[j]
-                for l in range(dim):
-                    kterm = h[l][i] * (k * gy) - h[l][j] * (k * gx)
-                    inner = (h[l][i] * gy - h[l][j] * gx
-                             + xi[l] * (bx * eta[j])
-                             - xi[l] * (by * eta[i]))
-                    ax_term = ((eta[j] if l == i else ZERO)
-                               - (eta[i] if l == j else ZERO))
-                    ah_term = h[l][i] * eta[j] - h[l][j] * eta[i]
-                    rhs = (kterm + mu * inner - b_phi[w] * ax_term
-                           - (k * a_phi[w] * ax_term
-                              + mu * a_phi[w] * ah_term))
-                    res.append((f"(E{i + 1},E{j + 1};W=E{w + 1})",
-                                r_idh[w][i][j][l] - rhs))
+                # The printed Y coefficient reads g(W, E_i) where the
+                # tensorial form has g(W, E_j); this term keeps the printed
+                # form: mu (1 - k)(g(W,E_j) - g(W,E_i)) eta(E_i) xi.
+                slip = mu_1k * eta[i] * (g[w][j] - g[w][i])
+                ax, ah = b_phi[w] + k * a_phi[w], mu * a_phi[w]
+                gh, d = w_gh[w][i][j], w_d[w][i][j]
+                res += [(f"(E{i + 1},E{j + 1};W=E{w + 1})", r_idh[w][i][j][l]
+                         - (k * gh[l] + mu * (gh[l] + d[l]) + slip * xi[l]
+                            - ax * wx[i][j][l] - ah * wh[i][j][l]))
+                        for l in range(dim)]
     reports.append(param_check(
         "T4.17", params, res, sampler,
         notes=join_notes(note, "measured exactly as stated; no expected "

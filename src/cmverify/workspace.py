@@ -172,7 +172,7 @@ class Workspace:
         k, mu = self.declared
         out = []
         for label, h in self.variants:
-            ext = extract_k_mu(self.r_xi, self.cs.eta, h)
+            ext = extract_k_mu(self.r_xi, self.h_tables(h))
             out.append((label, h, ext, resolve_params(ext, k, mu)))
         return out
 

@@ -55,6 +55,31 @@ class TestExitCodes:
         _, err = out_of(capsys)
         assert "determinant is identically zero" in err
 
+    @pytest.mark.parametrize("command", [
+        ["check", "axioms"], ["check", "identities"],
+        ["solve", "recurrence"], ["pipeline"], ["all"]],
+        ids=["axioms", "identities", "solve", "pipeline", "all"])
+    def test_even_dimension_is_one_error_from_every_command(
+            self, tmp_path, capsys, command):
+        path = tmp_path / "even.cmspec"
+        path.write_text("coords x y\nframe-mode bracket\nmetric identity\n"
+                        "contact xi = E2\ncontact phi : E1 -> 0\n")
+        assert run(command + [str(path)]) == 1
+        assert out_of(capsys) == ("", "cmverify: error: frame validation "
+                                      "failed (odd-dimension: dimension 2 "
+                                      "is even; need 2n+1)\n")
+
+    def test_degenerate_metric_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "degenerate.cmspec"
+        text = resolve_spec_path("sphere3").read_text()
+        path.write_text(text.replace(
+            "metric identity",
+            "metric g11 = 1\nmetric g22 = 1\nmetric g33 = 0"))
+        assert run(["all", str(path)]) == 1
+        assert out_of(capsys) == ("", "cmverify: error: frame validation "
+                                      "failed (metric-nondegenerate: metric "
+                                      "determinant is identically zero)\n")
+
     def test_missing_file_is_an_error(self, capsys):
         assert run(["check", "axioms", "nope"]) == 1
         _, err = out_of(capsys)

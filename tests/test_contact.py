@@ -12,7 +12,7 @@ from cmverify.frames import (ShapeError, apply_vector,
                              matvec)
 from cmverify.specfile import load_spec, parse_spec_text, resolve_spec_path
 from cmverify.symcore import Expr, esum, render
-from cmverify.workspace import Workspace
+from cmverify.workspace import FrameInvalid, Workspace
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,11 +46,20 @@ def test_missing_xi_rejected():
         build_structure(ps.spec, ps.decl)
 
 
+def test_missing_phi_rejected():
+    ps = parse_spec_text("coords x y z\nframe-mode bracket\n"
+                         "metric identity\ncontact xi = E3\n", "t")
+    with pytest.raises(ShapeError, match="no phi declared"):
+        build_structure(ps.spec, ps.decl)
+
+
 def test_even_dimension_rejected():
+    # frame validation, not the contact layer, rejects an even dimension
     ps = parse_spec_text("coords x y\nframe-mode bracket\nmetric identity\n"
                          "contact xi = E2\ncontact phi : E1 -> 0\n", "t")
-    with pytest.raises(ShapeError):
-        build_structure(ps.spec, ps.decl)
+    with pytest.raises(FrameInvalid, match="odd-dimension: dimension 2 is "
+                                           "even; need 2n[+]1"):
+        Workspace(ps).validation
 
 
 def test_computed_h_vanishes_on_k_contact(sph):
@@ -239,3 +248,23 @@ class TestAxiomSuiteVerdicts:
         reports = axiom_suite(Workspace(sph.parsed,
                                         deta_factor=Fraction(1)))
         assert by_id(reports, "I2.1").verdict == "fail"
+
+
+FLAT_CHART = ("coords x y z\nframe-mode vector\nvector E1 = 1 dx\n"
+              "vector E2 = 1 dy\nvector E3 = 1 dz\ncontact xi = E3\n")
+
+
+@pytest.mark.parametrize("extra,shown,notes", [
+    # phi turns along the Killing field xi = d/dz, so h = (1/2) Lie_xi phi
+    # is not zero
+    ("metric identity\ncontact phi : E1 -> z E2\n", "0",
+     "computed h != 0 and Lie_xi g = 0"),
+    # phi = 0 gives h = 0, and g11 = 1 + z^2 grows along xi
+    ("metric g11 = 1 + z^2\nmetric g22 = 1\nmetric g33 = 1\n"
+     "contact phi : E1 -> 0\n", "2*z", "computed h = 0 and Lie_xi g != 0"),
+], ids=["h-nonzero", "not-killing"])
+def test_killing_fails_when_h_and_lie_xi_g_disagree(extra, shown, notes):
+    ws = Workspace(parse_spec_text(FLAT_CHART + extra, "t"))
+    killing = by_id(axiom_suite(ws), "KILLING")
+    assert (killing.verdict, killing.residual_symbolic) == ("fail", shown)
+    assert killing.notes == notes

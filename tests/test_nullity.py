@@ -25,7 +25,7 @@ def test_reserved_names():
 
 class TestExtraction:
     def test_sphere_unit_k_mu_unconstrained(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         assert render(p.k) == "1"
         assert p.mu is None
         assert p.status == "mu-indeterminate"
@@ -33,17 +33,17 @@ class TestExtraction:
         assert "h-terms vanish" in p.notes
 
     def test_flat_zero_k(self, flat):
-        p = extract_k_mu(flat.r_xi, flat.cs.eta, flat.h_computed)
+        p = extract_k_mu(flat.r_xi, flat.h_tables(flat.h_computed))
         assert render(p.k) == "0"
         assert p.mu is None and p.status == "mu-indeterminate"
 
     def test_example_declared_h_gives_zero_pair(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.cs.eta, ex3.cs.h_declared)
+        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
         assert p.status == "unique"
         assert render(p.k) == "0" and render(p.mu) == "0"
 
     def test_example_computed_h(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.cs.eta, ex3.h_computed)
+        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.h_computed))
         assert render(p.k) == "0"
         assert p.status == "mu-indeterminate"
 
@@ -58,8 +58,8 @@ class TestExtraction:
         t[1][0][2] = [-one, zero, zero]
         table = tuple(tuple(tuple(tuple(r) for r in p2) for p2 in p1)
                       for p1 in t)
-        p = extract_k_mu(riemann_on(table, flat.cs.xi), flat.cs.eta,
-                         flat.h_computed)
+        p = extract_k_mu(riemann_on(table, flat.cs.xi),
+                         flat.h_tables(flat.h_computed))
         assert p.status == "inconsistent"
         rep = extraction_report(p, p)
         assert rep.verdict == "fail"
@@ -67,18 +67,18 @@ class TestExtraction:
 
 class TestResolve:
     def test_extraction_kept_without_declarations(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         used = resolve_params(p, None, None)
         assert used.k is p.k and used.mu is None
 
     def test_declared_fills_indeterminate(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         used = resolve_params(p, None, ex("-2"))
         assert render(used.k) == "1" and render(used.mu) == "-2"
         assert "differs" not in used.notes
 
     def test_declared_mismatch_is_noted(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.cs.eta, ex3.cs.h_declared)
+        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
         used = resolve_params(p, ex("-1/y"), ex("-1/y"))
         assert render(used.k) == "-1/y"
         assert "declared k = -1/y differs from extracted k = 0" in used.notes
@@ -87,7 +87,7 @@ class TestResolve:
 
 class TestParamCheck:
     def test_symbolic_mu_surviving_means_needs_input(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         used = resolve_params(p, None, None)
         reports = battery(sph, sph.h_computed, used)
         for cid in ("I3.9", "I3.10"):
@@ -97,7 +97,7 @@ class TestParamCheck:
 
     def test_mu_that_cancels_does_not_block(self, sph):
         # the mu-terms carry h = 0 here, so the verdict is definite
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         used = resolve_params(p, None, None)
         assert by_id(battery(sph, sph.h_computed, used), "I3.11").verdict \
             == "pass"
@@ -105,14 +105,14 @@ class TestParamCheck:
 
 class TestBatteryVerdicts:
     def test_sphere_with_mu_declared_all_pass(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         used = resolve_params(p, None, ex("-2"))
         reports = battery(sph, sph.h_computed, used)
         assert len(reports) == 13
         assert all(r.verdict == "pass" for r in reports)
 
     def test_flat_only_sectional_identity_fails(self, flat):
-        p = extract_k_mu(flat.r_xi, flat.cs.eta, flat.h_computed)
+        p = extract_k_mu(flat.r_xi, flat.h_tables(flat.h_computed))
         used = resolve_params(p, None, ex("0"))
         reports = battery(flat, flat.h_computed, used)
         failing = [r.check_id for r in reports if r.verdict == "fail"]
@@ -120,7 +120,7 @@ class TestBatteryVerdicts:
         assert by_id(reports, "I3.3").residual_symbolic == "(E1,E1): -1"
 
     def test_example_declared_values_fail_battery(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.cs.eta, ex3.cs.h_declared)
+        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
         used = resolve_params(p, ex("-1/y"), ex("-1/y"))
         reports = battery(ex3, ex3.cs.h_declared, used, label="declared")
         assert all(r.verdict == "fail" for r in reports)
@@ -131,14 +131,14 @@ class TestBatteryVerdicts:
         assert all("h = declared" in r.notes for r in reports)
 
     def test_transcribed_shape_notes_present(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
         used = resolve_params(p, None, ex("-2"))
         reports = battery(sph, sph.h_computed, used)
         assert "lacks the second argument" in by_id(reports, "I3.12").notes
 
 
 def test_extraction_report_mentions_kernel_and_override(sph):
-    p = extract_k_mu(sph.r_xi, sph.cs.eta, sph.h_computed)
+    p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
     used = resolve_params(p, None, ex("-2"))
     rep = extraction_report(p, used, "computed")
     assert rep.check_id == "NULLITY" and rep.verdict == "pass"

@@ -24,6 +24,10 @@ INVOCATIONS = {
                              / "heis5.cmspec")],
     "all heis7": ["all", str(TESTS.parent / "bench" / "specs"
                              / "heis7.cmspec")],
+    # uni3 (xi = E1) is the one spec with eta(E_i) != 0 for some i < j,
+    # so it is the one that pins T4.17's extra index term
+    "all t1e3": ["all", str(TESTS / "specs" / "t1e3.cmspec")],
+    "all uni3": ["all", str(TESTS / "specs" / "uni3.cmspec")],
 }
 
 

@@ -24,7 +24,8 @@ from cmverify.contact import phi2_rows
 from cmverify.curvature import (nabla_riemann_table, ricci, riemann,
                                 riemann_on)
 from cmverify.frames import (compute_brackets, dot, frame_apply,
-                             koszul_connection, validate_frame, zero_row)
+                             koszul_connection, validate_frame, wedge,
+                             zero_row)
 from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import ONE, ZERO, Expr, esum, render
 from cmverify.symcore.poly import Poly, RationalFunction
@@ -38,6 +39,7 @@ SPECS = {
     "polymetric3": ROOT / "bench" / "specs" / "polymetric3.cmspec",
 }
 HEIS7 = ROOT / "bench" / "specs" / "heis7.cmspec"
+UNI3 = ROOT / "tests" / "specs" / "uni3.cmspec"
 
 
 # --- dense reference: the builders as they were before zero rows were
@@ -182,6 +184,21 @@ def dense_phi2_rows(cs, rows):
         e = esum([c * v[m] for m, c in eta])
         out.append(tuple(x * e - c for c, x in zip(v, cs.xi)))
     return out
+
+
+def dense_wedge(a, b=None):
+    """a(E_j)(B E_i)^l - a(E_i)(B E_j)^l, every entry formed."""
+    dim = len(a)
+
+    def col(i, l):
+        if b is None:
+            return ONE if l == i else ZERO
+        return b[l][i]
+
+    return tuple(tuple(tuple(a[j] * col(i, l) - a[i] * col(j, l)
+                             for l in range(dim))
+                       for j in range(dim))
+                 for i in range(dim))
 
 
 # --- kernel counts ---------------------------------------------------------
@@ -334,3 +351,49 @@ def test_zero_rows_do_no_work(monkeypatch):
     projected = phi2_rows(ws.cs, rows)
     assert all(p is row for p, row in zip(projected, rows))
     assert summed == []
+
+
+def _check_wedge(monkeypatch, a, b):
+    """wedge(a, b) equals the dense loop, multiplies no zero operand, and
+    gives every all-zero pair the shared zero row."""
+    want = dense_wedge(a, b)
+    products = []
+    mul = RationalFunction.__mul__
+
+    def recorded(x, y):
+        products.append((x, y))
+        return mul(x, y)
+
+    monkeypatch.setattr(RationalFunction, "__mul__", recorded)
+    got = wedge(a, b)
+    monkeypatch.setattr(RationalFunction, "__mul__", mul)
+    assert got == want
+    assert all(not x.is_zero and not y.is_zero for x, y in products)
+    zero = zero_row(len(a))
+    assert all((row is zero) == all(c.is_zero for c in row)
+               for plane in got for row in plane)
+    return len(products)
+
+
+@pytest.mark.parametrize("path", [SPECS["heis5"], SPECS["asym3"], UNI3],
+                         ids=["heis5", "asym3", "uni3"])
+def test_wedge_matches_dense_reference_on_specs(monkeypatch, path):
+    ws = Workspace(load_spec(path))
+    eta, g = ws.cs.eta, ws.spec.metric
+    for _, h in ws.variants:
+        t = ws.h_tables(h)
+        for a in (eta, t.g_idh_phi[0], t.g_idh[-1]):
+            for b in (None, h, g, t.g_e_h, t.phih, ws.cs.phi):
+                _check_wedge(monkeypatch, a, b)
+
+
+def test_wedge_matches_dense_reference_on_random_frames(monkeypatch):
+    products = 0
+    for seed in range(6):
+        spec = gc.random_spec(seed, 5, 0.3)
+        act = spec.act
+        mixed = tuple(x + y for x, y in zip(act[-1], act[2]))
+        for a in (act[-1], mixed, gc.basis(0, 5)):
+            for b in (None, act, tuple(zip(*act)), spec.metric):
+                products += _check_wedge(monkeypatch, a, b)
+    assert products

@@ -80,6 +80,13 @@ def test_contact_block_and_declares():
     assert render(ps.declared_mu) == "2"
 
 
+def test_bare_frame_terms_have_unit_coefficients():
+    text = MINIMAL + "contact phi : E1 -> E2\ncontact phi : E2 -> -E1\n"
+    phi = parse_spec_text(text, "t").decl.phi
+    assert [render(phi[1][0]), render(phi[0][1])] == ["1", "-1"]
+    assert render(phi[0][0]) == render(phi[1][1]) == "0"
+
+
 def test_zero_term_literal():
     text = MINIMAL + "contact xi = E3\ncontact phi : E1 -> 0\n"
     ps = parse_spec_text(text, "t")
