@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .frames import (
     FrameSpec,
@@ -23,7 +24,7 @@ from .frames import (
     wedge,
 )
 from .report import FAIL, PASS, CheckReport, residual_check
-from .symcore import ONE, ZERO, Expr, esum
+from .symcore import ONE, ZERO, Expr, esum, live_slots
 
 HALF = Expr.const(Fraction(1, 2))
 
@@ -101,26 +102,88 @@ def h_variants(cs: ContactStructure, h_computed):
 class HTables:
     """The frame tables the suites build from one h operator: its products
     with phi and its g-pairings, each indexed [i][j], and the two
-    `frames.wedge` tables of the (k, mu)-nullity form, indexed [i][j][l]."""
+    `frames.wedge` tables of the (k, mu)-nullity form, indexed [i][j][l].
+    Each is built on first use, so a command builds only the ones its
+    suites read."""
 
     def __init__(self, g, cs: ContactStructure, h):
-        dim, phi = len(h), cs.phi
-        self.idh = tuple(tuple((ONE if i == j else ZERO) + h[i][j]
-                               for j in range(dim)) for i in range(dim))
-        self.phih, self.hphi = matmul(phi, h), matmul(h, phi)
-        self.phi_idh = matmul(phi, self.idh)        # X -> phi(X + hX)
-        self.h_phi_idh = matmul(h, self.phi_idh)    # X -> h phi(X + hX)
-        self.eta_h = tuple(dot(cs.eta, col) for col in zip(*h))  # eta(h E_j)
-        self.g_h = frame_pairing(h, g, None)        # g(h E_i, E_j)
-        self.g_e_h = frame_pairing(None, g, h)      # g(E_i, h E_j)
-        self.g_hphi = frame_pairing(None, g, self.hphi)  # g(E_i, h phi E_j)
-        self.g_idh = frame_pairing(self.idh, g, None)    # g(E_i + h E_i, E_j)
-        # g(E_i + h E_i, phi E_j), g(h E_i, phi(E_j + h E_j)), g(phi h E_i, E_j)
-        self.g_idh_phi = frame_pairing(self.idh, g, phi)
-        self.g_h_phi_idh = frame_pairing(h, g, self.phi_idh)
-        self.g_phih = frame_pairing(self.phih, g, None)
-        # eta(E_j) E_i - eta(E_i) E_j and eta(E_j) h E_i - eta(E_i) h E_j
-        self.wedge_eta, self.wedge_eta_h = wedge(cs.eta), wedge(cs.eta, h)
+        self.g, self.cs, self.h = g, cs, h
+
+    @cached_property
+    def idh(self):
+        """X -> X + hX"""
+        h = self.h
+        return tuple(tuple((ONE if i == j else ZERO) + x
+                           for j, x in enumerate(row))
+                     for i, row in enumerate(h))
+
+    @cached_property
+    def phih(self):
+        return matmul(self.cs.phi, self.h)
+
+    @cached_property
+    def hphi(self):
+        return matmul(self.h, self.cs.phi)
+
+    @cached_property
+    def phi_idh(self):
+        """X -> phi(X + hX)"""
+        return matmul(self.cs.phi, self.idh)
+
+    @cached_property
+    def h_phi_idh(self):
+        """X -> h phi(X + hX)"""
+        return matmul(self.h, self.phi_idh)
+
+    @cached_property
+    def eta_h(self):
+        """eta(h E_j)"""
+        return tuple(dot(self.cs.eta, col) for col in zip(*self.h))
+
+    @cached_property
+    def g_h(self):
+        """g(h E_i, E_j)"""
+        return frame_pairing(self.h, self.g, None)
+
+    @cached_property
+    def g_e_h(self):
+        """g(E_i, h E_j)"""
+        return frame_pairing(None, self.g, self.h)
+
+    @cached_property
+    def g_hphi(self):
+        """g(E_i, h phi E_j)"""
+        return frame_pairing(None, self.g, self.hphi)
+
+    @cached_property
+    def g_idh(self):
+        """g(E_i + h E_i, E_j)"""
+        return frame_pairing(self.idh, self.g, None)
+
+    @cached_property
+    def g_idh_phi(self):
+        """g(E_i + h E_i, phi E_j)"""
+        return frame_pairing(self.idh, self.g, self.cs.phi)
+
+    @cached_property
+    def g_h_phi_idh(self):
+        """g(h E_i, phi(E_j + h E_j))"""
+        return frame_pairing(self.h, self.g, self.phi_idh)
+
+    @cached_property
+    def g_phih(self):
+        """g(phi h E_i, E_j)"""
+        return frame_pairing(self.phih, self.g, None)
+
+    @cached_property
+    def wedge_eta(self):
+        """eta(E_j) E_i - eta(E_i) E_j"""
+        return wedge(self.cs.eta)
+
+    @cached_property
+    def wedge_eta_h(self):
+        """eta(E_j) h E_i - eta(E_i) h E_j"""
+        return wedge(self.cs.eta, self.h)
 
 
 def deta_tensor(nabla_eta, factor: Fraction = Fraction(1, 2)):
@@ -143,7 +206,8 @@ def lie_xi_g(nabla_eta):
 def phi2_rows(cs: ContactStructure, rows) -> list:
     """phi^2 v = eta(v) xi - v for each row v of frame components, with
     eta(v) summed over the frame indices where eta is nonzero only; a
-    zero row projects to itself."""
+    zero row projects to itself, and a component where xi^l eta(v) and
+    v^l are both zero is `ZERO`."""
     eta = nonzero_entries(cs.eta)
     xi = cs.xi
     out = []
@@ -152,7 +216,8 @@ def phi2_rows(cs: ContactStructure, rows) -> list:
             out.append(v)
             continue
         e = esum([c * v[m] for m, c in eta])
-        out.append(tuple(x * e - c for c, x in zip(v, xi)))
+        out.append(tuple([x * e - c if m else ZERO for c, x, m
+                          in zip(v, xi, live_slots(len(v), (xi, e), (v,)))]))
     return out
 
 

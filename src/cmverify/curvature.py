@@ -17,7 +17,8 @@ from .symcore import ZERO, Expr, esum
 def _skew_planes(dim: int, plane):
     """table[i][j] of a tensor skew in (i, j), from `plane(i, j)` for
     i < j only: the diagonal is zero and j < i is the negation, which
-    passes the shared zero row on as it is."""
+    passes the shared zero row on as it is and negates only the nonzero
+    entries of the other rows."""
     zero = zero_row(dim)
     zero_plane = (zero,) * dim
     table = [[zero_plane] * dim for _ in range(dim)]
@@ -25,8 +26,10 @@ def _skew_planes(dim: int, plane):
         for j in range(i + 1, dim):
             p = plane(i, j)
             table[i][j] = p
-            table[j][i] = tuple(row if row is zero else tuple(-x for x in row)
-                                for row in p)
+            table[j][i] = tuple(
+                row if row is zero
+                else tuple([-x if x.num.terms else ZERO for x in row])
+                for row in p)
     return tuple(tuple(row) for row in table)
 
 

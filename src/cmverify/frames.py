@@ -30,10 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 
 from .linalg import mat_inv
-from .symcore import ZERO, Expr, esum, render
+from .symcore import ZERO, Expr, esum, live_slots, render, zero_row
 
 
 class FrameDependent(ValueError):
@@ -57,13 +56,6 @@ def dot(u, v) -> Expr:
 def nonzero_entries(v) -> list:
     """(index, entry) for each nonzero entry of v, in index order."""
     return [(a, c) for a, c in enumerate(v) if c.num.terms]
-
-
-@cache
-def zero_row(dim: int) -> tuple:
-    """The one all-zero row of length dim that table builders share, so a
-    builder can pass a structurally zero row on by identity."""
-    return (ZERO,) * dim
 
 
 def matvec(m, v):
@@ -338,22 +330,35 @@ def covariant_derivative_vector(spec: FrameSpec, gamma, i: int, v):
 
 def covariant_derivative_tensor11(spec: FrameSpec, gamma, i: int, t):
     """nabla_{E_i} t for a (1,1) operator t: column j is
-    nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j)."""
-    cols = [tuple(a - b for a, b in zip(
-                covariant_derivative_vector(spec, gamma, i, col),
-                matvec(t, gamma[i][j])))
-            for j, col in enumerate(zip(*t))]
+    nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j), with t applied over the
+    nonzero gamma[i][j][m] only, and subtracted only where either side is
+    nonzero."""
+    cols = []
+    for j, col in enumerate(zip(*t)):
+        a = covariant_derivative_vector(spec, gamma, i, col)
+        live = nonzero_entries(gamma[i][j])
+        b = [esum([x * c for m, c in live if (x := row[m]).num.terms])
+             for row in t]
+        cols.append(tuple([x - y if m else ZERO for x, y, m
+                           in zip(a, b, live_slots(len(a), (a,), (b,)))]))
     return tuple(zip(*cols))
 
 
 def covariant_derivative_tensor02(spec: FrameSpec, gamma, i: int, t):
-    """nabla_{E_i} t for a (0,2) table t."""
+    """nabla_{E_i} t for a (0,2) table t: entry [j][k] is
+    E_i(t[j][k]) - t(nabla_{E_i} E_j, E_k) - t(E_j, nabla_{E_i} E_k), each
+    contraction summed over the nonzero gamma[i][j][m] t[m][k] or
+    gamma[i][k][m] t[j][m] only, and the entry formed only where one of
+    the three is nonzero."""
     dim = spec.dim
-    gi = gamma[i]
-    cols = tuple(zip(*t))
-    return tuple(
-        tuple(frame_apply(spec, i, t[j][k]) - dot(gi[j], cols[k])
-              - dot(gi[k], t[j])
-              for k in range(dim))
-        for j in range(dim))
-
+    live = [nonzero_entries(row) for row in gamma[i]]
+    out = []
+    for j, row in enumerate(t):
+        d = [frame_apply(spec, i, x) for x in row]
+        a = [esum([c * t[m][k] for m, c in live[j] if t[m][k].num.terms])
+             for k in range(dim)]
+        b = [esum([c * row[m] for m, c in live[k] if row[m].num.terms])
+             for k in range(dim)]
+        out.append(tuple([x - y - z if m else ZERO for x, y, z, m
+                          in zip(d, a, b, live_slots(dim, (d,), (a,), (b,)))]))
+    return tuple(out)

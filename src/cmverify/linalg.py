@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symcore import ONE, ZERO, Expr, render
+from .symcore import ONE, ZERO, Expr, live_slots, render
 
 
 def mat_inv(m):
@@ -54,7 +54,11 @@ def solve_two_unknowns(rows) -> TwoUnknownSolution:
     rows = list(rows)
 
     def finish(alpha, beta, kernel):
-        defects = (rhs - ca * alpha - cb * beta for ca, cb, rhs in rows)
+        # a row whose every term has a zero factor has no defect to form
+        ca, cb, rhs = zip(*rows) if rows else ((), (), ())
+        mask = live_slots(len(rows), (rhs,), (ca, alpha), (cb, beta))
+        defects = (r - a * alpha - b * beta
+                   for a, b, r, m in zip(ca, cb, rhs, mask) if m)
         worst = next((r for r in defects if not r.is_zero), None)
         if worst is None:
             status = "unique" if kernel == "" else "underdetermined"

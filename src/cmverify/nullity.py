@@ -8,6 +8,7 @@ needs-input instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .curvature import riemann_on
 from .frames import (
@@ -21,7 +22,7 @@ from .frames import (
 from .linalg import solve_two_unknowns
 from .report import (FAIL, NEEDS_INPUT, PASS, CheckReport, join_notes,
                      residual_check)
-from .symcore import ONE, ZERO, Expr
+from .symcore import ONE, ZERO, Expr, live_slots
 
 K_NAME = "k"
 MU_NAME = "mu"
@@ -159,39 +160,50 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
            for i in range(dim) for j in range(dim)]
     reports.append(param_check("I3.2", params, res, sampler, notes=note))
 
+    # each residual row below is indexed by l and has one label; an entry
+    # is formed only where `live_slots` finds a term with no zero factor
+    idh, h_phi_idh, phih = (tuple(zip(*m)) for m in (t.idh, t.h_phi_idh,
+                                                      t.phih))
     res = []
     for i in range(dim):
-        nabla_phi = covariant_derivative_tensor11(spec, conn, i, phi)
-        for j in range(dim):
+        nabla_phi = zip(*covariant_derivative_tensor11(spec, conn, i, phi))
+        for j, col in enumerate(nabla_phi):
             # (nabla_{E_i} phi) E_j - (g(E_i + h E_i, E_j) xi
             #                          - eta(E_j)(E_i + h E_i))
-            res += [(f"(E{i + 1},E{j + 1})",
-                     nabla_phi[l][j] - (t.g_idh[i][j] * xi[l]
-                                        - eta[j] * t.idh[l][i]))
-                    for l in range(dim)]
+            a, e, x = t.g_idh[i][j], eta[j], idh[i]
+            label = f"(E{i + 1},E{j + 1})"
+            res += [(label, col[l] - (a * xi[l] - e * x[l]) if m else ZERO)
+                    for l, m in enumerate(live_slots(dim, (col,), (a, xi),
+                                                     (e, x)))]
     reports.append(residual_check("I3.3", res, sampler, notes=note))
 
     res = []
     for i in range(dim):
-        nabla_h = covariant_derivative_tensor11(spec, conn, i, h)
+        nabla_h = zip(*covariant_derivative_tensor11(spec, conn, i, h))
         mu_eta = mu * eta[i]
-        for j in range(dim):
+        for j, col in enumerate(nabla_h):
             coef = (ONE - k) * g_phi[i][j] + g_hphi[i][j]
-            res += [(f"(E{i + 1},E{j + 1})",
-                     nabla_h[l][j] - (coef * xi[l]
-                                      + eta[j] * t.h_phi_idh[l][i]
-                                      - mu_eta * t.phih[l][j]))
-                    for l in range(dim)]
+            e, x, y = eta[j], h_phi_idh[i], phih[j]
+            label = f"(E{i + 1},E{j + 1})"
+            res += [(label, col[l] - (coef * xi[l] + e * x[l]
+                                      - mu_eta * y[l]) if m else ZERO)
+                    for l, m in enumerate(live_slots(
+                        dim, (col,), (coef, xi), (e, x), (mu_eta, y)))]
     reports.append(param_check("I3.4", params, res, sampler, notes=note))
 
     res = []
     for i in range(dim):
+        # column i of the operator k Id + mu h
+        k_mu_h = [k * (ONE if l == i else ZERO) + mu * h[l][i]
+                  for l in range(dim)]
         for j in range(dim):
             c_xi = k * g[i][j] + mu * g_h[i][j]
-            res += [(f"(E{i + 1},E{j + 1})", ws.r_of_xi[i][j][l]
-                     - (c_xi * xi[l] - eta[j]
-                        * (k * (ONE if l == i else ZERO) + mu * h[l][i])))
-                    for l in range(dim)]
+            r, e = ws.r_of_xi[i][j], eta[j]
+            label = f"(E{i + 1},E{j + 1})"
+            res += [(label, r[l] - (c_xi * xi[l] - e * k_mu_h[l])
+                     if m else ZERO)
+                    for l, m in enumerate(live_slots(
+                        dim, (r,), (c_xi, xi), (e, k_mu_h)))]
     reports.append(param_check("I3.5", params, res, sampler, notes=note))
 
     # eta(X) g(Y, E_l) - eta(Y) g(X, E_l) = -wedge(eta, g); with hX, hY too
@@ -248,13 +260,16 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
         c_w = [(ONE - k) * x + y for x, y in zip(g_phi[w], g_hphi[w])]
         wa, wah, wc = wedge(a_w), wedge(a_w, h), wedge(eta, outer(xi, c_w))
         mu_ew = mu * eta[w]
-        res += [(f"(E{w + 1};E{i + 1},E{j + 1})", nr_xi[w][i][j][l]
-                 - (k * wa[i][j][l]
-                    + mu * (wah[i][j][l] + wc[i][j][l]
-                            - mu_ew * w_phih[i][j][l])
-                    + r_phi_idh[w][i][j][l]))
-                for i in range(dim) for j in range(dim) if i != j
-                for l in range(dim)]
+        for i, j in permutations(range(dim), 2):
+            nr, a, ah, c = nr_xi[w][i][j], wa[i][j], wah[i][j], wc[i][j]
+            y, r = w_phih[i][j], r_phi_idh[w][i][j]
+            label = f"(E{w + 1};E{i + 1},E{j + 1})"
+            res += [(label, nr[l] - (k * a[l] + mu * (ah[l] + c[l]
+                                                      - mu_ew * y[l])
+                                     + r[l]) if m else ZERO)
+                    for l, m in enumerate(live_slots(
+                        dim, (nr,), (k, a), (mu, ah), (mu, c),
+                        (mu, mu_ew, y), (r,)))]
     reports.append(param_check("I3.13", params, res, sampler, notes=note))
     return reports
 

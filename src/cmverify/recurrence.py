@@ -17,7 +17,7 @@ from .linalg import solve_two_unknowns
 from .nullity import NullityParams, k_mu, param_check
 from .report import (DEGENERATE, FAIL, PASS, CheckReport, join_notes,
                      residual_check)
-from .symcore import ONE, ZERO, Expr, parse_expr
+from .symcore import ONE, ZERO, Expr, live_slots, parse_expr
 
 KINDS = ("full", "ricci", "phi")
 
@@ -178,22 +178,31 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
            for w in range(dim)]
     reports.append(param_check("T4.12", params, res, sampler, notes=note))
 
-    # the bracketed term of T4.14, indexed [w][j][l]
+    # the bracketed term of T4.14, indexed [w][j][l]; here and below an
+    # entry is formed only where `live_slots` finds a term with no zero
+    # factor
     cond = []
     for w in range(dim):
         plane = []
         for j in range(dim):
             brace = (a_w[w] * eta_h[j] - (ONE - k) * ws.g_phi[w][j]
                      - t.g_hphi[w][j] + t.g_h_phi_idh[j][w])
-            plane.append([brace * eta[l] - a_w[w] * g_h[j][l]
-                          + mu * eta[w] * t.g_phih[j][l]
-                          for l in range(dim)])
+            a, x, y = a_w[w], g_h[j], t.g_phih[j]
+            plane.append([brace * eta[l] - a * x[l] + mu * eta[w] * y[l]
+                          if m else ZERO
+                          for l, m in enumerate(live_slots(
+                              dim, (brace, eta), (a, x), (mu, eta[w], y)))])
         cond.append(plane)
-    res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
-            nabla_s[w][j][l]
-            - (a_w[w] * ric.S[j][l] - two_n * k * a_w[w] * g[j][l]
-               + mu * cond[w][j][l]))
-           for w in range(dim) for j in range(dim) for l in range(dim)]
+    res = []
+    for w in range(dim):
+        a = a_w[w]
+        for j in range(dim):
+            d, c, s_j, g_j = nabla_s[w][j], cond[w][j], ric.S[j], g[j]
+            res += [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
+                     d[l] - (a * s_j[l] - two_n * k * a * g_j[l] + mu * c[l])
+                     if m else ZERO)
+                    for l, m in enumerate(live_slots(
+                        dim, (d,), (a, s_j), (two_n, k, a, g_j), (mu, c)))]
     reports.append(param_check("T4.14", params, res, sampler, notes=note))
     res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
            for w in range(dim) for j in range(dim) for l in range(dim)]
@@ -224,11 +233,15 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
                 # form: mu (1 - k)(g(W,E_j) - g(W,E_i)) eta(E_i) xi.
                 slip = mu_1k * eta[i] * (g[w][j] - g[w][i])
                 ax, ah = b_phi[w] + k * a_phi[w], mu * a_phi[w]
-                gh, d = w_gh[w][i][j], w_d[w][i][j]
-                res += [(f"(E{i + 1},E{j + 1};W=E{w + 1})", r_idh[w][i][j][l]
-                         - (k * gh[l] + mu * (gh[l] + d[l]) + slip * xi[l]
-                            - ax * wx[i][j][l] - ah * wh[i][j][l]))
-                        for l in range(dim)]
+                gh, d, r = w_gh[w][i][j], w_d[w][i][j], r_idh[w][i][j]
+                x, y = wx[i][j], wh[i][j]
+                label = f"(E{i + 1},E{j + 1};W=E{w + 1})"
+                res += [(label, r[l] - (k * gh[l] + mu * (gh[l] + d[l])
+                                        + slip * xi[l] - ax * x[l]
+                                        - ah * y[l]) if m else ZERO)
+                        for l, m in enumerate(live_slots(
+                            dim, (r,), (k, gh), (mu, gh), (mu, d),
+                            (slip, xi), (ax, x), (ah, y)))]
     reports.append(param_check(
         "T4.17", params, res, sampler,
         notes=join_notes(note, "measured exactly as stated; no expected "

@@ -3,7 +3,8 @@
 that builds its values, and their canonical text."""
 
 from .expr import (ONE, ZERO, DomainError, Expr, ExprSyntaxError,
-                   UnknownSymbol, esum, eval_rational)
+                   UnknownSymbol, esum, eval_rational, live_slots,
+                   zero_row)
 from .parse import parse_expr, parse_tokens, tokenize
 from .poly import DivisionByZeroExpr, render
 
@@ -11,5 +12,5 @@ __all__ = [
     "Expr", "ZERO", "ONE",
     "ExprSyntaxError", "UnknownSymbol", "DivisionByZeroExpr", "DomainError",
     "parse_expr", "parse_tokens", "tokenize",
-    "eval_rational", "render", "esum",
+    "eval_rational", "render", "esum", "live_slots", "zero_row",
 ]

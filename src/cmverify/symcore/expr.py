@@ -4,16 +4,18 @@ An `Expr` is a `poly.RationalFunction`, the one value class of the
 kernel: one canonical quotient num/den over Q, whether it was parsed from
 text or built by operators.  Equality and hashing are those of the
 canonical form, and `render` prints it, so two equal Exprs print the
-same.  This module adds the parser's errors, `esum` and the one numeric
-path, `eval_rational`.
+same.  This module adds the parser's errors, `esum`, the shared
+`zero_row`, `live_slots` and the one numeric path, `eval_rational`.
 """
 from __future__ import annotations
+
+from functools import cache
 
 from .poly import _P_ONE, ONE, ZERO, Poly, RationalFunction, _coerce
 
 __all__ = [
     "Expr", "ZERO", "ONE", "ExprSyntaxError", "UnknownSymbol",
-    "DomainError", "eval_rational", "esum",
+    "DomainError", "eval_rational", "esum", "live_slots", "zero_row",
 ]
 
 Expr = RationalFunction
@@ -68,6 +70,46 @@ def esum(items) -> Expr:
         return ZERO if rest is None else rest
     acc = RationalFunction(Poly(terms), _P_ONE, reduced=True)
     return acc if rest is None else acc + rest
+
+
+@cache
+def zero_row(n: int) -> tuple:
+    """The one all-zero row of length n that table builders share, so a
+    builder can pass a structurally zero row on by identity."""
+    return (ZERO,) * n
+
+
+def live_slots(n: int, *terms) -> list:
+    """mask[l], for each slot l < n of a row of residual entries: whether
+    some term of the entry has every factor nonzero at l.  A term is a
+    tuple of factors, each an Expr, the same in every slot, or a sequence
+    of n Exprs; the shared `zero_row` is zero without being read.  Where
+    the mask is False every term has a zero factor, so the entry as
+    written is zero and builds nothing; a caller puts `ZERO` there and
+    calls no operator."""
+    zero = zero_row(n)
+    mask = [False] * n
+    for term in terms:
+        rows = []
+        for f in term:
+            if f.__class__ is not Expr:
+                if f is zero:
+                    break
+                rows.append(f)
+            elif not f.num.terms:
+                break
+        else:
+            if not rows:
+                return [True] * n
+            if len(rows) == 1:
+                for l, x in enumerate(rows[0]):
+                    if x.num.terms:
+                        mask[l] = True
+            else:
+                for l, xs in enumerate(zip(*rows)):
+                    if all([x.num.terms for x in xs]):
+                        mask[l] = True
+    return mask
 
 
 def eval_rational(e: Expr, bindings: dict):

@@ -1,11 +1,12 @@
 """The frame and curvature table builders build only the rows that can
-be nonzero.
+be nonzero, and the suites form only the residual entries that can be.
 
 Each builder is checked against a dense reference, a copy of the loop it
 replaced: every entry must be equal, and the kernel must do exactly the
 same work (the same RationalFunction constructions, Poly products, gcds
 and exact divisions), because each sum still gets the same nonzero
-summands in the same order.
+summands in the same order.  A residual entry whose every term has a
+zero factor is the shared `ZERO`, and no operator is called for it.
 """
 
 import hashlib
@@ -19,16 +20,19 @@ from types import SimpleNamespace
 import pytest
 
 import _geometry_cases as gc
-from cmverify import curvature
+from cmverify import cli, curvature
 from cmverify.contact import phi2_rows
 from cmverify.curvature import (nabla_riemann_table, ricci, riemann,
                                 riemann_on)
-from cmverify.frames import (compute_brackets, dot, frame_apply,
-                             koszul_connection, validate_frame, wedge,
-                             zero_row)
+from cmverify.frames import (compute_brackets,
+                             covariant_derivative_tensor02,
+                             covariant_derivative_tensor11,
+                             covariant_derivative_vector, dot, frame_apply,
+                             koszul_connection, matvec, validate_frame,
+                             wedge, zero_row)
 from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import ONE, ZERO, Expr, esum, render
-from cmverify.symcore.poly import Poly, RationalFunction
+from cmverify.symcore.poly import _P_ZERO, RationalFunction
 from cmverify.workspace import Workspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -201,21 +205,26 @@ def dense_wedge(a, b=None):
                  for i in range(dim))
 
 
-# --- kernel counts ---------------------------------------------------------
+def dense_covariant_derivative_tensor11(spec, gamma, i, t):
+    cols = [tuple(a - b for a, b in zip(
+                covariant_derivative_vector(spec, gamma, i, col),
+                matvec(t, gamma[i][j])))
+            for j, col in enumerate(zip(*t))]
+    return tuple(zip(*cols))
 
-@pytest.fixture
-def kernel(monkeypatch):
-    """Counter of the kernel calls made since it was last cleared."""
-    poly = sys.modules["cmverify.symcore.poly"]
-    counts = Counter()
-    for owner, name in ((RationalFunction, "__init__"), (Poly, "__mul__"),
-                        (poly, "poly_gcd"), (poly, "poly_divexact")):
-        def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(owner, name, counted)
-    return counts
 
+def dense_covariant_derivative_tensor02(spec, gamma, i, t):
+    dim = spec.dim
+    gi = gamma[i]
+    cols = tuple(zip(*t))
+    return tuple(
+        tuple(frame_apply(spec, i, t[j][k]) - dot(gi[j], cols[k])
+              - dot(gi[k], t[j])
+              for k in range(dim))
+        for j in range(dim))
+
+
+# --- kernel counts (the `kernel` fixture is in conftest.py) -------------
 
 def _same(kernel, seen, dense, sparse, *args):
     """Run both builders on `args`; every entry and every kernel count
@@ -397,3 +406,142 @@ def test_wedge_matches_dense_reference_on_random_frames(monkeypatch):
             for b in (None, act, tuple(zip(*act)), spec.metric):
                 products += _check_wedge(monkeypatch, a, b)
     assert products
+
+
+def _check_derivatives(kernel, spec, conn, ops, forms) -> Counter:
+    """nabla_{E_i} of each (1,1) operator in `ops` and each (0,2) table
+    in `forms`, for every direction i, against the dense references."""
+    seen = Counter()
+    for i in range(spec.dim):
+        for t in ops:
+            _same(kernel, seen, dense_covariant_derivative_tensor11,
+                  covariant_derivative_tensor11, spec, conn, i, t)
+        for t in forms:
+            _same(kernel, seen, dense_covariant_derivative_tensor02,
+                  covariant_derivative_tensor02, spec, conn, i, t)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["heis5", "asym3"])
+def test_covariant_derivatives_match_dense_reference_on_specs(kernel, name):
+    ws = Workspace(load_spec(SPECS[name]))
+    ops = [ws.cs.phi] + [h for _, h in ws.variants]
+    forms = [ws.spec.metric, ws.ric.S, ws.g_phi]
+    seen = _check_derivatives(kernel, ws.spec, ws.conn, ops, forms)
+    assert seen["__init__"] and seen["__mul__"]
+
+
+def test_covariant_derivatives_match_dense_reference_on_random_frames(
+        kernel):
+    seen = Counter()
+    for seed in range(6):
+        spec = gc.random_spec(seed, 5, 0.3)
+        rep = validate_frame(spec)
+        conn = koszul_connection(spec, compute_brackets(spec, rep.a_inv),
+                                 rep.ginv)
+        act = spec.act
+        seen += _check_derivatives(kernel, spec, conn,
+                                   [act, tuple(zip(*act))],
+                                   [spec.metric, act])
+    assert seen["__init__"] and seen["__mul__"]
+
+
+# The residual lists whose entries are formed only where `live_slots`
+# finds a term with no zero factor.
+SPARSE_CHECKS = ("I3.3", "I3.4", "I3.5", "I3.13", "T4.14", "T4.14.cond",
+                 "T4.17")
+OPERATORS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
+             "__neg__")
+
+
+def _record_residuals(path, patch) -> list:
+    """(check id, residual list) of each SPARSE_CHECKS list that `all`
+    builds on `path`; `patch(module, name, value)` installs the
+    recorders."""
+    lists = []
+    for mod in (sys.modules["cmverify.nullity"],
+                sys.modules["cmverify.recurrence"]):
+        # the residual list is argument 1 of residual_check and 2 of
+        # param_check
+        for name, at in (("residual_check", 0), ("param_check", 1)):
+            def recorded(check_id, *args, _fn=getattr(mod, name), _at=at,
+                         **kwargs):
+                if check_id in SPARSE_CHECKS:
+                    lists.append((check_id, args[_at]))
+                return _fn(check_id, *args, **kwargs)
+            patch(mod, name, recorded)
+    cli.run(["all", str(path)])
+    return lists
+
+
+def _structural_oracle(patch):
+    """Evaluate every entry as written and track which values some term
+    with no zero factor reaches: a nonzero value, or a zero that a sum or
+    difference of such values cancels to (kept as a fresh zero so that
+    `ZERO` itself never carries the mark).  Returns the test `dead(v)`:
+    v is zero and no such term reached it."""
+    reached = {}
+
+    def live(v):
+        return bool(v.num.terms) or id(v) in reached
+
+    for name in ("__add__", "__radd__", "__sub__"):
+        def tracked(a, b, _op=getattr(RationalFunction, name)):
+            result = _op(a, b)
+            if not result.num.terms and (
+                    live(a) or (isinstance(b, RationalFunction) and live(b))):
+                if result is ZERO:
+                    result = RationalFunction(_P_ZERO)
+                reached[id(result)] = result
+            return result
+        patch(RationalFunction, name, tracked)
+    for mod in ("frames", "contact", "linalg", "nullity", "recurrence"):
+        patch(sys.modules[f"cmverify.{mod}"], "live_slots",
+              lambda n, *terms: [True] * n)
+    return lambda v: not live(v)
+
+
+@pytest.mark.parametrize("path", [HEIS7, SPECS["asym3"], UNI3],
+                         ids=["heis7", "asym3", "uni3"])
+def test_structurally_zero_residual_entries_are_shared_zero(capsys,
+                                                             monkeypatch,
+                                                             path):
+    with monkeypatch.context() as m:
+        dead = _structural_oracle(m.setattr)
+        dense = _record_residuals(path, m.setattr)
+        dead_slots = [[dead(e) for _, e in res] for _, res in dense]
+    # Each operator below returns a fresh zero in place of `ZERO`, so an
+    # entry that is `ZERO` was formed by no operator.
+    zero_operands = Counter()
+    for name in OPERATORS:
+        def counted(*args, _name=name, _op=getattr(RationalFunction, name)):
+            if any(not a.num.terms if isinstance(a, RationalFunction)
+                   else a == 0 for a in args):
+                zero_operands[_name] += 1
+            result = _op(*args)
+            return RationalFunction(_P_ZERO) if result is ZERO else result
+        monkeypatch.setattr(RationalFunction, name, counted)
+    sparse = _record_residuals(path, monkeypatch.setattr)
+    capsys.readouterr()
+    assert [c for c, _ in sparse] == [c for c, _ in dense]
+    assert {c for c, _ in sparse} == set(SPARSE_CHECKS)
+    for (check_id, res), (_, want), dead_res in zip(sparse, dense,
+                                                    dead_slots):
+        assert res == want, check_id
+        assert all(e is ZERO for (_, e), d in zip(res, dead_res) if d), \
+            check_id
+    assert sum(map(sum, dead_slots)) > sum(map(len, dead_slots)) // 2
+    if path == HEIS7:
+        # `all heis7` made 59,120 operator calls with a zero operand when
+        # every entry was formed; 14,094 once only live entries are.
+        assert 0 < sum(zero_operands.values()) <= 15_000
+
+
+def test_solve_recurrence_builds_only_the_tables_it_reads(capsys, kernel):
+    # `solve recurrence` reads k and mu, so of the tables of each h it
+    # builds only the two wedge tables of the nullity form; building
+    # them all made 186 values.
+    kernel.clear()
+    cli.run(["solve", "recurrence", "--kind", "full", "example3d"])
+    capsys.readouterr()
+    assert kernel["__init__"] == 152
