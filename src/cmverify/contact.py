@@ -21,10 +21,11 @@ from .frames import (
     matmul,
     matvec,
     nonzero_entries,
+    scaled_basis,
     wedge,
 )
-from .report import FAIL, PASS, CheckReport, residual_check
-from .symcore import ONE, ZERO, Expr, esum, live_slots
+from .report import FAIL, PASS, CheckReport, pair_residuals, residual_check
+from .symcore import ONE, ZERO, Expr, esum, lincomb
 
 HALF = Expr.const(Fraction(1, 2))
 
@@ -101,10 +102,10 @@ def h_variants(cs: ContactStructure, h_computed):
 
 class HTables:
     """The frame tables the suites build from one h operator: its products
-    with phi and its g-pairings, each indexed [i][j], and the two
-    `frames.wedge` tables of the (k, mu)-nullity form, indexed [i][j][l].
-    Each is built on first use, so a command builds only the ones its
-    suites read."""
+    with phi and its g-pairings, each indexed [i][j], and the
+    `frames.wedge` table of the (k, mu)-nullity form that depends on h,
+    indexed [i][j][l].  Each is built on first use, so a command builds
+    only the ones its suites read."""
 
     def __init__(self, g, cs: ContactStructure, h):
         self.g, self.cs, self.h = g, cs, h
@@ -112,10 +113,9 @@ class HTables:
     @cached_property
     def idh(self):
         """X -> X + hX"""
-        h = self.h
-        return tuple(tuple((ONE if i == j else ZERO) + x
-                           for j, x in enumerate(row))
-                     for i, row in enumerate(h))
+        dim = len(self.h)
+        return tuple(lincomb(dim, [(1, scaled_basis(dim, i, ONE)), (1, row)])
+                     for i, row in enumerate(self.h))
 
     @cached_property
     def phih(self):
@@ -176,11 +176,6 @@ class HTables:
         return frame_pairing(self.phih, self.g, None)
 
     @cached_property
-    def wedge_eta(self):
-        """eta(E_j) E_i - eta(E_i) E_j"""
-        return wedge(self.cs.eta)
-
-    @cached_property
     def wedge_eta_h(self):
         """eta(E_j) h E_i - eta(E_i) h E_j"""
         return wedge(self.cs.eta, self.h)
@@ -206,8 +201,8 @@ def lie_xi_g(nabla_eta):
 def phi2_rows(cs: ContactStructure, rows) -> list:
     """phi^2 v = eta(v) xi - v for each row v of frame components, with
     eta(v) summed over the frame indices where eta is nonzero only; a
-    zero row projects to itself, and a component where xi^l eta(v) and
-    v^l are both zero is `ZERO`."""
+    zero row projects to itself, and a component where v^l and a factor
+    of xi^l eta(v) are zero is `ZERO`."""
     eta = nonzero_entries(cs.eta)
     xi = cs.xi
     out = []
@@ -216,8 +211,9 @@ def phi2_rows(cs: ContactStructure, rows) -> list:
             out.append(v)
             continue
         e = esum([c * v[m] for m, c in eta])
-        out.append(tuple([x * e - c if m else ZERO for c, x, m
-                          in zip(v, xi, live_slots(len(v), (xi, e), (v,)))]))
+        live = e.num.terms
+        out.append(tuple([x * e - c if c.num.terms or (live and x.num.terms)
+                          else ZERO for c, x in zip(v, xi)]))
     return out
 
 
@@ -263,47 +259,45 @@ def axiom_suite(ws):
     h_comp = ws.h_computed
     reports = []
 
-    res = [(f"(E{i + 1},E{j + 1})", deta[i][j] - ws.g_phi[i][j])
-           for i in range(dim) for j in range(i + 1, dim)]
+    res = pair_residuals(dim, lambda i: [(1, deta[i]), (-1, ws.g_phi[i])], 1)
     reports.append(residual_check(
         "I2.1", res, sampler,
         notes="d-eta(X,Y) - g(X, phi Y); eta = g(., xi) holds by "
               "construction"))
 
     res = [("phi xi", c) for c in matvec(phi, xi)]
-    res += [(f"eta(phi E{j + 1})", dot(eta, col))
-            for j, col in enumerate(zip(*phi))]
-    phi2 = matmul(phi, phi)
-    for j in range(dim):
-        res += [(f"phi^2 E{j + 1}",
-                 phi2[l][j] + (ONE if l == j else ZERO) - xi[l] * eta[j])
-                for l in range(dim)]
+    res += [(f"eta(phi E{j + 1})", c)
+            for j, c in enumerate(lincomb(dim, zip(eta, phi)))]
+    minus_xi = lincomb(dim, [(-1, xi)])
+    for j, col in enumerate(zip(*matmul(phi, phi))):
+        res += [(f"phi^2 E{j + 1}", c) for c in lincomb(dim, [
+            (1, col), (1, scaled_basis(dim, j, ONE)), (eta[j], minus_xi)])]
     reports.append(residual_check(
         "I2.2", res, sampler,
         notes="phi xi = 0, eta(phi X) = 0, phi^2 = -Id + eta (x) xi"))
 
     g_phi_phi = frame_pairing(phi, g, phi)
-    res = [(f"(E{i + 1},E{j + 1})",
-            g_phi_phi[i][j] - g[i][j] + eta[i] * eta[j])
-           for i in range(dim) for j in range(i, dim)]
+    res = pair_residuals(
+        dim, lambda i: [(1, g_phi_phi[i]), (-1, g[i]), (eta[i], eta)], 0)
     reports.append(residual_check(
         "I2.3", res, sampler,
         notes="g(phi X, phi Y) - g(X,Y) + eta(X) eta(Y)"))
 
     variants = [(label, h, ws.h_tables(h)) for label, h in ws.variants]
     for label, _, t in variants:
-        # nabla_{E_i} xi - (-phi E_i - phi h E_i), per component
-        res = [(f"W=E{i + 1}",
-                ws.nabla_xi[i][l] - (-phi[l][i] - t.phih[l][i]))
-               for i in range(dim) for l in range(dim)]
+        # nabla_{E_i} xi + phi E_i + phi h E_i, per component
+        res = [(f"W=E{i + 1}", c)
+               for i, cols in enumerate(zip(ws.nabla_xi, zip(*phi),
+                                            zip(*t.phih)))
+               for c in lincomb(dim, [(1, col) for col in cols])]
         reports.append(residual_check(
             "I2.4", res, sampler,
             notes=f"nabla_X xi + phi X + phi h X; h = {label}"))
 
     for label, h, t in variants:
         reports.append(residual_check(
-            "H1", [("h phi + phi h", t.hphi[i][j] + t.phih[i][j])
-                   for i in range(dim) for j in range(dim)],
+            "H1", [("h phi + phi h", c) for rows in zip(t.hphi, t.phih)
+                   for c in lincomb(dim, [(1, row) for row in rows])],
             sampler, notes=f"h = {label}"))
         reports.append(residual_check(
             "H2", [("h xi", c) for c in matvec(h, xi)],
@@ -312,16 +306,16 @@ def axiom_suite(ws):
             "H3", [("trace h", esum(h[i][i] for i in range(dim))),
                    ("trace phi h", esum(t.phih[i][i] for i in range(dim)))],
             sampler, notes=f"h = {label}"))
-        res = [(f"(E{i + 1},E{j + 1})", t.g_h[i][j] - t.g_e_h[i][j])
-               for i in range(dim) for j in range(i + 1, dim)]
+        res = pair_residuals(
+            dim, lambda i: [(1, t.g_h[i]), (-1, t.g_e_h[i])], 1)
         reports.append(residual_check(
             "H4", res, sampler, notes=f"g(hX,Y) - g(X,hY); h = {label}"))
 
     if cs.h_declared is not None:
         reports.append(residual_check(
             "H-COMP",
-            [(f"(E{i + 1},E{j + 1})", cs.h_declared[i][j] - h_comp[i][j])
-             for i in range(dim) for j in range(dim)],
+            pair_residuals(dim, lambda i: [(1, cs.h_declared[i]),
+                                           (-1, h_comp[i])]),
             sampler,
             notes="declared h minus (1/2) Lie_xi phi",
             pass_notes="declared h matches the computed operator"))

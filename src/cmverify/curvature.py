@@ -11,25 +11,19 @@ from functools import partial
 from .frames import (FrameSpec, covariant_derivative_tensor02,
                      covariant_derivative_vector, nonzero_entries, wedge,
                      zero_row)
-from .symcore import ZERO, Expr, esum
+from .symcore import ZERO, Expr, esum, lincomb
 
 
 def _skew_planes(dim: int, plane):
     """table[i][j] of a tensor skew in (i, j), from `plane(i, j)` for
-    i < j only: the diagonal is zero and j < i is the negation, which
-    passes the shared zero row on as it is and negates only the nonzero
-    entries of the other rows."""
-    zero = zero_row(dim)
-    zero_plane = (zero,) * dim
+    i < j only: the diagonal is zero and j < i is the negation."""
+    zero_plane = (zero_row(dim),) * dim
     table = [[zero_plane] * dim for _ in range(dim)]
     for i in range(dim):
         for j in range(i + 1, dim):
             p = plane(i, j)
             table[i][j] = p
-            table[j][i] = tuple(
-                row if row is zero
-                else tuple([-x if x.num.terms else ZERO for x in row])
-                for row in p)
+            table[j][i] = tuple(lincomb(dim, [(-1, row)]) for row in p)
     return tuple(tuple(row) for row in table)
 
 
@@ -51,38 +45,22 @@ def riemann(spec: FrameSpec, gamma, brackets):
     return _skew_planes(dim, plane)
 
 
-def _contract(plane, live, zero):
-    """sum_k z^k plane[k] over the nonzero components (k, z^k) in `live`;
-    `zero`, the shared zero row, when no term is nonzero."""
-    comps = [[] for _ in zero]
-    for k, c in live:
-        for l, x in nonzero_entries(plane[k]):
-            comps[l].append(c * x)
-    return tuple(map(esum, comps)) if any(comps) else zero
-
-
 def riemann_apply(r_table, x, y, z):
     """R(X,Y)Z for arbitrary vectors, multilinear over components: the
-    rows R(E_i,E_j)Z weighted by x^i y^j, contracted only where x^i y^j
-    is nonzero.  `r_table` is any table indexed like R, such as G."""
-    live, zero = nonzero_entries(z), zero_row(len(z))
-    comps = [[] for _ in z]
-    for i, xi in nonzero_entries(x):
-        for j, yj in nonzero_entries(y):
-            rz = _contract(r_table[i][j], live, zero)
-            for l, c in nonzero_entries(rz):
-                comps[l].append(xi * yj * c)
-    return tuple(map(esum, comps))
+    rows R(E_i,E_j)Z weighted by x^i y^j, only where x^i y^j is nonzero.
+    `r_table` is any table indexed like R, such as G."""
+    n = len(z)
+    return lincomb(n, [(xi * yj, lincomb(n, zip(z, r_table[i][j])))
+                       for i, xi in nonzero_entries(x)
+                       for j, yj in nonzero_entries(y)])
 
 
 def riemann_on(table, z):
     """R(E_i,E_j)Z for every frame pair, indexed [i][j][l]; `table` is the
-    R table or one direction's plane nr_table[w] of the nabla R table.
-    Only the rows of the nonzero components of z are read, and a pair
-    whose rows are all zero gives the shared zero row."""
-    live, zero = nonzero_entries(z), zero_row(len(z))
-    return tuple(tuple(_contract(plane, live, zero) for plane in row)
-                 for row in table)
+    R table or one direction's plane nr_table[w] of the nabla R table."""
+    n, live = len(z), nonzero_entries(z)
+    return tuple(tuple(lincomb(n, [(c, plane[k]) for k, c in live])
+                       for plane in row) for row in table)
 
 
 def nabla_riemann(nr_table, w: int, x, y, z):

@@ -16,6 +16,8 @@ two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
 (1,1) operator to a vector (T v) or a (0,2) table to its second slot
 (g(E_i, v), which lowers an index); `matmul` composes two operators;
 `wedge` builds the skew tables a(Y)BX - a(X)BY of the nullity form.
+A row that is a sum of rows scaled by coefficients is built by
+`symcore.lincomb`, which forms only products of two nonzero factors.
 Checks read frame components by index: g(E_i, E_j) is metric[i][j], and
 a value such as g(h E_i, phi E_j) is entry [i][j] of
 `frame_pairing(h, metric, phi)`.
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .linalg import mat_inv
-from .symcore import ZERO, Expr, esum, live_slots, render, zero_row
+from .symcore import ZERO, Expr, esum, lincomb, render, zero_row
 
 
 class FrameDependent(ValueError):
@@ -159,11 +161,9 @@ def compute_brackets(spec: FrameSpec, a_inv):
         row = []
         for j in range(dim):
             # [E_i, E_j] = sum_m w^m d/dx_m expressed back through the frame
-            w = nonzero_entries(
-                [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
-                 for m in range(dim)])
-            row.append(tuple(esum([c * a_inv[m][k] for m, c in w])
-                             for k in range(dim)) if w else zero_row(dim))
+            w = [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
+                 for m in range(dim)]
+            row.append(lincomb(dim, zip(w, a_inv)))
         c.append(tuple(row))
     return tuple(c)
 
@@ -250,29 +250,32 @@ def metric_inverse(spec: FrameSpec):
 
 def outer(v, w):
     """The operator X -> w(X) v, for a vector v and a 1-form w."""
-    return tuple(tuple(x * c for c in w) for x in v)
+    return tuple(lincomb(len(w), [(x, w)]) for x in v)
+
+
+def scaled_basis(n: int, i: int, x) -> tuple:
+    """The n components of x E_i."""
+    return tuple([x if l == i else ZERO for l in range(n)])
 
 
 def wedge(a, b=None):
     """a(E_j)(B E_i) - a(E_i)(B E_j), indexed [i][j][l], for a 1-form a
     and a (1,1) operator b; None is the identity.  This is the skew form
-    a(Y)BX - a(X)BY of the (k, mu)-nullity condition.  Only products of
-    a nonzero a(E_j) and a nonzero (B E_i)^l are formed, and a pair with
-    no nonzero entry is the shared zero row."""
+    a(Y)BX - a(X)BY of the (k, mu)-nullity condition.  Row [j][i] is the
+    negation of row [i][j]."""
     dim = len(a)
-    cols = ([[(i, None)] for i in range(dim)] if b is None
-            else [nonzero_entries(col) for col in zip(*b)])
+    cols = None if b is None else tuple(zip(*b))
     table = [[zero_row(dim)] * dim for _ in range(dim)]
-    for i in range(dim):
+    for i in range(dim - 1):
+        minus_ai = -a[i]
         for j in range(i + 1, dim):
-            comps = [[] for _ in range(dim)]
-            for c, col in ((a[j], cols[i]), (-a[i], cols[j])):
-                if c.num.terms:
-                    for l, x in col:
-                        comps[l].append(c if x is None else c * x)
-            row = tuple([esum(p) if p else ZERO for p in comps])
-            if any([x.num.terms for x in row]):
-                table[i][j], table[j][i] = row, tuple([-x for x in row])
+            if b is None:
+                terms = [(1, scaled_basis(dim, i, a[j])),
+                         (1, scaled_basis(dim, j, minus_ai))]
+            else:
+                terms = [(a[j], cols[i]), (minus_ai, cols[j])]
+            table[i][j] = lincomb(dim, terms)
+            table[j][i] = lincomb(dim, [(-1, table[i][j])])
     return tuple(map(tuple, table))
 
 
@@ -315,50 +318,36 @@ def koszul_connection(spec: FrameSpec, brackets, ginv):
 
 
 def covariant_derivative_vector(spec: FrameSpec, gamma, i: int, v):
-    """nabla_{E_i} v for a vector v, summing over the nonzero v[a] and
-    gamma[i][a][k] only; a zero v gives the shared zero row."""
-    live = nonzero_entries(v)
-    if not live:
-        return zero_row(spec.dim)
-    comps = [[] for _ in v]
-    for a, c in live:
-        for k, gk in nonzero_entries(gamma[i][a]):
-            comps[k].append(c * gk)
-    return tuple([(frame_apply(spec, i, vk) + esum(p)) if vk.num.terms
-                  else (esum(p) if p else ZERO) for vk, p in zip(v, comps)])
+    """nabla_{E_i} v for a vector v: E_i(v^k) plus the connection terms
+    v^a gamma[i][a][k], summed over the nonzero factors only."""
+    conn = lincomb(spec.dim, zip(v, gamma[i]))
+    return tuple([frame_apply(spec, i, vk) + c if vk.num.terms else c
+                  for vk, c in zip(v, conn)])
 
 
 def covariant_derivative_tensor11(spec: FrameSpec, gamma, i: int, t):
     """nabla_{E_i} t for a (1,1) operator t: column j is
-    nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j), with t applied over the
-    nonzero gamma[i][j][m] only, and subtracted only where either side is
-    nonzero."""
+    nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j), subtracted only where either
+    side is nonzero."""
     cols = []
     for j, col in enumerate(zip(*t)):
         a = covariant_derivative_vector(spec, gamma, i, col)
-        live = nonzero_entries(gamma[i][j])
-        b = [esum([x * c for m, c in live if (x := row[m]).num.terms])
-             for row in t]
-        cols.append(tuple([x - y if m else ZERO for x, y, m
-                           in zip(a, b, live_slots(len(a), (a,), (b,)))]))
+        b = matvec(t, gamma[i][j])
+        cols.append(tuple([x - y if x.num.terms or y.num.terms else ZERO
+                           for x, y in zip(a, b)]))
     return tuple(zip(*cols))
 
 
 def covariant_derivative_tensor02(spec: FrameSpec, gamma, i: int, t):
     """nabla_{E_i} t for a (0,2) table t: entry [j][k] is
-    E_i(t[j][k]) - t(nabla_{E_i} E_j, E_k) - t(E_j, nabla_{E_i} E_k), each
-    contraction summed over the nonzero gamma[i][j][m] t[m][k] or
-    gamma[i][k][m] t[j][m] only, and the entry formed only where one of
-    the three is nonzero."""
-    dim = spec.dim
-    live = [nonzero_entries(row) for row in gamma[i]]
+    E_i(t[j][k]) - t(nabla_{E_i} E_j, E_k) - t(E_j, nabla_{E_i} E_k),
+    formed only where one of the three is nonzero."""
     out = []
     for j, row in enumerate(t):
         d = [frame_apply(spec, i, x) for x in row]
-        a = [esum([c * t[m][k] for m, c in live[j] if t[m][k].num.terms])
-             for k in range(dim)]
-        b = [esum([c * row[m] for m, c in live[k] if row[m].num.terms])
-             for k in range(dim)]
-        out.append(tuple([x - y - z if m else ZERO for x, y, z, m
-                          in zip(d, a, b, live_slots(dim, (d,), (a,), (b,)))]))
+        a = lincomb(spec.dim, zip(gamma[i][j], t))
+        b = matvec(gamma[i], row)
+        out.append(tuple([x - y - z if x.num.terms or y.num.terms
+                          or z.num.terms else ZERO
+                          for x, y, z in zip(d, a, b)]))
     return tuple(out)

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .symcore import ONE, ZERO, Expr, live_slots, render
+from .symcore import ONE, ZERO, Expr, render
 
 
 def mat_inv(m):
@@ -55,10 +55,10 @@ def solve_two_unknowns(rows) -> TwoUnknownSolution:
 
     def finish(alpha, beta, kernel):
         # a row whose every term has a zero factor has no defect to form
-        ca, cb, rhs = zip(*rows) if rows else ((), (), ())
-        mask = live_slots(len(rows), (rhs,), (ca, alpha), (cb, beta))
-        defects = (r - a * alpha - b * beta
-                   for a, b, r, m in zip(ca, cb, rhs, mask) if m)
+        a_live, b_live = alpha.num.terms, beta.num.terms
+        defects = (r - a * alpha - b * beta for a, b, r in rows
+                   if r.num.terms or (a_live and a.num.terms)
+                   or (b_live and b.num.terms))
         worst = next((r for r in defects if not r.is_zero), None)
         if worst is None:
             status = "unique" if kernel == "" else "underdetermined"

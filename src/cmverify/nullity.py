@@ -13,16 +13,16 @@ from itertools import permutations
 from .curvature import riemann_on
 from .frames import (
     covariant_derivative_tensor11,
-    dot,
     frame_pairing,
     matmul,
     outer,
+    scaled_basis,
     wedge,
 )
 from .linalg import solve_two_unknowns
 from .report import (FAIL, NEEDS_INPUT, PASS, CheckReport, join_notes,
-                     residual_check)
-from .symcore import ONE, ZERO, Expr, live_slots
+                     pair_residuals, residual_check)
+from .symcore import ONE, Expr, lincomb
 
 K_NAME = "k"
 MU_NAME = "mu"
@@ -41,14 +41,14 @@ class NullityParams:
     kernel: str = ""
 
 
-def extract_k_mu(r_xi, t) -> NullityParams:
+def extract_k_mu(r_xi, wedge_eta, wedge_eta_h) -> NullityParams:
     """Solve R(E_i,E_j)xi = k [eta(E_j)E_i - eta(E_i)E_j]
     + mu [eta(E_j) h E_i - eta(E_i) h E_j] exactly over all pairs i < j
     and components l, from the table r_xi[i][j][l] of R(E_i,E_j)xi and
-    the two wedge tables of the `contact.HTables` t of h."""
+    the two wedge tables, of eta and of eta and h."""
     dim = len(r_xi)
     rows = [row for i in range(dim) for j in range(i + 1, dim)
-            for row in zip(t.wedge_eta[i][j], t.wedge_eta_h[i][j], r_xi[i][j])
+            for row in zip(wedge_eta[i][j], wedge_eta_h[i][j], r_xi[i][j])
             if any([c.num.terms for c in row])]
     if not rows:
         return NullityParams(None, None, "underdetermined",
@@ -133,7 +133,8 @@ def param_check(check_id, params: NullityParams, residuals, sampler=None,
 
 
 def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
-    """Checks I3.1 through I3.13 for one h choice."""
+    """Checks I3.1 through I3.13 for one h choice.  Each residual row is
+    one `lincomb` of the terms of its relation."""
     spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
     r_table, nr_xi, ric = ws.r_table, ws.nr_xi, ws.ric
     t = ws.h_tables(h)
@@ -141,95 +142,86 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     n = spec.n
     g = spec.metric
     xi, eta, phi = cs.xi, cs.eta, cs.phi
-    g_phi, g_h, g_hphi = ws.g_phi, t.g_h, t.g_hphi
     k, mu = k_mu(params)
+    minus_k, minus_mu, one_k = -k, -mu, ONE - k
     note = f"h = {h_label}" if h_label else ""
     two_n = Expr.const(2 * n)
+    minus_xi, minus_eta = (lincomb(dim, [(-1, v)]) for v in (xi, eta))
+    mu_eta, two_n_k_eta = (lincomb(dim, [(c, eta)]) for c in (mu, two_n * k))
+    # c_i = (1 - k) g(E_i, phi .) + g(E_i, h phi .)
+    c_rows = [lincomb(dim, [(one_k, a), (1, b)])
+              for a, b in zip(ws.g_phi, t.g_hphi)]
     reports = []
 
-    res = [(f"(E{i + 1},E{j + 1})", c - (k * a + mu * b))
+    res = [(f"(E{i + 1},E{j + 1})", c)
            for i in range(dim) for j in range(i + 1, dim)
-           for a, b, c in zip(t.wedge_eta[i][j], t.wedge_eta_h[i][j],
-                              ws.r_xi[i][j])]
+           for c in lincomb(dim, [(1, ws.r_xi[i][j]),
+                                  (minus_k, ws.wedge_eta[i][j]),
+                                  (minus_mu, t.wedge_eta_h[i][j])])]
     reports.append(param_check("I3.1", params, res, sampler,
                                notes=join_notes(note, params.notes)))
 
-    lhs, f = matmul(h, h), k - ONE
-    rhs = [[f * c for c in row] for row in matmul(phi, phi)]
-    res = [(f"(E{i + 1},E{j + 1})", lhs[i][j] - rhs[i][j])
-           for i in range(dim) for j in range(dim)]
+    hh, phi2 = matmul(h, h), matmul(phi, phi)
+    res = pair_residuals(dim, lambda i: [(1, hh[i]), (one_k, phi2[i])])
     reports.append(param_check("I3.2", params, res, sampler, notes=note))
 
-    # each residual row below is indexed by l and has one label; an entry
-    # is formed only where `live_slots` finds a term with no zero factor
-    idh, h_phi_idh, phih = (tuple(zip(*m)) for m in (t.idh, t.h_phi_idh,
-                                                      t.phih))
-    res = []
-    for i in range(dim):
-        nabla_phi = zip(*covariant_derivative_tensor11(spec, conn, i, phi))
-        for j, col in enumerate(nabla_phi):
-            # (nabla_{E_i} phi) E_j - (g(E_i + h E_i, E_j) xi
-            #                          - eta(E_j)(E_i + h E_i))
-            a, e, x = t.g_idh[i][j], eta[j], idh[i]
-            label = f"(E{i + 1},E{j + 1})"
-            res += [(label, col[l] - (a * xi[l] - e * x[l]) if m else ZERO)
-                    for l, m in enumerate(live_slots(dim, (col,), (a, xi),
-                                                     (e, x)))]
+    # (nabla_{E_i} phi) E_j - g(E_i + hE_i, E_j) xi + eta(E_j)(E_i + hE_i)
+    idh, h_phi_idh, phih, h_cols = (tuple(zip(*m)) for m in (
+        t.idh, t.h_phi_idh, t.phih, h))
+    res = [(f"(E{i + 1},E{j + 1})", c) for i in range(dim)
+           for j, col in enumerate(zip(*covariant_derivative_tensor11(
+               spec, conn, i, phi)))
+           for c in lincomb(dim, [(1, col), (t.g_idh[i][j], minus_xi),
+                                  (eta[j], idh[i])])]
     reports.append(residual_check("I3.3", res, sampler, notes=note))
 
-    res = []
-    for i in range(dim):
-        nabla_h = zip(*covariant_derivative_tensor11(spec, conn, i, h))
-        mu_eta = mu * eta[i]
-        for j, col in enumerate(nabla_h):
-            coef = (ONE - k) * g_phi[i][j] + g_hphi[i][j]
-            e, x, y = eta[j], h_phi_idh[i], phih[j]
-            label = f"(E{i + 1},E{j + 1})"
-            res += [(label, col[l] - (coef * xi[l] + e * x[l]
-                                      - mu_eta * y[l]) if m else ZERO)
-                    for l, m in enumerate(live_slots(
-                        dim, (col,), (coef, xi), (e, x), (mu_eta, y)))]
+    res = [(f"(E{i + 1},E{j + 1})", c) for i in range(dim)
+           for j, col in enumerate(zip(*covariant_derivative_tensor11(
+               spec, conn, i, h)))
+           for c in lincomb(dim, [(1, col), (c_rows[i][j], minus_xi),
+                                  (minus_eta[j], h_phi_idh[i]),
+                                  (mu_eta[i], phih[j])])]
     reports.append(param_check("I3.4", params, res, sampler, notes=note))
 
-    res = []
-    for i in range(dim):
-        # column i of the operator k Id + mu h
-        k_mu_h = [k * (ONE if l == i else ZERO) + mu * h[l][i]
-                  for l in range(dim)]
-        for j in range(dim):
-            c_xi = k * g[i][j] + mu * g_h[i][j]
-            r, e = ws.r_of_xi[i][j], eta[j]
-            label = f"(E{i + 1},E{j + 1})"
-            res += [(label, r[l] - (c_xi * xi[l] - e * k_mu_h[l])
-                     if m else ZERO)
-                    for l, m in enumerate(live_slots(
-                        dim, (r,), (c_xi, xi), (e, k_mu_h)))]
+    # k g(E_i, .) + mu g(h E_i, .), and column i of k Id + mu h
+    c_xi = [lincomb(dim, [(k, a), (mu, b)]) for a, b in zip(g, t.g_h)]
+    k_mu_h = [lincomb(dim, [(1, scaled_basis(dim, i, k)), (mu, col)])
+              for i, col in enumerate(h_cols)]
+    res = [(f"(E{i + 1},E{j + 1})", c)
+           for i in range(dim) for j in range(dim)
+           for c in lincomb(dim, [(1, ws.r_of_xi[i][j]),
+                                  (c_xi[i][j], minus_xi),
+                                  (eta[j], k_mu_h[i])])]
     reports.append(param_check("I3.5", params, res, sampler, notes=note))
 
     # eta(X) g(Y, E_l) - eta(Y) g(X, E_l) = -wedge(eta, g); with hX, hY too
     wg, wgh = wedge(eta, g), wedge(eta, t.g_e_h)
-    res = [(f"(E{i + 1},E{j + 1},E{l + 1})", dot(eta, r_table[i][j][l])
-            + (k * wg[i][j][l] + mu * wgh[i][j][l]))
-           for i in range(dim) for j in range(i + 1, dim) for l in range(dim)]
+    res = [(f"(E{i + 1},E{j + 1},E{l + 1})", c)
+           for i in range(dim) for j in range(i + 1, dim)
+           for l, c in enumerate(lincomb(dim, [
+               *zip(eta, zip(*r_table[i][j])), (k, wg[i][j]),
+               (mu, wgh[i][j])]))]
     reports.append(param_check("I3.6", params, res, sampler, notes=note))
 
-    res = [(f"X=E{i + 1}", dot(ric.S[i], xi) - two_n * k * eta[i])
-           for i in range(dim)]
+    res = [(f"X=E{i + 1}", c) for i, c in enumerate(lincomb(
+        dim, [*zip(xi, zip(*ric.S)), (-1, two_n_k_eta)]))]
     reports.append(param_check("I3.7", params, res, sampler, notes=note))
 
     q_phi, phi_q = matmul(ric.Q, phi), matmul(phi, ric.Q)
     coef = Expr.const(2) * (Expr.const(2 * (n - 1)) + mu)
-    res = [(f"(E{i + 1},E{j + 1})",
-            q_phi[i][j] - phi_q[i][j] - coef * t.hphi[i][j])
-           for i in range(dim) for j in range(dim)]
+    minus_coef = -coef
+    res = pair_residuals(dim, lambda i: [(1, q_phi[i]), (-1, phi_q[i]),
+                                         (minus_coef, t.hphi[i])])
     reports.append(param_check("I3.8", params, res, sampler, notes=note))
 
+    # S - c1 g - c2 g(h., .) - c3 eta (x) eta
     c1 = Expr.const(2 * (n - 1)) - Expr.const(n) * mu
     c2 = Expr.const(2 * (n - 1)) + mu
     c3 = Expr.const(2 * (1 - n)) + Expr.const(n) * (Expr.const(2) * k + mu)
-    res = [(f"(E{i + 1},E{j + 1})", ric.S[i][j]
-            - (c1 * g[i][j] + c2 * g_h[i][j] + c3 * eta[i] * eta[j]))
-           for i in range(dim) for j in range(dim)]
+    minus_c1, minus_c2, minus_c3_eta = -c1, -c2, lincomb(dim, [(-c3, eta)])
+    res = pair_residuals(dim, lambda i: [(1, ric.S[i]), (minus_c1, g[i]),
+                                         (minus_c2, t.g_h[i]),
+                                         (minus_c3_eta[i], eta)])
     reports.append(param_check("I3.9", params, res, sampler, notes=note))
 
     rhs = two_n * (Expr.const(2 * n - 2) + k - Expr.const(n) * mu)
@@ -237,14 +229,13 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
                                sampler, notes=note))
 
     s_phi_phi = frame_pairing(phi, ric.S, phi)
-    res = [(f"(E{i + 1},E{j + 1})", s_phi_phi[i][j]
-            - (ric.S[i][j] - two_n * k * eta[i] * eta[j]
-               - Expr.const(2) * (Expr.const(2 * n - 2) + mu) * g_h[i][j]))
-           for i in range(dim) for j in range(dim)]
+    res = pair_residuals(dim, lambda i: [(1, s_phi_phi[i]), (-1, ric.S[i]),
+                                         (two_n_k_eta[i], eta),
+                                         (coef, t.g_h[i])])
     reports.append(param_check("I3.11", params, res, sampler, notes=note))
 
-    res = [(f"(E{i + 1},E{j + 1})", ws.nabla_eta[i][j] - t.g_idh_phi[i][j])
-           for i in range(dim) for j in range(dim)]
+    res = pair_residuals(dim, lambda i: [(1, ws.nabla_eta[i]),
+                                         (-1, t.g_idh_phi[i])])
     reports.append(residual_check(
         "I3.12", res, sampler,
         notes=join_notes(note, "stated relation lacks the second argument; "
@@ -253,23 +244,19 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     # R(E_i,E_j)(phi W + phi h W), indexed [w][i][j][l]
     r_phi_idh = [riemann_on(r_table, col) for col in zip(*t.phi_idh)]
     w_phih = wedge(eta, t.phih)
+    mu2_eta = lincomb(dim, [(mu * mu, eta)])
     res = []
     for w in range(dim):
-        # a_W = g(W + hW, phi .) and c_W = (1 - k) g(W, phi .) + g(W, h phi .)
+        # wedges of a_W = g(W + hW, phi .), and of eta and xi (x) c_W
         a_w = t.g_idh_phi[w]
-        c_w = [(ONE - k) * x + y for x, y in zip(g_phi[w], g_hphi[w])]
-        wa, wah, wc = wedge(a_w), wedge(a_w, h), wedge(eta, outer(xi, c_w))
-        mu_ew = mu * eta[w]
-        for i, j in permutations(range(dim), 2):
-            nr, a, ah, c = nr_xi[w][i][j], wa[i][j], wah[i][j], wc[i][j]
-            y, r = w_phih[i][j], r_phi_idh[w][i][j]
-            label = f"(E{w + 1};E{i + 1},E{j + 1})"
-            res += [(label, nr[l] - (k * a[l] + mu * (ah[l] + c[l]
-                                                      - mu_ew * y[l])
-                                     + r[l]) if m else ZERO)
-                    for l, m in enumerate(live_slots(
-                        dim, (nr,), (k, a), (mu, ah), (mu, c),
-                        (mu, mu_ew, y), (r,)))]
+        wa, wah = wedge(a_w), wedge(a_w, h)
+        wc = wedge(eta, outer(xi, c_rows[w]))
+        res += [(f"(E{w + 1};E{i + 1},E{j + 1})", c)
+                for i, j in permutations(range(dim), 2)
+                for c in lincomb(dim, [
+                    (1, nr_xi[w][i][j]), (minus_k, wa[i][j]),
+                    (minus_mu, wah[i][j]), (minus_mu, wc[i][j]),
+                    (mu2_eta[w], w_phih[i][j]), (-1, r_phi_idh[w][i][j])])]
     reports.append(param_check("I3.13", params, res, sampler, notes=note))
     return reports
 

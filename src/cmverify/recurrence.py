@@ -17,7 +17,7 @@ from .linalg import solve_two_unknowns
 from .nullity import NullityParams, k_mu, param_check
 from .report import (DEGENERATE, FAIL, PASS, CheckReport, join_notes,
                      residual_check)
-from .symcore import ONE, ZERO, Expr, live_slots, parse_expr
+from .symcore import ONE, ZERO, Expr, lincomb, parse_expr
 
 KINDS = ("full", "ricci", "phi")
 
@@ -139,6 +139,9 @@ def recurrence_report(sol: RecurrenceSolution, sampler=None) -> CheckReport:
 
 def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
                    h_label="") -> list:
+    """Checks T4.7 through T4.17 for one h choice, on the A and B of
+    `sol`.  Each residual row is one `lincomb` of the terms of its
+    relation."""
     spec, cs, sampler = ws.spec, ws.cs, ws.sampler
     ric, nabla_s, t = ws.ric, ws.nabla_s, ws.h_tables(h)
     dim = spec.dim
@@ -148,61 +151,56 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
     a_w, b_w = sol.A, sol.B
     eta_h, g_h = t.eta_h, t.g_h
     k, mu = k_mu(params)
+    minus_k, minus_mu, one_k, k_1 = -k, -mu, ONE - k, k - ONE
     note = f"h = {h_label}" if h_label else ""
     two_n = Expr.const(2 * n)
     two = Expr.const(2)
     reports = []
 
-    res = [(f"W=E{w + 1}", k * a_w[w] + b_w[w]) for w in range(dim)]
+    res = [(f"W=E{w + 1}", c)
+           for w, c in enumerate(lincomb(dim, [(k, a_w), (1, b_w)]))]
     reports.append(param_check("T4.7", params, res, sampler,
                                notes=join_notes(note, "k A(W) + B(W)")))
 
-    res = []
+    # k S(Y, W) - 2n k^2 g(Y, W) - 2k c2 g(hY, W)
+    #           + 2(k - 1) c2 eta(hY) eta(W)
     c2 = Expr.const(2 * n - 2) + mu
-    for j in range(dim):
-        for w in range(dim):
-            lhs = k * ric.S[j][w]
-            rhs = (two_n * k * k * g[j][w]
-                   + two * k * c2 * g_h[j][w]
-                   - two * (k - ONE) * c2 * eta[w] * eta_h[j])
-            res.append((f"(Y=E{j + 1},W=E{w + 1})", lhs - rhs))
+    c_g, c_gh = -(two_n * k * k), -(two * k * c2)
+    c_eta = lincomb(dim, [(two * k_1 * c2, eta_h)])
+    res = [(f"(Y=E{j + 1},W=E{w + 1})", c) for j in range(dim)
+           for w, c in enumerate(lincomb(dim, [
+               (k, ric.S[j]), (c_g, g[j]), (c_gh, g_h[j]),
+               (c_eta[j], eta)]))]
     reports.append(param_check(
         "T4.9b", params, res, sampler,
         notes=join_notes(note, "stated with mismatched arguments; measured "
                                "with W in both slots")))
 
-    q_cols, h_cols = tuple(zip(*ric.Q)), tuple(zip(*h))
+    # 2 A(QW) - [r - 2n(2n-1)] A(W) - mu A(hW)
     coef = ric.r - two_n * Expr.const(2 * n - 1)
-    res = [(f"W=E{w + 1}", two * dot(a_w, q_cols[w]) - coef * a_w[w]
-            - mu * dot(a_w, h_cols[w]))
-           for w in range(dim)]
+    res = [(f"W=E{w + 1}", c) for w, c in enumerate(lincomb(dim, [
+        (two, lincomb(dim, zip(a_w, ric.Q))), (-coef, a_w),
+        (minus_mu, lincomb(dim, zip(a_w, h)))]))]
     reports.append(param_check("T4.12", params, res, sampler, notes=note))
 
-    # the bracketed term of T4.14, indexed [w][j][l]; here and below an
-    # entry is formed only where `live_slots` finds a term with no zero
-    # factor
+    # the bracketed term of T4.14, indexed [w][j][l]: brace(W, E_j) eta
+    # - A(W) h E_j + mu eta(W) phi h E_j lowered, with brace(W, Y) = A(W)
+    # eta(hY) - (1 - k) g(W, phi Y) - g(W, h phi Y) + g(hY, phi(W + hW))
+    minus_a, mu_eta = lincomb(dim, [(-1, a_w)]), lincomb(dim, [(mu, eta)])
+    two_n_k_a = lincomb(dim, [(two_n * k, a_w)])
+    g_h_phi_idh = tuple(zip(*t.g_h_phi_idh))
     cond = []
     for w in range(dim):
-        plane = []
-        for j in range(dim):
-            brace = (a_w[w] * eta_h[j] - (ONE - k) * ws.g_phi[w][j]
-                     - t.g_hphi[w][j] + t.g_h_phi_idh[j][w])
-            a, x, y = a_w[w], g_h[j], t.g_phih[j]
-            plane.append([brace * eta[l] - a * x[l] + mu * eta[w] * y[l]
-                          if m else ZERO
-                          for l, m in enumerate(live_slots(
-                              dim, (brace, eta), (a, x), (mu, eta[w], y)))])
-        cond.append(plane)
-    res = []
-    for w in range(dim):
-        a = a_w[w]
-        for j in range(dim):
-            d, c, s_j, g_j = nabla_s[w][j], cond[w][j], ric.S[j], g[j]
-            res += [(f"(W=E{w + 1},E{j + 1},E{l + 1})",
-                     d[l] - (a * s_j[l] - two_n * k * a * g_j[l] + mu * c[l])
-                     if m else ZERO)
-                    for l, m in enumerate(live_slots(
-                        dim, (d,), (a, s_j), (two_n, k, a, g_j), (mu, c)))]
+        brace = lincomb(dim, [(a_w[w], eta_h), (k_1, ws.g_phi[w]),
+                              (-1, t.g_hphi[w]), (1, g_h_phi_idh[w])])
+        cond.append([lincomb(dim, [(brace[j], eta), (minus_a[w], g_h[j]),
+                                   (mu_eta[w], t.g_phih[j])])
+                     for j in range(dim)])
+    res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})", c)
+           for w in range(dim) for j in range(dim)
+           for l, c in enumerate(lincomb(dim, [
+               (1, nabla_s[w][j]), (minus_a[w], ric.S[j]),
+               (two_n_k_a[w], g[j]), (minus_mu, cond[w][j])]))]
     reports.append(param_check("T4.14", params, res, sampler, notes=note))
     res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
            for w in range(dim) for j in range(dim) for l in range(dim)]
@@ -213,35 +211,36 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
 
     # R(E_i,E_j)(W + hW), indexed [w][i][j][l]
     r_idh = [riemann_on(ws.r_table, col) for col in zip(*t.idh)]
-    phi_cols = tuple(zip(*cs.phi))
-    a_phi = [dot(a_w, col) for col in phi_cols]
-    b_phi = [dot(b_w, col) for col in phi_cols]
+    # B(phi W) + k A(phi W), and mu A(phi W)
+    a_phi = lincomb(dim, zip(a_w, cs.phi))
+    c_x = lincomb(dim, [(1, lincomb(dim, zip(b_w, cs.phi))), (k, a_phi)])
+    c_y = lincomb(dim, [(mu, a_phi)])
     # per W: wedge(g(W + hW, .), h), and wedge(eta, xi (x) d_W) with
     # d_W = (1 - k) g(W, .) - g(W, h .) + eta(W) eta(h .)
     w_gh = [wedge(row, h) for row in t.g_idh]
-    w_d = [wedge(eta, outer(xi, [(ONE - k) * x - y + eta[w] * z for x, y, z
-                                 in zip(g[w], t.g_e_h[w], eta_h)]))
+    w_d = [wedge(eta, outer(xi, lincomb(dim, [(one_k, g[w]),
+                                              (-1, t.g_e_h[w]),
+                                              (eta[w], eta_h)])))
            for w in range(dim)]
-    wx, wh = t.wedge_eta, t.wedge_eta_h
-    mu_1k = mu * (ONE - k)
+    minus_xi = lincomb(dim, [(-1, xi)])
+    slip_eta = lincomb(dim, [(mu * one_k, eta)])
+    minus_slip_eta = lincomb(dim, [(-1, slip_eta)])
     res = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            for w in range(dim):
-                # The printed Y coefficient reads g(W, E_i) where the
-                # tensorial form has g(W, E_j); this term keeps the printed
-                # form: mu (1 - k)(g(W,E_j) - g(W,E_i)) eta(E_i) xi.
-                slip = mu_1k * eta[i] * (g[w][j] - g[w][i])
-                ax, ah = b_phi[w] + k * a_phi[w], mu * a_phi[w]
-                gh, d, r = w_gh[w][i][j], w_d[w][i][j], r_idh[w][i][j]
-                x, y = wx[i][j], wh[i][j]
-                label = f"(E{i + 1},E{j + 1};W=E{w + 1})"
-                res += [(label, r[l] - (k * gh[l] + mu * (gh[l] + d[l])
-                                        + slip * xi[l] - ax * x[l]
-                                        - ah * y[l]) if m else ZERO)
-                        for l, m in enumerate(live_slots(
-                            dim, (r,), (k, gh), (mu, gh), (mu, d),
-                            (slip, xi), (ax, x), (ah, y)))]
+            # The printed Y coefficient reads g(W, E_i) where the
+            # tensorial form has g(W, E_j); this term keeps the printed
+            # form: mu (1 - k)(g(W,E_j) - g(W,E_i)) eta(E_i) xi, read off
+            # the rows j and i of the symmetric g.
+            slip = lincomb(dim, [(slip_eta[i], g[j]),
+                                 (minus_slip_eta[i], g[i])])
+            res += [(f"(E{i + 1},E{j + 1};W=E{w + 1})", c)
+                    for w in range(dim)
+                    for c in lincomb(dim, [
+                        (1, r_idh[w][i][j]), (minus_k, w_gh[w][i][j]),
+                        (minus_mu, w_gh[w][i][j]), (minus_mu, w_d[w][i][j]),
+                        (slip[w], minus_xi), (c_x[w], ws.wedge_eta[i][j]),
+                        (c_y[w], t.wedge_eta_h[i][j])])]
     reports.append(param_check(
         "T4.17", params, res, sampler,
         notes=join_notes(note, "measured exactly as stated; no expected "

@@ -4,6 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .symcore import lincomb
+
 VERSION = "0.1.0"
 
 PASS = "pass"
@@ -34,6 +36,18 @@ class CheckReport:
 def join_notes(*parts) -> str:
     """The nonempty parts, joined with "; "."""
     return "; ".join(p for p in parts if p)
+
+
+def pair_residuals(dim, terms, first=None) -> list:
+    """("(E_i,E_j)", entry [i][j]) of the table whose row i is the
+    `lincomb` of the terms `terms(i)`, for j >= i + first, or for every j
+    when first is None."""
+    res = []
+    for i in range(dim):
+        s = 0 if first is None else i + first
+        row = lincomb(dim - s, [(c, r[s:]) for c, r in terms(i)])
+        res += [(f"(E{i + 1},E{j + 1})", x) for j, x in enumerate(row, s)]
+    return res
 
 
 def residual_check(check_id, residuals, sampler=None, notes="",

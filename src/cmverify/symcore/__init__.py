@@ -3,8 +3,7 @@
 that builds its values, and their canonical text."""
 
 from .expr import (ONE, ZERO, DomainError, Expr, ExprSyntaxError,
-                   UnknownSymbol, esum, eval_rational, live_slots,
-                   zero_row)
+                   UnknownSymbol, esum, eval_rational, lincomb, zero_row)
 from .parse import parse_expr, parse_tokens, tokenize
 from .poly import DivisionByZeroExpr, render
 
@@ -12,5 +11,5 @@ __all__ = [
     "Expr", "ZERO", "ONE",
     "ExprSyntaxError", "UnknownSymbol", "DivisionByZeroExpr", "DomainError",
     "parse_expr", "parse_tokens", "tokenize",
-    "eval_rational", "render", "esum", "live_slots", "zero_row",
+    "eval_rational", "render", "esum", "lincomb", "zero_row",
 ]

@@ -5,7 +5,8 @@ kernel: one canonical quotient num/den over Q, whether it was parsed from
 text or built by operators.  Equality and hashing are those of the
 canonical form, and `render` prints it, so two equal Exprs print the
 same.  This module adds the parser's errors, `esum`, the shared
-`zero_row`, `live_slots` and the one numeric path, `eval_rational`.
+`zero_row`, `lincomb`, the one builder of a row that is a sum of
+scaled rows, and the one numeric path, `eval_rational`.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .poly import _P_ONE, ONE, ZERO, Poly, RationalFunction, _coerce
 
 __all__ = [
     "Expr", "ZERO", "ONE", "ExprSyntaxError", "UnknownSymbol",
-    "DomainError", "eval_rational", "esum", "live_slots", "zero_row",
+    "DomainError", "eval_rational", "esum", "lincomb", "zero_row",
 ]
 
 Expr = RationalFunction
@@ -79,37 +80,29 @@ def zero_row(n: int) -> tuple:
     return (ZERO,) * n
 
 
-def live_slots(n: int, *terms) -> list:
-    """mask[l], for each slot l < n of a row of residual entries: whether
-    some term of the entry has every factor nonzero at l.  A term is a
-    tuple of factors, each an Expr, the same in every slot, or a sequence
-    of n Exprs; the shared `zero_row` is zero without being read.  Where
-    the mask is False every term has a zero factor, so the entry as
-    written is zero and builds nothing; a caller puts `ZERO` there and
-    calls no operator."""
+def lincomb(n: int, terms) -> tuple:
+    """The row of n entries sum_t c_t row_t[l] over the pairs (c, row) of
+    `terms`: c is an Expr or the int 1 or -1, and row a sequence of n
+    Exprs.  A product is formed only where both factors are nonzero (1 and
+    -1 form none), and the shared `zero_row` is skipped unread.  Each entry
+    sums its products with `esum` in term order; with no nonzero entry the
+    result is the shared `zero_row(n)`."""
     zero = zero_row(n)
-    mask = [False] * n
-    for term in terms:
-        rows = []
-        for f in term:
-            if f.__class__ is not Expr:
-                if f is zero:
-                    break
-                rows.append(f)
-            elif not f.num.terms:
-                break
-        else:
-            if not rows:
-                return [True] * n
-            if len(rows) == 1:
-                for l, x in enumerate(rows[0]):
-                    if x.num.terms:
-                        mask[l] = True
-            else:
-                for l, xs in enumerate(zip(*rows)):
-                    if all([x.num.terms for x in xs]):
-                        mask[l] = True
-    return mask
+    rows = [_scaled(c, row) for c, row in terms
+            if row is not zero and (c.__class__ is not Expr or c.num.terms)]
+    if not rows:
+        return zero
+    out = rows[0] if len(rows) == 1 else [
+        esum(p) if (p := [x for x in xs if x.num.terms]) else ZERO
+        for xs in zip(*rows)]
+    return tuple(out) if any([x.num.terms for x in out]) else zero
+
+
+def _scaled(c, row) -> list:
+    """c x for each entry x of row, `ZERO` where x is zero."""
+    if c.__class__ is Expr:
+        return [c * x if x.num.terms else ZERO for x in row]
+    return [(x if c == 1 else -x) if x.num.terms else ZERO for x in row]
 
 
 def eval_rational(e: Expr, bindings: dict):

@@ -19,13 +19,13 @@ from .contact import (HTables, build_structure, compute_h, deta_tensor,
                       h_variants, xi_brackets)
 from .curvature import (covariant_ricci_table, g_tensor_table,
                         nabla_riemann_table, ricci, riemann, riemann_on)
-from .frames import (compute_brackets, covariant_derivative_vector, dot,
+from .frames import (compute_brackets, covariant_derivative_vector,
                      frame_pairing, koszul_connection, matvec,
-                     validate_frame)
+                     validate_frame, wedge)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
 from .symcore import (DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol,
-                      parse_expr)
+                      lincomb, parse_expr)
 
 
 class FrameInvalid(ValueError):
@@ -99,14 +99,19 @@ class Workspace:
     def r_of_xi(self):
         """R(xi, E_i)E_j, indexed [i][j][l]."""
         dim, r_table = self.spec.dim, self.r_table
-        return [[[dot(self.cs.xi, [r_table[a][i][j][l] for a in range(dim)])
-                  for l in range(dim)] for j in range(dim)]
-                for i in range(dim)]
+        return [[lincomb(dim, [(x, r_table[a][i][j])
+                               for a, x in enumerate(self.cs.xi)])
+                 for j in range(dim)] for i in range(dim)]
 
     @cached_property
     def nr_xi(self):
         """(nabla_{E_w} R)(E_i,E_j)xi, indexed [w][i][j][l]."""
         return [riemann_on(plane, self.cs.xi) for plane in self.nr_table]
+
+    @cached_property
+    def wedge_eta(self):
+        """eta(E_j) E_i - eta(E_i) E_j, indexed [i][j][l]"""
+        return wedge(self.cs.eta)
 
     @cached_property
     def g_table(self):
@@ -172,7 +177,8 @@ class Workspace:
         k, mu = self.declared
         out = []
         for label, h in self.variants:
-            ext = extract_k_mu(self.r_xi, self.h_tables(h))
+            ext = extract_k_mu(self.r_xi, self.wedge_eta,
+                               self.h_tables(h).wedge_eta_h)
             out.append((label, h, ext, resolve_params(ext, k, mu)))
         return out
 

@@ -94,7 +94,8 @@ def test_criterion_5_golden_sphere(sph):
     def body():
         reports = axiom_suite(sph)
         assert reports and all(r.verdict == "pass" for r in reports)
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract_k_mu(sph.r_xi, sph.wedge_eta,
+                         sph.h_tables(sph.h_computed).wedge_eta_h)
         assert render(p.k) == "1" and p.mu is None
         for i in range(3):
             for j in range(3):
@@ -138,7 +139,8 @@ def test_criterion_7_audit_findings(ex3, capsys):
         assert by["I2.4"] == ["fail", "fail"]
         assert ex3.cs.h_declared != ex3.h_computed
         assert gc.vanishes(ex3.h_computed)
-        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
+        p = extract_k_mu(ex3.r_xi, ex3.wedge_eta,
+                         ex3.h_tables(ex3.cs.h_declared).wedge_eta_h)
         declared = parse_expr("-1/y", {"y"})
         assert not (p.k - declared).is_zero
         assert not (p.mu - declared).is_zero

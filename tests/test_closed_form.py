@@ -8,6 +8,12 @@ and h != 0.  For n > 1, R(X,Y)xi = 0 iff M is locally E^{n+1} x S^n(4)
 is a product of symmetric spaces.  T4.17 is not asserted: what it should
 report there is an open question about the verdict itself.
 
+t1e3a is the D-homothetic deformation of t1e3 by a parameter a (Tanno
+1968, Illinois J. Math. 12).  It maps a (k, mu)-space to one with
+k' = (k + a^2 - 1)/a^2 and mu' = (mu + 2a - 2)/a (Blair, Koufogiorgos &
+Papantoniou 1995, Israel J. Math. 91), so from t1e3's k = mu = 0 it has
+k = (a^2 - 1)/a^2 and mu = 2(a - 1)/a.
+
 uni3 is the family of 3-dim unimodular Lie groups (Milnor 1976, Adv.
 Math. 21) with their left-invariant contact metric structure, a
 (k, mu)-space with k = 1 - (l2 - l3)^2/4 and mu = 2 - (l2 + l3) (Blair
@@ -27,7 +33,8 @@ from cmverify.symcore import ZERO, parse_expr, render
 from cmverify.workspace import Workspace
 
 SPECS = Path(__file__).resolve().parent / "specs"
-T1E3, UNI3 = SPECS / "t1e3.cmspec", SPECS / "uni3.cmspec"
+T1E3, T1E3A, UNI3 = (SPECS / f"{name}.cmspec"
+                     for name in ("t1e3", "t1e3a", "uni3"))
 AXIOMS = ("I2.1", "I2.2", "I2.3", "I2.4", "H1", "H2", "H3", "H4",
           "KILLING", "CONTACT", "NULLITY")
 IDENTITIES = tuple(f"I3.{i}" for i in range(1, 14))
@@ -37,7 +44,7 @@ IDENTITIES = tuple(f"I3.{i}" for i in range(1, 14))
 def runs():
     """`all` of each spec: the checks by id, and stderr."""
     out = {}
-    for path in (T1E3, UNI3):
+    for path in (T1E3, T1E3A, UNI3):
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             cli.run(["all", str(path), "--format", "json"])
@@ -51,7 +58,8 @@ def primary_k_mu(path):
     return ext
 
 
-@pytest.mark.parametrize("path", [T1E3, UNI3], ids=["t1e3", "uni3"])
+@pytest.mark.parametrize("path", [T1E3, T1E3A, UNI3],
+                         ids=["t1e3", "t1e3a", "uni3"])
 def test_every_axiom_and_identity_passes(runs, path):
     checks, _ = runs[path]
     assert {cid: checks[cid]["verdict"] for cid in AXIOMS + IDENTITIES} \
@@ -61,6 +69,13 @@ def test_every_axiom_and_identity_passes(runs, path):
 def test_t1e3_has_k_and_mu_zero():
     ext = primary_k_mu(T1E3)
     assert (ext.status, ext.k, ext.mu) == ("unique", ZERO, ZERO)
+
+
+def test_t1e3a_k_and_mu_follow_the_d_homothetic_formula():
+    ext = primary_k_mu(T1E3A)
+    assert ext.status == "unique"
+    assert ext.k == parse_expr("(a^2 - 1)/a^2", {"a"})
+    assert ext.mu == parse_expr("2*(a - 1)/a", {"a"})
 
 
 def test_t1e3_is_locally_symmetric(runs):

@@ -90,6 +90,17 @@ def test_rows_after_first_nonzero_defect_are_never_multiplied(monkeypatch):
     assert touched == [True, True, True, True, False]
 
 
+def test_defect_of_a_zero_rhs_row_is_formed():
+    # Row 2 has rhs 0, but ca * alpha = x * y/x != 0: its defect -y is
+    # formed, so the solve is inconsistent.
+    rows = [consistent_row("x", "1"), consistent_row("1", "y"),
+            (ex("x"), ZERO, ZERO)]
+    sol = solve_two_unknowns(rows)
+    assert sol.status == "inconsistent"
+    assert (sol.alpha, sol.beta) == (ALPHA, BETA)
+    assert sol.worst == ex("-y")
+
+
 @pytest.mark.parametrize("rows", [[], [(ZERO, ZERO, ZERO)]])
 def test_vacuous_rows_leave_both_free(rows):
     sol = solve_two_unknowns(rows)

@@ -11,6 +11,13 @@ def ex(text, syms=("x", "y", "z")):
     return parse_expr(text, set(syms))
 
 
+def extract(geo, h, r_xi=None):
+    """`extract_k_mu` on the workspace `geo` for the operator h, with
+    `r_xi` in place of its table R(E_i,E_j)xi when given."""
+    return extract_k_mu(geo.r_xi if r_xi is None else r_xi, geo.wedge_eta,
+                        geo.h_tables(h).wedge_eta_h)
+
+
 def battery(geo, h, params, label=""):
     return identity_battery(geo, h, params, h_label=label)
 
@@ -25,7 +32,7 @@ def test_reserved_names():
 
 class TestExtraction:
     def test_sphere_unit_k_mu_unconstrained(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         assert render(p.k) == "1"
         assert p.mu is None
         assert p.status == "mu-indeterminate"
@@ -33,17 +40,17 @@ class TestExtraction:
         assert "h-terms vanish" in p.notes
 
     def test_flat_zero_k(self, flat):
-        p = extract_k_mu(flat.r_xi, flat.h_tables(flat.h_computed))
+        p = extract(flat, flat.h_computed)
         assert render(p.k) == "0"
         assert p.mu is None and p.status == "mu-indeterminate"
 
     def test_example_declared_h_gives_zero_pair(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
+        p = extract(ex3, ex3.cs.h_declared)
         assert p.status == "unique"
         assert render(p.k) == "0" and render(p.mu) == "0"
 
     def test_example_computed_h(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.h_computed))
+        p = extract(ex3, ex3.h_computed)
         assert render(p.k) == "0"
         assert p.status == "mu-indeterminate"
 
@@ -58,8 +65,7 @@ class TestExtraction:
         t[1][0][2] = [-one, zero, zero]
         table = tuple(tuple(tuple(tuple(r) for r in p2) for p2 in p1)
                       for p1 in t)
-        p = extract_k_mu(riemann_on(table, flat.cs.xi),
-                         flat.h_tables(flat.h_computed))
+        p = extract(flat, flat.h_computed, riemann_on(table, flat.cs.xi))
         assert p.status == "inconsistent"
         rep = extraction_report(p, p)
         assert rep.verdict == "fail"
@@ -67,18 +73,18 @@ class TestExtraction:
 
 class TestResolve:
     def test_extraction_kept_without_declarations(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         used = resolve_params(p, None, None)
         assert used.k is p.k and used.mu is None
 
     def test_declared_fills_indeterminate(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         used = resolve_params(p, None, ex("-2"))
         assert render(used.k) == "1" and render(used.mu) == "-2"
         assert "differs" not in used.notes
 
     def test_declared_mismatch_is_noted(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
+        p = extract(ex3, ex3.cs.h_declared)
         used = resolve_params(p, ex("-1/y"), ex("-1/y"))
         assert render(used.k) == "-1/y"
         assert "declared k = -1/y differs from extracted k = 0" in used.notes
@@ -87,7 +93,7 @@ class TestResolve:
 
 class TestParamCheck:
     def test_symbolic_mu_surviving_means_needs_input(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         used = resolve_params(p, None, None)
         reports = battery(sph, sph.h_computed, used)
         for cid in ("I3.9", "I3.10"):
@@ -97,7 +103,7 @@ class TestParamCheck:
 
     def test_mu_that_cancels_does_not_block(self, sph):
         # the mu-terms carry h = 0 here, so the verdict is definite
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         used = resolve_params(p, None, None)
         assert by_id(battery(sph, sph.h_computed, used), "I3.11").verdict \
             == "pass"
@@ -105,14 +111,14 @@ class TestParamCheck:
 
 class TestBatteryVerdicts:
     def test_sphere_with_mu_declared_all_pass(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         used = resolve_params(p, None, ex("-2"))
         reports = battery(sph, sph.h_computed, used)
         assert len(reports) == 13
         assert all(r.verdict == "pass" for r in reports)
 
     def test_flat_only_sectional_identity_fails(self, flat):
-        p = extract_k_mu(flat.r_xi, flat.h_tables(flat.h_computed))
+        p = extract(flat, flat.h_computed)
         used = resolve_params(p, None, ex("0"))
         reports = battery(flat, flat.h_computed, used)
         failing = [r.check_id for r in reports if r.verdict == "fail"]
@@ -120,7 +126,7 @@ class TestBatteryVerdicts:
         assert by_id(reports, "I3.3").residual_symbolic == "(E1,E1): -1"
 
     def test_example_declared_values_fail_battery(self, ex3):
-        p = extract_k_mu(ex3.r_xi, ex3.h_tables(ex3.cs.h_declared))
+        p = extract(ex3, ex3.cs.h_declared)
         used = resolve_params(p, ex("-1/y"), ex("-1/y"))
         reports = battery(ex3, ex3.cs.h_declared, used, label="declared")
         assert all(r.verdict == "fail" for r in reports)
@@ -131,14 +137,14 @@ class TestBatteryVerdicts:
         assert all("h = declared" in r.notes for r in reports)
 
     def test_transcribed_shape_notes_present(self, sph):
-        p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+        p = extract(sph, sph.h_computed)
         used = resolve_params(p, None, ex("-2"))
         reports = battery(sph, sph.h_computed, used)
         assert "lacks the second argument" in by_id(reports, "I3.12").notes
 
 
 def test_extraction_report_mentions_kernel_and_override(sph):
-    p = extract_k_mu(sph.r_xi, sph.h_tables(sph.h_computed))
+    p = extract(sph, sph.h_computed)
     used = resolve_params(p, None, ex("-2"))
     rep = extraction_report(p, used, "computed")
     assert rep.check_id == "NULLITY" and rep.verdict == "pass"

@@ -20,7 +20,8 @@ def used_params(geo, h, k=None, mu=None):
     syms = geo.spec.symbols()
     pk = parse_expr(k, syms) if k else None
     pmu = parse_expr(mu, syms) if mu else None
-    return resolve_params(extract_k_mu(geo.r_xi, geo.h_tables(h)), pk, pmu)
+    ext = extract_k_mu(geo.r_xi, geo.wedge_eta, geo.h_tables(h).wedge_eta_h)
+    return resolve_params(ext, pk, pmu)
 
 
 def by_id(reports, check_id):

@@ -27,6 +27,9 @@ INVOCATIONS = {
     # uni3 (xi = E1) is the one spec with eta(E_i) != 0 for some i < j,
     # so it is the one that pins T4.17's extra index term
     "all t1e3": ["all", str(TESTS / "specs" / "t1e3.cmspec")],
+    # the D-homothetic deformation of t1e3: a parameter, rational
+    # entries and h != 0 in dim 5
+    "all t1e3a": ["all", str(TESTS / "specs" / "t1e3a.cmspec")],
     "all uni3": ["all", str(TESTS / "specs" / "uni3.cmspec")],
 }
 
