@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .symcore import lincomb
@@ -97,11 +98,12 @@ class ReportDocument:
     def to_json(self) -> str:
         checks = []
         for c in self.checks:
+            worst = c.residual_sampled_max  # JSON has no infinity: "inf"
             checks.append({
                 "id": c.check_id,
                 "verdict": c.verdict,
                 "residual_symbolic": c.residual_symbolic,
-                "residual_sampled_max": c.residual_sampled_max,
+                "residual_sampled_max": "inf" if worst == math.inf else worst,
                 "notes": c.notes,
             })
         doc = {

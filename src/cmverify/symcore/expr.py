@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .poly import _P_ONE, ONE, ZERO, Poly, RationalFunction, _coerce
+from .poly import _P_ONE, ONE, ZERO, Poly, RationalFunction
 
 __all__ = [
     "Expr", "ZERO", "ONE", "ExprSyntaxError", "UnknownSymbol",
@@ -41,14 +41,12 @@ class DomainError(ValueError):
 
 
 def esum(items) -> Expr:
-    """Sum of Exprs and numbers.  Zero summands are dropped: with none
-    left the sum is `ZERO`, and with one left it is that summand itself.
-    Polynomial summands add into one term dict; the others are folded
-    with `+`, and the two parts added last."""
+    """Sum of Exprs (a number is no summand).  Zero summands are dropped:
+    with none left the sum is `ZERO`, and with one left it is that summand
+    itself.  Polynomial summands add into one term dict; the others are
+    folded with `+`, and the two parts added last."""
     nonzero = []
     for item in items:
-        if item.__class__ is not Expr:
-            item = _coerce(item)
         if item.num.terms:
             nonzero.append(item)
     if len(nonzero) < 2:

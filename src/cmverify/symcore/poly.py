@@ -11,13 +11,13 @@ monic scaling of gcds and denominators.
 `RationalFunction` is the one value class of the program; `symcore`
 exports it as `Expr`.  It is kept canonical, num/den with
 gcd(num, den) = 1 and den monic, so equal functions have equal terms,
-and `render` prints that form.  Its operators take `int` and `Fraction`
-operands too, and answer a zero operand without building a value.  A
-constant denominator is always the shared `_P_ONE`, so `den is _P_ONE`
-says a value is a polynomial; two polynomials add, subtract and multiply
-without any gcd dispatch, and `expr.esum` accumulates polynomial
-summands in one term dict.  `poly_gcd` splits
-off the common monomial content and then tries, in order:
+and `render` prints that form.  Its operators take only
+`RationalFunction` operands, never an `int` or `Fraction`, and answer a
+zero operand without building a value.  A constant denominator is always
+the shared `_P_ONE`, so `den is _P_ONE` says a value is a polynomial;
+two polynomials add, subtract and multiply without any gcd dispatch, and
+`expr.esum` accumulates polynomial summands in one term dict.
+`poly_gcd` splits off the common monomial content and then tries, in order:
 
 - Coprimality certificate.  For each variable x the inputs share, every
   other variable is evaluated at a point mod p = 2^61 - 1.  A common
@@ -596,10 +596,11 @@ class DivisionByZeroExpr(ZeroDivisionError):
 
 class RationalFunction:
     """Canonical quotient num/den: gcd(num, den) = 1 and den monic under
-    graded lex.  Zero is 0/1.  The operators also take an `int` or
-    `Fraction` on either side.  `e + 0`, `0 + e`, `e - 0`, a product or
-    quotient with a zero factor and `-0` return an existing value (`ZERO`
-    or an operand) and build nothing; `0 - e` is `-e`."""
+    graded lex.  Zero is 0/1.  Operands are RationalFunctions only: a number
+    raises TypeError, and `ZERO == 0` is False, as hashing requires.
+    `e + ZERO`, `ZERO + e`, `e - ZERO`, a product or quotient with a zero
+    factor and `-ZERO` return an existing value (`ZERO` or an operand) and
+    build nothing; `ZERO - e` is `-e`."""
 
     __slots__ = ("num", "den")
 
@@ -645,8 +646,7 @@ class RationalFunction:
         return self.num.variables() | self.den.variables()
 
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not RationalFunction:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
@@ -655,9 +655,7 @@ class RationalFunction:
 
     def __add__(self, other):
         if other.__class__ is not RationalFunction:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if not other.num.terms:
             return self
         if not self.num.terms:
@@ -669,8 +667,6 @@ class RationalFunction:
         return RationalFunction(self.num * other.den + other.num * self.den,
                                 self.den * other.den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         if not self.num.terms:
             return self
@@ -678,9 +674,7 @@ class RationalFunction:
 
     def __sub__(self, other):
         if other.__class__ is not RationalFunction:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if not other.num.terms:
             return self
         if not self.num.terms:
@@ -689,17 +683,9 @@ class RationalFunction:
             return RationalFunction(self.num - other.num, _P_ONE, reduced=True)
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
     def __mul__(self, other):
         if other.__class__ is not RationalFunction:
-            other = _coerce(other)
-            if other is None:
-                return NotImplemented
+            return NotImplemented
         if not (self.num.terms and other.num.terms):
             return ZERO
         if self.den is _P_ONE and other.den is _P_ONE:
@@ -709,23 +695,14 @@ class RationalFunction:
         b, d1 = _cancel(other.num, self.den)
         return RationalFunction(a * b, d1 * d2)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
+        if other.__class__ is not RationalFunction:
             return NotImplemented
         if not other.num.terms:
             raise DivisionByZeroExpr("division by an identically zero expression")
         if not self.num.terms:
             return ZERO
         return self * RationalFunction(other.den, other.num, reduced=True)
-
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -764,15 +741,6 @@ class RationalFunction:
 
     def __str__(self):
         return render(self)
-
-
-def _coerce(x):
-    """x as a RationalFunction, or None for a type the operators refuse."""
-    if isinstance(x, RationalFunction):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return RationalFunction.const(x) if x else ZERO
-    return None
 
 
 def _cancel(num: Poly, den: Poly):

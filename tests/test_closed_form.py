@@ -1,12 +1,14 @@
-"""Two specs whose answers are known in closed form, with the facts taken
+"""Specs whose answers are known in closed form, with the facts taken
 from the literature, not from the program's output.
 
 t1e3 is the unit tangent bundle T_1 E^3 = E^3 x S^2(4) with its standard
 contact metric structure: dim 5 (n = 2), a rational non-constant metric
 and h != 0.  For n > 1, R(X,Y)xi = 0 iff M is locally E^{n+1} x S^n(4)
 (Blair 1977, Tohoku Math. J. 29), so k = mu = 0, and nabla R = 0 since M
-is a product of symmetric spaces.  T4.17 is not asserted: what it should
-report there is an open question about the verdict itself.
+is a product of symmetric spaces.  t1e4 = E^4 x S^3(4) is the same
+construction at dim 7 (n = 3), so the same theorem gives the same facts.
+T4.17 is not asserted on either: what it should report there is an open
+question about the verdict itself.
 
 t1e3a is the D-homothetic deformation of t1e3 by a parameter a (Tanno
 1968, Illinois J. Math. 12).  It maps a (k, mu)-space to one with
@@ -33,8 +35,8 @@ from cmverify.symcore import ZERO, parse_expr, render
 from cmverify.workspace import Workspace
 
 SPECS = Path(__file__).resolve().parent / "specs"
-T1E3, T1E3A, UNI3 = (SPECS / f"{name}.cmspec"
-                     for name in ("t1e3", "t1e3a", "uni3"))
+T1E3, T1E4, T1E3A, UNI3 = (SPECS / f"{name}.cmspec"
+                           for name in ("t1e3", "t1e4", "t1e3a", "uni3"))
 AXIOMS = ("I2.1", "I2.2", "I2.3", "I2.4", "H1", "H2", "H3", "H4",
           "KILLING", "CONTACT", "NULLITY")
 IDENTITIES = tuple(f"I3.{i}" for i in range(1, 14))
@@ -44,7 +46,7 @@ IDENTITIES = tuple(f"I3.{i}" for i in range(1, 14))
 def runs():
     """`all` of each spec: the checks by id, and stderr."""
     out = {}
-    for path in (T1E3, T1E3A, UNI3):
+    for path in (T1E3, T1E4, T1E3A, UNI3):
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             cli.run(["all", str(path), "--format", "json"])
@@ -58,8 +60,8 @@ def primary_k_mu(path):
     return ext
 
 
-@pytest.mark.parametrize("path", [T1E3, T1E3A, UNI3],
-                         ids=["t1e3", "t1e3a", "uni3"])
+@pytest.mark.parametrize("path", [T1E3, T1E4, T1E3A, UNI3],
+                         ids=["t1e3", "t1e4", "t1e3a", "uni3"])
 def test_every_axiom_and_identity_passes(runs, path):
     checks, _ = runs[path]
     assert {cid: checks[cid]["verdict"] for cid in AXIOMS + IDENTITIES} \
@@ -71,6 +73,11 @@ def test_t1e3_has_k_and_mu_zero():
     assert (ext.status, ext.k, ext.mu) == ("unique", ZERO, ZERO)
 
 
+def test_t1e4_has_k_and_mu_zero():
+    ext = primary_k_mu(T1E4)
+    assert (ext.status, ext.k, ext.mu) == ("unique", ZERO, ZERO)
+
+
 def test_t1e3a_k_and_mu_follow_the_d_homothetic_formula():
     ext = primary_k_mu(T1E3A)
     assert ext.status == "unique"
@@ -78,12 +85,21 @@ def test_t1e3a_k_and_mu_follow_the_d_homothetic_formula():
     assert ext.mu == parse_expr("2*(a - 1)/a", {"a"})
 
 
-def test_t1e3_is_locally_symmetric(runs):
-    checks, _ = runs[T1E3]
+def assert_locally_symmetric(checks):
+    """nabla R = 0: every recurrence solve classifies the spec as
+    symmetric."""
     for kind, phrase in (("FULL", "symmetric"), ("RICCI", "symmetric"),
                          ("PHI", "φ-symmetric")):
         assert checks[f"REC-{kind}"]["verdict"] == "pass"
         assert f"classification: {phrase};" in checks[f"REC-{kind}"]["notes"]
+
+
+def test_t1e3_is_locally_symmetric(runs):
+    assert_locally_symmetric(runs[T1E3][0])
+
+
+def test_t1e4_is_locally_symmetric(runs):
+    assert_locally_symmetric(runs[T1E4][0])
 
 
 def test_t1e3_det_g_warning(runs):

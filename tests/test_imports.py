@@ -2,7 +2,8 @@
 listed in a module's `__all__` are exports, and `from __future__` imports
 are compiler directives, so neither counts as unused.  No function under
 src/ reads a global its module never binds, every name
-`cmverify.symcore` exports is imported somewhere under src/, and every
+`cmverify.symcore` exports is imported somewhere under src/, no module
+outside `symcore/` imports `symcore.poly` or `symcore.expr` directly, every
 module-level function and class under src/ is used by code under src/,
 every field of a dataclass under src/ is read under src/ or tests/, and
 no function or method under src/ is longer than `MAX_FUNCTION_LINES`.
@@ -172,6 +173,44 @@ def test_every_symcore_export_is_imported_under_src():
                 if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
     assert sorted(set(symcore.__all__) - imported) == []
+
+
+def kernel_internal_imports(source: str) -> list:
+    """(line, name) of each import that reaches into `symcore.poly` or
+    `symcore.expr` instead of through `cmverify.symcore`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}"
+                     for alias in node.names]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if any(f".symcore.{m}." in f".{name}."
+                         for m in ("poly", "expr"))]
+    return found
+
+
+def test_kernel_internal_import_is_found():
+    src = ("from .symcore.poly import Poly\nfrom .symcore import poly, Expr\n"
+           "import cmverify.symcore.expr\nfrom ..symcore import esum\n"
+           "from . import symcore\nfrom .poly import Poly\n")
+    assert kernel_internal_imports(src) == [
+        (1, "symcore.poly.Poly"), (2, "symcore.poly"),
+        (3, "cmverify.symcore.expr")]
+
+
+def test_kernel_is_reached_only_through_its_exports():
+    """Outside `symcore/`, modules under src/ import the kernel's names
+    from `cmverify.symcore`, whose `__all__` is its boundary."""
+    kernel = ROOT / "src" / "cmverify" / "symcore"
+    offenders = [f"{path.relative_to(ROOT)}:{line}: {name}"
+                 for path in sorted((ROOT / "src" / "cmverify").rglob("*.py"))
+                 if kernel not in path.parents
+                 for line, name in kernel_internal_imports(path.read_text())]
+    assert offenders == []
 
 
 def unreferenced_definitions(sources: dict) -> list:

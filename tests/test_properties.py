@@ -72,7 +72,7 @@ _long_dens = st.lists(
               st.tuples(st.integers(0, 2), st.integers(0, 2))),
     min_size=2, max_size=3, unique_by=lambda term: term[1]).map(
         lambda terms: functools.reduce(operator.add, (
-            c * Expr.sym("x") ** i * Expr.sym("y") ** j
+            Expr.const(c) * Expr.sym("x") ** i * Expr.sym("y") ** j
             for c, (i, j) in terms)))
 quotients = st.builds(operator.truediv, exprs, _long_dens)
 
@@ -169,7 +169,7 @@ class TestStructuralZeros:
         assert esum([ZERO, ZERO]) is ZERO
         assume(not e.is_zero)
         assert ZERO + e is e
-        assert esum([e]) is e and esum([ZERO, e, 0]) is e
+        assert esum([e]) is e and esum([ZERO, e, ZERO]) is e
 
 
 class TestNormalForm:

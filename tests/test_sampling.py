@@ -93,7 +93,7 @@ def test_one_evaluation_per_nonzero_expression_and_point(monkeypatch):
     monkeypatch.setattr(sampling, "eval_rational", counting)
     x, y = Expr.sym("x"), Expr.sym("y")
     pole = Expr.const(1) / (x - Expr.const(x0))
-    exprs = [x * y + 1, ZERO, pole]
+    exprs = [x * y + Expr.const(1), ZERO, pole]
     sampler = Sampler(ps.spec, points=4)
     assert sampler.max_abs(exprs) is not None
     assert evaluated == [exprs[0]] * 4 + [pole] * 4

@@ -230,8 +230,10 @@ def dense_covariant_derivative_tensor02(spec, gamma, i, t):
 
 def dense_lincomb(n, terms):
     """Entry l is the sum of c * row[l] over every term (c, row), every
-    product formed and added with `+`."""
-    terms = list(terms)
+    product formed and added with `+`; an int c is lifted with
+    `Expr.const`."""
+    terms = [(c if c.__class__ is Expr else Expr.const(c), row)
+             for c, row in terms]
     out = []
     for l in range(n):
         acc = ZERO
@@ -503,8 +505,7 @@ SPARSE_CHECKS = ("I2.1", "I2.2", "I2.3", "I2.4", "H1", "H4", "H-COMP",
                  "I3.1", "I3.2", "I3.3", "I3.4", "I3.5", "I3.6", "I3.7",
                  "I3.8", "I3.9", "I3.11", "I3.12", "I3.13", "T4.7", "T4.9b",
                  "T4.12", "T4.14", "T4.14.cond", "T4.17")
-OPERATORS = ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__",
-             "__neg__")
+OPERATORS = ("__add__", "__sub__", "__mul__", "__neg__")
 
 
 def _record_residuals(path, patch) -> list:
@@ -542,11 +543,10 @@ def _structural_oracle(patch):
     def live(v):
         return bool(v.num.terms) or id(v) in reached
 
-    for name in ("__add__", "__radd__", "__sub__"):
+    for name in ("__add__", "__sub__"):
         def tracked(a, b, _op=getattr(RationalFunction, name)):
             result = _op(a, b)
-            if not result.num.terms and (
-                    live(a) or (isinstance(b, RationalFunction) and live(b))):
+            if not result.num.terms and (live(a) or live(b)):
                 if result is ZERO:
                     result = RationalFunction(_P_ZERO)
                 reached[id(result)] = result
@@ -575,8 +575,7 @@ def test_structurally_zero_residual_entries_are_shared_zero(capsys,
     zero_operands = Counter()
     for name in OPERATORS:
         def counted(*args, _name=name, _op=getattr(RationalFunction, name)):
-            if any(not a.num.terms if isinstance(a, RationalFunction)
-                   else a == 0 for a in args):
+            if any(not a.num.terms for a in args):
                 zero_operands[_name] += 1
             result = _op(*args)
             return RationalFunction(_P_ZERO) if result is ZERO else result

@@ -1,10 +1,11 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from cmverify.symcore import (ZERO, DivisionByZeroExpr, DomainError, Expr,
-                              ExprSyntaxError, UnknownSymbol, esum,
+from cmverify.symcore import (ONE, ZERO, DivisionByZeroExpr, DomainError,
+                              Expr, ExprSyntaxError, UnknownSymbol, esum,
                               eval_rational, parse_expr, render, tokenize)
 from cmverify.symcore.poly import _P_ONE, Poly, RationalFunction, poly_divexact
 
@@ -92,9 +93,43 @@ def test_expr_is_the_kernel_class():
     assert Expr is RationalFunction
     e = ex("x/(2*y)")
     assert type(e) is RationalFunction
-    assert ZERO * e is ZERO and 0 * e is ZERO and e * 0 is ZERO
-    assert 1 - e == -(e - 1) and 2 / e == ex("4*y/x")
+    assert ZERO * e is ZERO and e * ZERO is ZERO
+    assert ONE - e == -(e - ONE) and Expr.const(2) / e == ex("4*y/x")
     assert str(e) == render(e) and repr(e) == "Expr((1/2)*x/y)"
+
+
+@pytest.mark.parametrize("number", [0, 1, -2, Fraction(3, 2)])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_arithmetic_takes_only_exprs(op, number):
+    """A number is not an operand on either side: it enters through
+    `Expr.const` or the parser, never by coercion."""
+    e = ex("x/(2*y)")
+    for a, b in ((e, number), (number, e), (ZERO, number), (number, ONE)):
+        with pytest.raises(TypeError):
+            op(a, b)
+
+
+def test_esum_takes_only_exprs():
+    for items in ([ONE, 1], [1], [ZERO, Fraction(1, 2)]):
+        with pytest.raises((TypeError, AttributeError)):
+            esum(items)
+
+
+def test_equality_agrees_with_hash():
+    """An Expr equals no number, so equal objects hash equal and set and
+    dict lookups agree with `==`."""
+    assert not Expr.const(0) == 0 and Expr.const(0) != 0
+    assert not ONE == 1 and not ZERO == Fraction(0)
+    assert {ZERO: "zero"}.get(0) is None and 0 not in {ZERO, ONE}
+    routes = [ex("(x^2 - 1)/(x - 1)"), ex("x") + ONE,
+              esum([ex("x"), ONE]), Expr.sym("x") + Expr.const(1),
+              (ex("x^2") - ONE) / (ex("x") - ONE)]
+    assert len({hash(r) for r in routes}) == 1 and len(set(routes)) == 1
+    table = {routes[0]: "x + 1"}
+    assert all(table.get(r) == "x + 1" for r in routes)
+    zeros = [ZERO, Expr.const(0), ex("x - x"), ONE - ONE, esum([])]
+    assert len(set(zeros)) == 1 and {ZERO: 0}.get(ex("y - y")) == 0
 
 
 def test_normalize_canonical_render():

@@ -221,10 +221,11 @@ def test_structural_zeros_stay_out_of_the_kernel(capsys, monkeypatch, spec):
         def counted(*args, _name=name, _op=getattr(RationalFunction, name)):
             before = built[0]
             result = _op(*args)
-            if any(a == 0 for a in args):
+            if any(a.is_zero for a in args):
                 seen[_name] += 1
                 new = built[0] - before
-                if _name == "__sub__" and args[0] == 0 and args[1] != 0:
+                if (_name == "__sub__" and args[0].is_zero
+                        and not args[1].is_zero):
                     e = args[1]
                     ok = (new == 1 and result.num == -e.num
                           and result.den == e.den)
