@@ -1,16 +1,17 @@
 """Curvature of a framed metric.
 
 Sign convention: R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
-Tables store R[i][j][k][l], the E_l-component of R(E_i,E_j)E_k.
+Tables store R[i][j][k][l], the E_l-component of R(E_i,E_j)E_k.  The Ricci
+tensor is the trace S = tr R, S[j][k] = sum_a R[a][j][k][a], and nabla
+commutes with that trace, so nabla S is the same trace of nabla R.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 
-from .frames import (FrameSpec, covariant_derivative_tensor02,
-                     covariant_derivative_vector, nonzero_entries, wedge,
-                     zero_row)
+from .frames import (FrameSpec, covariant_derivative_vector, matmul,
+                     nonzero_entries, wedge, zero_row)
 from .symcore import ZERO, Expr, esum, lincomb
 
 
@@ -106,6 +107,14 @@ def nabla_riemann_table(spec: FrameSpec, gamma, r_table):
     return tuple(_skew_planes(dim, partial(plane, w)) for w in range(dim))
 
 
+def _trace(table):
+    """T[j][k] = sum_a table[a][j][k][a], the trace of X -> T(X,E_j)E_k,
+    for the R table or one direction's plane of the nabla R table."""
+    dim = len(table)
+    return tuple(tuple(esum([table[a][j][k][a] for a in range(dim)])
+                       for k in range(dim)) for j in range(dim))
+
+
 @dataclass
 class RicciData:
     S: tuple     # (0,2) table S(E_i, E_j)
@@ -113,25 +122,12 @@ class RicciData:
     Q: tuple     # (1,1) operator, g(QX, Y) = S(X, Y)
 
 
-def ricci(spec: FrameSpec, r_table, ginv) -> RicciData:
-    """Ricci tensor S(Y,Z) = g^{ab} g(R(E_a,Y)Z, E_b), its g-trace r, and
-    the raised operator Q."""
-    dim = spec.dim
-    g = spec.metric
-    ginv_live = [nonzero_entries(row) for row in ginv]
-    s = tuple(
-        tuple(esum([gab * x * g[l][b] for a in range(dim)
-                    for b, gab in ginv_live[a]
-                    for l, x in nonzero_entries(r_table[a][j][k])])
-              for k in range(dim))
-        for j in range(dim))
-    r_scal = esum(ginv[j][k] * s[j][k]
-                  for j in range(dim) for k in range(dim))
-    q = tuple(
-        tuple(esum(ginv[i][k] * s[k][j] for k in range(dim))
-              for j in range(dim))
-        for i in range(dim))
-    return RicciData(s, r_scal, q)
+def ricci(r_table, ginv) -> RicciData:
+    """Ricci tensor S(Y,Z) = tr(X -> R(X,Y)Z), the raised operator
+    Q = g^-1 S, and the scalar curvature r = tr Q."""
+    s = _trace(r_table)
+    q = matmul(ginv, s)
+    return RicciData(s, esum([row[i] for i, row in enumerate(q)]), q)
 
 
 def g_tensor_table(spec: FrameSpec):
@@ -143,7 +139,8 @@ def g_tensor_table(spec: FrameSpec):
                  for i in range(spec.dim))
 
 
-def covariant_ricci_table(spec: FrameSpec, gamma, s):
-    """(nabla_{E_w} S) for each frame direction w, indexed [w][i][j]."""
-    return tuple(covariant_derivative_tensor02(spec, gamma, w, s)
-                 for w in range(spec.dim))
+def covariant_ricci_table(nr_table):
+    """(nabla_{E_w} S) for each frame direction w, indexed [w][i][j]:
+    nabla commutes with the trace, so each is the trace of the plane of
+    the nabla R table for w."""
+    return tuple(_trace(plane) for plane in nr_table)

@@ -26,7 +26,8 @@ a value such as g(h E_i, phi E_j) is entry [i][j] of
 nabla_X Y - nabla_Y X = [X, Y], and metric, nabla g = 0.  The contact
 layer reads nabla eta, d eta and Lie_xi g off nabla xi through these two
 identities.  Column j of nabla_{E_i} t, for a (1,1) operator t, is
-nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j).
+nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j).  No (0,2) table is
+differentiated here: nabla S is a trace of nabla R (see `curvature`).
 """
 from __future__ import annotations
 
@@ -337,17 +338,3 @@ def covariant_derivative_tensor11(spec: FrameSpec, gamma, i: int, t):
                            for x, y in zip(a, b)]))
     return tuple(zip(*cols))
 
-
-def covariant_derivative_tensor02(spec: FrameSpec, gamma, i: int, t):
-    """nabla_{E_i} t for a (0,2) table t: entry [j][k] is
-    E_i(t[j][k]) - t(nabla_{E_i} E_j, E_k) - t(E_j, nabla_{E_i} E_k),
-    formed only where one of the three is nonzero."""
-    out = []
-    for j, row in enumerate(t):
-        d = [frame_apply(spec, i, x) for x in row]
-        a = lincomb(spec.dim, zip(gamma[i][j], t))
-        b = matvec(gamma[i], row)
-        out.append(tuple([x - y - z if x.num.terms or y.num.terms
-                          or z.num.terms else ZERO
-                          for x, y, z in zip(d, a, b)]))
-    return tuple(out)

@@ -6,6 +6,8 @@ the model tensor G, Ricci data, contact structure, g(E_i, phi E_j), the
 h operators and the tables built from each h from it instead of
 rebuilding them, and each is built on first use, so a command builds
 only what its suites read: `check axioms` never builds R or nabla R.
+S and nabla S are traces of R and nabla R, so a command that reads
+nabla S, such as `solve recurrence --kind ricci`, builds nabla R.
 Each is a frame table in the conventions of `frames`.  The derivatives
 of xi and eta come from two of them: h from the operator [xi, .]
 (`xi_lie`), and nabla eta, d eta and Lie_xi g from nabla xi.
@@ -120,12 +122,13 @@ class Workspace:
 
     @cached_property
     def ric(self):
-        return ricci(self.spec, self.r_table, self.ginv)
+        return ricci(self.r_table, self.ginv)
 
     @cached_property
     def nabla_s(self):
-        """(nabla_{E_w} S) for each frame direction w."""
-        return covariant_ricci_table(self.spec, self.conn, self.ric.S)
+        """(nabla_{E_w} S) for each frame direction w, the trace of
+        nabla R."""
+        return covariant_ricci_table(self.nr_table)
 
     @cached_property
     def cs(self):

@@ -87,33 +87,35 @@ def compatibility_residuals(spec, conn):
 
 def lowered(spec, r_table, i, j, k, l):
     return esum(r_table[i][j][k][m] * spec.metric[m][l]
-                for m in range(DIM))
+                for m in range(spec.dim))
 
 
 def antisymmetry_residuals(spec, r_table):
     """Skew symmetry in the last lowered pair and pair interchange."""
+    dim = spec.dim
     out = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(DIM):
-                for l in range(k, DIM):
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(dim):
+                for l in range(k, dim):
                     out.append(lowered(spec, r_table, i, j, k, l)
                                + lowered(spec, r_table, i, j, l, k))
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(DIM):
-                for l in range(k + 1, DIM):
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(dim):
+                for l in range(k + 1, dim):
                     out.append(lowered(spec, r_table, i, j, k, l)
                                - lowered(spec, r_table, k, l, i, j))
     return out
 
 
 def first_bianchi_residuals(r_table):
+    dim = len(r_table)
     out = []
-    for i in range(DIM):
-        for j in range(i + 1, DIM):
-            for k in range(j + 1, DIM):
-                for l in range(DIM):
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            for k in range(j + 1, dim):
+                for l in range(dim):
                     out.append(esum((r_table[i][j][k][l],
                                      r_table[j][k][i][l],
                                      r_table[k][i][j][l])))
@@ -121,16 +123,28 @@ def first_bianchi_residuals(r_table):
 
 
 def second_bianchi_residuals(nr_table):
+    dim = len(nr_table)
     out = []
-    for w in range(DIM):
-        for i in range(w + 1, DIM):
-            for j in range(i + 1, DIM):
-                for k in range(DIM):
-                    for l in range(DIM):
+    for w in range(dim):
+        for i in range(w + 1, dim):
+            for j in range(i + 1, dim):
+                for k in range(dim):
+                    for l in range(dim):
                         out.append(esum((nr_table[w][i][j][k][l],
                                          nr_table[i][j][w][k][l],
                                          nr_table[j][w][i][k][l])))
     return out
+
+
+def contracted_bianchi_residuals(spec, ginv, nabla_s, r):
+    """sum_{a,b} g^{ab} (nabla_{E_a} S)(E_b, E_k) - E_k(r) / 2 for each
+    k: the divergence of S is half the differential of r."""
+    dim = spec.dim
+    half = Expr.const(Fraction(1, 2))
+    return [esum([ginv[a][b] * nabla_s[a][b][k]
+                  for a in range(dim) for b in range(dim)])
+            - half * frame_apply(spec, k, r)
+            for k in range(dim)]
 
 
 def sample_points(seed, count=2):

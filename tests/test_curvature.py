@@ -3,15 +3,23 @@ for the bundled manifolds before any solver consumes them."""
 
 from pathlib import Path
 
+import pytest
+
 import _geometry_cases as gc
 from cmverify.curvature import (covariant_ricci_table, g_tensor_table,
                                 riemann_apply)
-from cmverify.specfile import load_spec
+from cmverify.specfile import load_spec, resolve_spec_path
 from cmverify.symcore import Expr, render
 from cmverify.workspace import Workspace
 
-CONF3 = (Path(__file__).resolve().parent.parent / "bench" / "specs"
-         / "conf3.cmspec")
+ROOT = Path(__file__).resolve().parent.parent
+CONF3 = ROOT / "bench" / "specs" / "conf3.cmspec"
+# Every spec whose nabla R builds within a few seconds: the bundled
+# 3-dim specs and all under tests/specs and bench/specs except conf3.
+BIANCHI_SPECS = [resolve_spec_path(name)
+                 for name in ("sphere3", "flat3", "example3d")] + sorted(
+    p for d in ("tests", "bench") for p in (ROOT / d / "specs").glob(
+        "*.cmspec") if p != CONF3)
 
 
 def _nonzero_gamma(conn, dim=3):
@@ -111,7 +119,7 @@ def test_ricci_einstein_sphere(sph):
 
 
 def test_covariant_ricci_frozen(ex3):
-    crt = covariant_ricci_table(ex3.spec, ex3.conn, ex3.ric.S)
+    crt = covariant_ricci_table(ex3.nr_table)
     nonzero = {(w, i, j): render(crt[w][i][j])
                for w in range(3) for i in range(3) for j in range(3)
                if not crt[w][i][j].is_zero}
@@ -140,3 +148,16 @@ def test_conf3_riemann_identities():
         assert (v + lowered[i, j, l, k]).is_zero, ("last pair", i, j, k, l)
         assert (v - lowered[k, l, i, j]).is_zero, ("pair symmetry", i, j, k, l)
     assert all(e.is_zero for e in gc.first_bianchi_residuals(rt))
+
+
+@pytest.mark.parametrize("path", BIANCHI_SPECS,
+                         ids=[p.stem for p in BIANCHI_SPECS])
+def test_bianchi_identities_hold_exactly(path):
+    # The first and second Bianchi identities, and their contraction
+    # div S = dr / 2, which ties S, nabla S and r to one another.
+    ws = Workspace(load_spec(path))
+    residuals = (gc.first_bianchi_residuals(ws.r_table)
+                 + gc.second_bianchi_residuals(ws.nr_table)
+                 + gc.contracted_bianchi_residuals(ws.spec, ws.ginv,
+                                                   ws.nabla_s, ws.ric.r))
+    assert residuals and all(e.is_zero for e in residuals)

@@ -198,6 +198,15 @@ def test_xi_derivatives_built_once(capsys, monkeypatch, command, spec):
     assert nabla_dirs == [0, 1, 2]
 
 
+def test_ricci_solve_builds_nabla_s_from_nabla_r(capsys, build_counts):
+    # nabla S is the trace of nabla R, so the Ricci solve builds nabla R
+    built = ("riemann", "nabla_riemann_table", "covariant_ricci_table")
+    cli.run(["solve", "recurrence", "--kind", "ricci", "example3d"])
+    capsys.readouterr()
+    assert {name: build_counts[name] for name in built} \
+        == dict.fromkeys(built, 1)
+
+
 def test_check_axioms_builds_no_curvature(capsys, build_counts):
     assert cli.run(["check", "axioms", "sphere3"]) == 0
     assert build_counts["riemann"] == 0
