@@ -200,9 +200,10 @@ def lie_xi_g(nabla_eta):
 
 def phi2_rows(cs: ContactStructure, rows) -> list:
     """phi^2 v = eta(v) xi - v for each row v of frame components, with
-    eta(v) summed over the frame indices where eta is nonzero only; a
-    zero row projects to itself, and a component where v^l and a factor
-    of xi^l eta(v) are zero is `ZERO`."""
+    eta(v) summed over the indices where eta and v are both nonzero; a
+    zero row projects to itself, and no operator gets a zero operand:
+    component l is x e - c, x e, -c or `ZERO` as xi^l eta(v) and v^l
+    vanish or not."""
     eta = nonzero_entries(cs.eta)
     xi = cs.xi
     out = []
@@ -210,10 +211,11 @@ def phi2_rows(cs: ContactStructure, rows) -> list:
         if not any(c.num.terms for c in v):
             out.append(v)
             continue
-        e = esum([c * v[m] for m, c in eta])
+        e = esum([c * v[m] for m, c in eta if v[m].num.terms])
         live = e.num.terms
-        out.append(tuple([x * e - c if c.num.terms or (live and x.num.terms)
-                          else ZERO for c, x in zip(v, xi)]))
+        out.append(tuple([
+            (x * e - c if c.num.terms else x * e) if live and x.num.terms
+            else (-c if c.num.terms else ZERO) for c, x in zip(v, xi)]))
     return out
 
 

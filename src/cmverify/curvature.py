@@ -1,7 +1,8 @@
 """Curvature of a framed metric.
 
 Sign convention: R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
-Tables store R[i][j][k][l], the E_l-component of R(E_i,E_j)E_k.  The Ricci
+Tables store R[i][j][k][l], the E_l-component of R(E_i,E_j)E_k, skew in
+(i, j) and built by `frames.skew`, as is each plane of nabla R.  The Ricci
 tensor is the trace S = tr R, S[j][k] = sum_a R[a][j][k][a], and nabla
 commutes with that trace, so nabla S is the same trace of nabla R.
 """
@@ -11,39 +12,24 @@ from dataclasses import dataclass
 from functools import partial
 
 from .frames import (FrameSpec, covariant_derivative_vector, matmul,
-                     nonzero_entries, wedge, zero_row)
+                     nonzero_entries, skew, wedge, zero_row)
 from .symcore import ZERO, Expr, esum, lincomb
 
 
-def _skew_planes(dim: int, plane):
-    """table[i][j] of a tensor skew in (i, j), from `plane(i, j)` for
-    i < j only: the diagonal is zero and j < i is the negation."""
-    zero_plane = (zero_row(dim),) * dim
-    table = [[zero_plane] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            p = plane(i, j)
-            table[i][j] = p
-            table[j][i] = tuple(lincomb(dim, [(-1, row)]) for row in p)
-    return tuple(tuple(row) for row in table)
-
-
 def riemann(spec: FrameSpec, gamma, brackets):
+    """The R table, plane i < j by `skew`: row R(E_i,E_j)E_k is one
+    `lincomb` of nabla_{E_i}(nabla_{E_j} E_k), -nabla_{E_j}(nabla_{E_i} E_k)
+    and -nabla_{[E_i,E_j]} E_k, its bracket coefficients negated once."""
     dim = spec.dim
 
     def plane(i, j):
-        out = []
-        live = nonzero_entries(brackets[i][j])
-        for k in range(dim):
-            first = covariant_derivative_vector(spec, gamma, i, gamma[j][k])
-            second = covariant_derivative_vector(spec, gamma, j, gamma[i][k])
-            out.append(tuple(
-                esum([first[l], -second[l]]
-                     + [-(c * gamma[m][k][l]) for m, c in live])
-                for l in range(dim)))
-        return tuple(out)
+        minus_c = [(m, -c) for m, c in nonzero_entries(brackets[i][j])]
+        return tuple([lincomb(dim, [
+            (1, covariant_derivative_vector(spec, gamma, i, gamma[j][k])),
+            (-1, covariant_derivative_vector(spec, gamma, j, gamma[i][k]))]
+            + [(c, gamma[m][k]) for m, c in minus_c]) for k in range(dim)])
 
-    return _skew_planes(dim, plane)
+    return skew(dim, plane, (zero_row(dim),) * dim)
 
 
 def riemann_apply(r_table, x, y, z):
@@ -104,7 +90,8 @@ def nabla_riemann_table(spec: FrameSpec, gamma, r_table):
             out.append(row if any([x.num.terms for x in row]) else zero)
         return tuple(out)
 
-    return tuple(_skew_planes(dim, partial(plane, w)) for w in range(dim))
+    return tuple(skew(dim, partial(plane, w), (zero,) * dim)
+                 for w in range(dim))
 
 
 def _trace(table):

@@ -14,9 +14,10 @@ position (E_1 is index 0); there is no wrapper class:
 Curvature tables extend the same rule (see `curvature`).  `dot` pairs
 two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
 (1,1) operator to a vector (T v) or a (0,2) table to its second slot
-(g(E_i, v), which lowers an index); `matmul` composes two operators;
-`wedge` builds the skew tables a(Y)BX - a(X)BY of the nullity form.
-A row that is a sum of rows scaled by coefficients is built by
+(g(E_i, v), which lowers an index); `matmul` composes two operators.
+A table skew in its first two indices (the brackets, `wedge`'s
+a(Y)BX - a(X)BY of the nullity form, R and nabla R) is built by `skew`
+from its entries i < j.  A row that is a sum of scaled rows is built by
 `symcore.lincomb`, which forms only products of two nonzero factors.
 Checks read frame components by index: g(E_i, E_j) is metric[i][j], and
 a value such as g(h E_i, phi E_j) is entry [i][j] of
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .linalg import mat_inv
 from .symcore import ZERO, Expr, esum, lincomb, render, zero_row
@@ -150,23 +152,36 @@ def apply_vector(spec: FrameSpec, v, f: Expr) -> Expr:
                 for i, c in enumerate(v) if not c.is_zero)
 
 
+def skew(dim: int, entry, zero):
+    """The table t[i][j] of a tensor skew in (i, j), from `entry(i, j)`
+    for i < j only: t[i][i] is the shared `zero`, and t[j][i] negates
+    t[i][j] by `lincomb`, row by row if entries are tuples of rows."""
+    rows = zero[0].__class__ is not Expr
+    table = [[zero] * dim for _ in range(dim)]
+    for i in range(dim - 1):
+        for j in range(i + 1, dim):
+            e = table[i][j] = entry(i, j)
+            table[j][i] = (tuple([lincomb(dim, [(-1, r)]) for r in e])
+                           if rows else lincomb(dim, [(-1, e)]))
+    return tuple(map(tuple, table))
+
+
+def _coordinate_bracket(spec: FrameSpec, i: int, j: int) -> list:
+    """The coordinate components E_i(x_m) - E_j(x_m) of [E_i, E_j]."""
+    a = spec.act
+    return [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
+            for m in range(spec.dim)]
+
+
 def compute_brackets(spec: FrameSpec, a_inv):
     """Structure functions c[i][j][k] for the frame: the declared table,
-    or else derived through `a_inv`, the inverse of the frame table."""
+    or else derived for i < j through `a_inv`, the inverse of the frame
+    table, and mirrored by `skew`."""
     if spec.brackets is not None:
         return spec.brackets
-    a = spec.act
     dim = spec.dim
-    c = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            # [E_i, E_j] = sum_m w^m d/dx_m expressed back through the frame
-            w = [frame_apply(spec, i, a[j][m]) - frame_apply(spec, j, a[i][m])
-                 for m in range(dim)]
-            row.append(lincomb(dim, zip(w, a_inv)))
-        c.append(tuple(row))
-    return tuple(c)
+    return skew(dim, lambda i, j: lincomb(
+        dim, zip(_coordinate_bracket(spec, i, j), a_inv)), zero_row(dim))
 
 
 def validate_frame(spec: FrameSpec) -> ValidationReport:
@@ -230,12 +245,11 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     act_bad = []
     for i in range(dim):
         for j in range(i + 1, dim):
-            for f, name in enumerate(spec.coords.names):
-                res = (frame_apply(spec, i, act[j][f])
-                       - frame_apply(spec, j, act[i][f])
-                       - esum(c[i][j][k] * act[k][f] for k in range(dim)))
-                if not res.is_zero:
-                    act_bad.append(((i, j), name, render(res)))
+            declared = lincomb(dim, zip(c[i][j], act))
+            for name, x, y in zip(spec.coords.names,
+                                  _coordinate_bracket(spec, i, j), declared):
+                if x != y:
+                    act_bad.append(((i, j), name, render(x - y)))
     if act_bad:
         report.add("action-compatibility", "warning",
                    f"declared actions clash with brackets, e.g. {act_bad[0]}")
@@ -262,22 +276,19 @@ def scaled_basis(n: int, i: int, x) -> tuple:
 def wedge(a, b=None):
     """a(E_j)(B E_i) - a(E_i)(B E_j), indexed [i][j][l], for a 1-form a
     and a (1,1) operator b; None is the identity.  This is the skew form
-    a(Y)BX - a(X)BY of the (k, mu)-nullity condition.  Row [j][i] is the
-    negation of row [i][j]."""
+    a(Y)BX - a(X)BY of the (k, mu)-nullity condition, built by `skew`;
+    a(E_i) is negated once per i, not once per pair."""
     dim = len(a)
     cols = None if b is None else tuple(zip(*b))
-    table = [[zero_row(dim)] * dim for _ in range(dim)]
-    for i in range(dim - 1):
-        minus_ai = -a[i]
-        for j in range(i + 1, dim):
-            if b is None:
-                terms = [(1, scaled_basis(dim, i, a[j])),
-                         (1, scaled_basis(dim, j, minus_ai))]
-            else:
-                terms = [(a[j], cols[i]), (minus_ai, cols[j])]
-            table[i][j] = lincomb(dim, terms)
-            table[j][i] = lincomb(dim, [(-1, table[i][j])])
-    return tuple(map(tuple, table))
+    minus_a = [-x for x in a[:-1]]
+
+    def entry(i, j):
+        if b is None:
+            return lincomb(dim, [(1, scaled_basis(dim, i, a[j])),
+                                 (1, scaled_basis(dim, j, minus_a[i]))])
+        return lincomb(dim, [(a[j], cols[i]), (minus_a[i], cols[j])])
+
+    return skew(dim, entry, zero_row(dim))
 
 
 def frame_pairing(a, t, b):
@@ -288,34 +299,29 @@ def frame_pairing(a, t, b):
 
 
 def koszul_connection(spec: FrameSpec, brackets, ginv):
-    """Levi-Civita connection of the frame metric via the Koszul formula,
-    as its table gamma[i][j][k]."""
+    """Levi-Civita connection of the frame metric, gamma[i][j][k], by the
+    Koszul formula over the lowered brackets b[i][j][k] = g([E_i,E_j],E_k):
+      2 g(nabla_{E_i} E_j, E_k) = E_i(g_jk) + E_j(g_ik) - E_k(g_ij)
+                                  + b[i][j][k] + b[k][i][j] + b[k][j][i],
+    raised through g^-1; b is skew in (i, j).  Each E_i(g_jk) is formed
+    once (g is symmetric), and each row b[i][j] once per pair i < j."""
     g = spec.metric
     dim = spec.dim
     half = Expr.const(Fraction(1, 2))
-    # the m where [E_i, E_j] has a nonzero component, per pair (i, j); a
-    # term m whose three brackets are all zero adds nothing
-    live = [[{m for m, _ in nonzero_entries(c)} for c in row]
-            for row in brackets]
-    gamma = []
-    for i in range(dim):
-        gi = []
-        for j in range(dim):
-            rhs = []
-            for k in range(dim):
-                used = live[i][j] | live[i][k] | live[j][k]
-                val = esum([
-                    frame_apply(spec, i, g[j][k]),
-                    frame_apply(spec, j, g[i][k]),
-                    -frame_apply(spec, k, g[i][j]),
-                ] + [brackets[i][j][m] * g[m][k]
-                     - brackets[i][k][m] * g[m][j]
-                     - brackets[j][k][m] * g[m][i]
-                     for m in range(dim) if m in used])
-                rhs.append(half * val)
-            gi.append(tuple(dot(row, rhs) for row in ginv))
-        gamma.append(tuple(gi))
-    return tuple(gamma)
+    dg = [[[None] * dim for _ in range(dim)] for _ in range(dim)]
+    for i, j in product(range(dim), repeat=2):
+        for k in range(j, dim):
+            dg[i][j][k] = dg[i][k][j] = frame_apply(spec, i, g[j][k])
+    b = skew(dim, lambda i, j: matvec(g, brackets[i][j]), zero_row(dim))
+
+    def half_sum(i, j, k):
+        x = dg[k][i][j]
+        v = esum([dg[i][j][k], dg[j][i][k], -x if x.num.terms else x,
+                  b[i][j][k], b[k][i][j], b[k][j][i]])
+        return half * v if v.num.terms else v
+
+    return tuple(tuple(matvec(ginv, [half_sum(i, j, k) for k in range(dim)])
+                       for j in range(dim)) for i in range(dim))
 
 
 def covariant_derivative_vector(spec: FrameSpec, gamma, i: int, v):

@@ -693,7 +693,10 @@ class RationalFunction:
         # cross-cancel first to keep intermediate products small
         a, d2 = _cancel(self.num, other.den)
         b, d1 = _cancel(other.num, self.den)
-        return RationalFunction(a * b, d1 * d2)
+        # a b and d1 d2 are coprime (Henrici 1956): each of a, b is prime
+        # to d1 and d2, since both operands were canonical and the cross
+        # cancellation removed the rest.  d1 d2 is monic, as d1 and d2 are.
+        return RationalFunction(a * b, d1 * d2, reduced=True)
 
     def __truediv__(self, other):
         if other.__class__ is not RationalFunction:

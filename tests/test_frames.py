@@ -206,6 +206,12 @@ def test_validate_frame_warns_on_jacobi_failure():
             "bracket [E1,E2] = x E3\nact E3 : x -> 1\n")
     rep = validate_frame(parse_spec_text(text, "t").spec)
     assert any(i.name == "jacobi" for i in rep.warnings)
+    # [E1,E2] = x E3 declares the coordinate bracket x d/dx, but the
+    # declared actions give E1(x) - E2(x) = 0: the residual is -x
+    assert [(i.name, i.detail) for i in rep.warnings
+            if i.name == "action-compatibility"] == [
+        ("action-compatibility",
+         "declared actions clash with brackets, e.g. ((0, 1), 'x', '-x')")]
 
 
 def test_frame_pairing_pairs_operator_columns():

@@ -285,3 +285,39 @@ def test_remainder_sequence_when_heuristic_gives_up(seed, nvars, monkeypatch,
     check_against_sympy(a, b)
     if len(poly_gcd(a, b).terms) > 1:
         assert prs_calls
+
+
+# RationalFunction.__mul__ cancels each numerator against the other
+# operand's denominator; the product of what is left is already in
+# lowest terms (Henrici 1956), so it is built without a third gcd.
+
+@pytest.mark.parametrize("seed,nvars", CASES)
+def test_products_match_sympy_cancel(seed, nvars):
+    rng = random.Random(9000 + 1000 * nvars + seed)
+    names = NAMES[:nvars]
+    f, h = rand_poly(rng, names, 3, 1), rand_poly(rng, names, 3, 1)
+    # the numerator of each factor shares f or h with the other's
+    # denominator, so the cross cancellation has work to do
+    p = RationalFunction(f * rand_poly(rng, names, 3, 2),
+                         h * rand_poly(rng, names, 3, 2))
+    q = RationalFunction(h * rand_poly(rng, names, 3, 2),
+                         f * rand_poly(rng, names, 3, 2))
+    gens = sympy.symbols(NAMES)
+    want = sympy.cancel(to_sympy(p.num, gens) * to_sympy(q.num, gens)
+                        / (to_sympy(p.den, gens) * to_sympy(q.den, gens)))
+    num, den = (from_sympy(e, gens) for e in sympy.fraction(want))
+    scale = 1 / den.leading()[1]
+    got = p * q
+    assert (got.num, got.den) == (num.scale(scale), den.scale(scale))
+    assert got.den.leading()[1] == 1
+
+
+def test_cross_coprime_product_makes_two_gcds(kernel):
+    x, y = Poly.var("x"), Poly.var("y")
+    one = Poly.const(1)
+    p = RationalFunction(x, y + one)
+    q = RationalFunction(y, x + one)
+    kernel.clear()
+    got = p * q
+    assert kernel["poly_gcd"] == 2
+    assert (got.num, got.den) == (x * y, (x + one) * (y + one))

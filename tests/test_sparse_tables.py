@@ -5,10 +5,15 @@ Each builder is checked against a dense reference, a copy of the loop it
 replaced: every entry must be equal, and the kernel must do exactly the
 same work (the same RationalFunction constructions, Poly products, gcds
 and exact divisions), because each sum still gets the same nonzero
-summands in the same order.  `ricci` and `covariant_ricci_table` take
-traces of R and nabla R where their references contract S through g and
-g^-1 and differentiate it: the entries must be equal, and no kernel
-count may exceed the reference's.  `symcore.lincomb`, which builds every
+summands in the same order.  Five builders do less than their
+references, so their entries must be equal and no kernel count may
+exceed the reference's, and `STRICTLY_FEWER` names the counts that must
+fall: `compute_brackets` derives [E_i,E_j] for i < j only and mirrors
+it; `koszul_connection` forms each E_i(g_jk) and each lowered bracket
+g([E_i,E_j],E_k) once; `riemann` negates each bracket coefficient once
+per plane, not each product; and `ricci` and `covariant_ricci_table`
+take traces of R and nabla R where their references contract S through
+g and g^-1 and differentiate it.  `symcore.lincomb`, which builds every
 residual row, is checked against `dense_lincomb`, which forms every
 product: the values agree, no operator gets a zero operand, and an
 all-zero row is the shared zero row.  A residual entry whose every term
@@ -273,22 +278,31 @@ def _same(kernel, seen, dense, sparse, *args):
 
 
 def _check_builders(kernel, spec, cs):
-    """Every builder against its dense reference; the kernel calls made
-    by the references, and the dense and sparse counts of `ricci`."""
+    """Every builder against its dense reference.  Returns the kernel
+    calls made by the references, and the (dense, sparse) counts of each
+    builder that may make fewer calls than its reference, by name."""
     seen = Counter()
+    fewer = {}
+
+    def no_more(name, dense, sparse):
+        got, *fewer[name] = _no_more(kernel, seen, dense, sparse)
+        return got
+
     rep = validate_frame(spec)
-    brackets = _same(kernel, seen, dense_compute_brackets, compute_brackets,
-                     spec, rep.a_inv)
     ginv = rep.ginv
-    conn = _same(kernel, seen, dense_koszul_connection, koszul_connection,
-                 spec, brackets, ginv)
-    r_table = _same(kernel, seen, dense_riemann, riemann, spec, conn,
-                    brackets)
+    brackets = no_more("brackets",
+                       lambda: dense_compute_brackets(spec, rep.a_inv),
+                       lambda: compute_brackets(spec, rep.a_inv))
+    conn = no_more("koszul",
+                   lambda: dense_koszul_connection(spec, brackets, ginv),
+                   lambda: koszul_connection(spec, brackets, ginv))
+    r_table = no_more("riemann",
+                      lambda: dense_riemann(spec, conn, brackets),
+                      lambda: riemann(spec, conn, brackets))
     nr_table = _same(kernel, seen, dense_nabla_riemann_table,
                      nabla_riemann_table, spec, conn, r_table)
-    (s, _, _), dense_ricci_counts, ricci_counts = _no_more(
-        kernel, seen, lambda: dense_ricci(spec, r_table, ginv),
-        lambda: ricci_parts(r_table, ginv))
+    s, _, _ = no_more("ricci", lambda: dense_ricci(spec, r_table, ginv),
+                      lambda: ricci_parts(r_table, ginv))
     _no_more(kernel, seen,
              lambda: tuple(dense_covariant_derivative_tensor02(spec, conn,
                                                                w, s)
@@ -305,7 +319,22 @@ def _check_builders(kernel, spec, cs):
     rows = [r_table[i][j][s] for i, j, s in planes]
     rows += [plane[i][j][s] for plane in nr_table for i, j, s in planes]
     _same(kernel, seen, dense_phi2_rows, phi2_rows, cs, rows)
-    return seen, (dense_ricci_counts, ricci_counts)
+    return seen, fewer
+
+
+# The kernel count that each builder makes strictly fewer of than its
+# dense reference, by spec: brackets are derived for i < j only (heis5:
+# 4 Poly products, not 8); Koszul forms each E_i(g_jk) and each lowered
+# bracket g([E_i,E_j],E_k) once (heis5: 26 products, not 36; example3d:
+# 7 gcds, not 12); R negates each bracket coefficient once per plane,
+# not each of its products (heis5: 68 constructions, not 74); and
+# S = tr R forms no product with an entry of g or g^-1.
+STRICTLY_FEWER = {
+    "heis5": {"brackets": "__mul__", "koszul": "__mul__",
+              "riemann": "__init__", "ricci": "__mul__"},
+    "example3d": {"koszul": "poly_gcd"},
+    "polymetric3": {"ricci": "__mul__"},
+}
 
 
 @pytest.mark.parametrize("name,gcds", [("asym3", True), ("example3d", True),
@@ -313,13 +342,30 @@ def _check_builders(kernel, spec, cs):
                                        ("polymetric3", True)])
 def test_builders_match_dense_reference_on_specs(kernel, name, gcds):
     ws = Workspace(load_spec(SPECS[name]))
-    seen, (dense_ricci_counts, ricci_counts) = _check_builders(
-        kernel, ws.spec, ws.cs)
+    seen, fewer = _check_builders(kernel, ws.spec, ws.cs)
     assert seen["__init__"] and seen["__mul__"]
     assert bool(seen["poly_gcd"]) == gcds
-    if name in ("heis5", "polymetric3"):
-        # S = tr R forms no product with an entry of g or g^-1
-        assert ricci_counts["__mul__"] < dense_ricci_counts["__mul__"]
+    for builder, count in STRICTLY_FEWER.get(name, {}).items():
+        dense, sparse = fewer[builder]
+        assert sparse[count] < dense[count], (builder, count)
+
+
+def test_brackets_are_derived_for_i_below_j_only(monkeypatch):
+    # heis5 is given by its frame: each pair i < j takes 2 dim frame
+    # derivatives, of the coordinate components of E_j and of E_i, and
+    # the mirrored pairs and the diagonal take none.  Deriving all 25
+    # pairs took 250.
+    spec = load_spec(SPECS["heis5"]).spec
+    a_inv = validate_frame(spec).a_inv
+    calls = []
+    frames = sys.modules["cmverify.frames"]
+    original = frames.frame_apply
+    monkeypatch.setattr(frames, "frame_apply",
+                        lambda *args: calls.append(1) or original(*args))
+    got = compute_brackets(spec, a_inv)
+    monkeypatch.undo()
+    assert len(calls) == 2 * spec.dim * spec.dim * (spec.dim - 1) // 2 == 100
+    assert got == dense_compute_brackets(spec, a_inv)
 
 
 @pytest.mark.parametrize("dim,density,seeds",
@@ -625,8 +671,10 @@ def test_structurally_zero_residual_entries_are_shared_zero(capsys,
         # `all heis7` made 59,120 operator calls with a zero operand when
         # every entry was formed, and 14,094 when the entries no term
         # reaches were skipped but a live entry still formed its zero
-        # terms; 5,676 once every residual row is one `lincomb`.
-        assert 0 < sum(zero_operands.values()) <= 11_000
+        # terms; 5,676 once every residual row is one `lincomb` (5,190
+        # after later changes), and 1,659 once the phi^2 projection and
+        # the Koszul and R builders form no term with a zero factor.
+        assert 0 < sum(zero_operands.values()) <= 2_000
 
 
 def test_solve_recurrence_builds_only_the_tables_it_reads(capsys, kernel):
@@ -634,8 +682,11 @@ def test_solve_recurrence_builds_only_the_tables_it_reads(capsys, kernel):
     # of the tables of each h only wedge(eta, h); building every table of
     # each h made 186 values, and wedge(eta) once per h 152.  `wedge`
     # negates a(E_i) once per i, not once per pair (i, j), which saves
-    # one more value in the model tensor G.
+    # one more value in the model tensor G.  149 became 139 when Koszul
+    # formed each lowered bracket and each E_i(g_jk) once (8 fewer),
+    # brackets were derived for i < j only and R negated each bracket
+    # coefficient once per plane (one fewer each).
     kernel.clear()
     cli.run(["solve", "recurrence", "--kind", "full", "example3d"])
     capsys.readouterr()
-    assert kernel["__init__"] == 149
+    assert kernel["__init__"] == 139
