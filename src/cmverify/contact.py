@@ -14,9 +14,7 @@ from functools import cached_property
 from .frames import (
     FrameSpec,
     ShapeError,
-    apply_vector,
     dot,
-    frame_apply,
     frame_pairing,
     matmul,
     matvec,
@@ -66,27 +64,22 @@ def build_structure(spec: FrameSpec, decl: ContactDecl) -> ContactStructure:
     return ContactStructure(decl.xi, decl.phi, eta, decl.h)
 
 
-def xi_brackets(spec: FrameSpec, cs: ContactStructure, brackets):
-    """The operator L whose column j is [xi, E_j], so that
-    [xi, v] = xi(v) + L v for a vector v."""
-    dim = spec.dim
-    xi = cs.xi
+def compute_h(cs: ContactStructure, nabla_xi, nabla_phi):
+    """h = (1/2) Lie_xi phi, read off the Levi-Civita connection.  It is
+    torsion-free, so (Lie_xi phi) X = (nabla_xi phi) X - nabla_{phi X} xi
+    + phi nabla_X xi, that is h = (1/2)(nabla_xi phi - A phi + phi A) for
+    the operator A: X -> nabla_X xi, whose column i is nabla_xi[i].
+    `nabla_phi(w)` is nabla_{E_w} phi, read for the nonzero components
+    of xi only; a component 1 scales no table."""
+    dim = len(cs.xi)
+    a = tuple(zip(*nabla_xi))
+    nabla = [(1 if c == ONE else c, nabla_phi(w))
+             for w, c in nonzero_entries(cs.xi)]
     return tuple(
-        tuple(dot(xi, [brackets[a][j][l] for a in range(dim)])
-              - frame_apply(spec, j, xi[l]) for j in range(dim))
-        for l in range(dim))
-
-
-def compute_h(spec: FrameSpec, cs: ContactStructure, lie):
-    """Half the Lie derivative of phi along xi, columnwise on frame fields:
-    column j is (1/2)([xi, phi E_j] - phi [xi, E_j]), which is
-    (1/2)(xi(phi) + L phi - phi L) for the operator `lie` = L of
-    `xi_brackets`, with xi(phi) taken entrywise."""
-    lie_phi, phi_lie = matmul(lie, cs.phi), matmul(cs.phi, lie)
-    return tuple(
-        tuple(HALF * (apply_vector(spec, cs.xi, p) + a - b)
-              for p, a, b in zip(*rows))
-        for rows in zip(cs.phi, lie_phi, phi_lie))
+        lincomb(dim, [(HALF, lincomb(dim, [(c, t[l]) for c, t in nabla]
+                                     + [(-1, ap), (1, pa)]))])
+        for l, (ap, pa) in enumerate(zip(matmul(a, cs.phi),
+                                         matmul(cs.phi, a))))
 
 
 def h_variants(cs: ContactStructure, h_computed):

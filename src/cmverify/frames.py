@@ -26,9 +26,11 @@ a value such as g(h E_i, phi E_j) is entry [i][j] of
 `koszul_connection` is the Levi-Civita connection: torsion-free,
 nabla_X Y - nabla_Y X = [X, Y], and metric, nabla g = 0.  The contact
 layer reads nabla eta, d eta and Lie_xi g off nabla xi through these two
-identities.  Column j of nabla_{E_i} t, for a (1,1) operator t, is
-nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j).  No (0,2) table is
-differentiated here: nabla S is a trace of nabla R (see `curvature`).
+identities, and Lie_xi phi off nabla xi and nabla phi, so only
+validation, Koszul and R read the brackets.  Column j of nabla_{E_i} t,
+for a (1,1) operator t, is nabla_{E_i}(t E_j) - t(nabla_{E_i} E_j).  No
+(0,2) table is differentiated here: nabla S is a trace of nabla R (see
+`curvature`).
 """
 from __future__ import annotations
 
@@ -146,12 +148,6 @@ def frame_apply(spec: FrameSpec, i: int, f: Expr) -> Expr:
                  if not c.is_zero])
 
 
-def apply_vector(spec: FrameSpec, v, f: Expr) -> Expr:
-    """v(f) for a vector v."""
-    return esum(c * frame_apply(spec, i, f)
-                for i, c in enumerate(v) if not c.is_zero)
-
-
 def skew(dim: int, entry, zero):
     """The table t[i][j] of a tensor skew in (i, j), from `entry(i, j)`
     for i < j only: t[i][i] is the shared `zero`, and t[j][i] negates
@@ -185,6 +181,8 @@ def compute_brackets(spec: FrameSpec, a_inv):
 
 
 def validate_frame(spec: FrameSpec) -> ValidationReport:
+    """A determinant degenerates where its numerator vanishes: nowhere
+    when that is a nonzero constant, as for 1/x^3."""
     report = ValidationReport()
     dim = spec.dim
     if dim % 2 == 0:
@@ -197,7 +195,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     if gdet.is_zero:
         report.add("metric-nondegenerate", "error",
                    "metric determinant is identically zero")
-    elif gdet.variables():
+    elif not gdet.num.is_const:
         report.add("metric-nondegenerate", "warning",
                    f"metric degenerates where {render(gdet)} = 0")
     else:
@@ -208,7 +206,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
         if det.is_zero:
             raise FrameDependent(
                 "coordinate frame determinant is identically zero")
-        if det.variables():
+        if not det.num.is_const:
             report.add("frame-independent", "warning",
                        f"frame degenerates where {render(det)} = 0")
         else:

@@ -169,8 +169,7 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     idh, h_phi_idh, phih, h_cols = (tuple(zip(*m)) for m in (
         t.idh, t.h_phi_idh, t.phih, h))
     res = [(f"(E{i + 1},E{j + 1})", c) for i in range(dim)
-           for j, col in enumerate(zip(*covariant_derivative_tensor11(
-               spec, conn, i, phi)))
+           for j, col in enumerate(zip(*ws.nabla_phi(i)))
            for c in lincomb(dim, [(1, col), (t.g_idh[i][j], minus_xi),
                                   (eta[j], idh[i])])]
     reports.append(residual_check("I3.3", res, sampler, notes=note))

@@ -113,7 +113,9 @@ class Poly:
     __slots__ = ("terms", "_hash", "_lead")
 
     def __init__(self, terms: dict):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        # stored as given: every builder, here and in `expr.esum`, passes
+        # a fresh dict with no zero coefficient
+        self.terms = terms
         self._hash = None
 
     @staticmethod
@@ -747,7 +749,8 @@ class RationalFunction:
 
 
 def _cancel(num: Poly, den: Poly):
-    if den.is_const or num.is_zero:
+    """num/den with gcd(num, den) divided out; none runs for a constant."""
+    if den.is_const or num.is_const:
         return num, den
     g = poly_gcd(num, den)
     if g.is_const:

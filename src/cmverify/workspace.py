@@ -2,15 +2,18 @@
 
 A Workspace is the one place tensors are built.  Every suite reads the
 brackets, connection, curvature and its contractions with xi, nabla R,
-the model tensor G, Ricci data, contact structure, g(E_i, phi E_j), the
-h operators and the tables built from each h from it instead of
-rebuilding them, and each is built on first use, so a command builds
-only what its suites read: `check axioms` never builds R or nabla R.
+the model tensor G, Ricci data, contact structure, g(E_i, phi E_j),
+nabla xi, each nabla_{E_w} phi, the h operators and the tables built
+from each h from it instead of rebuilding them, and each is built on
+first use, so a command builds only what its suites read: `check
+axioms` never builds R or nabla R.
 S and nabla S are traces of R and nabla R, so a command that reads
 nabla S, such as `solve recurrence --kind ricci`, builds nabla R.
-Each is a frame table in the conventions of `frames`.  The derivatives
-of xi and eta come from two of them: h from the operator [xi, .]
-(`xi_lie`), and nabla eta, d eta and Lie_xi g from nabla xi.
+Each is a frame table in the conventions of `frames`.  Every derivative
+of xi, eta and phi comes off the connection: nabla eta, d eta and
+Lie_xi g off nabla xi, and h = (1/2) Lie_xi phi off nabla xi and
+`nabla_phi(w)` along xi, so only validation, Koszul and R read the
+brackets.
 """
 from __future__ import annotations
 
@@ -18,12 +21,12 @@ from fractions import Fraction
 from functools import cached_property
 
 from .contact import (HTables, build_structure, compute_h, deta_tensor,
-                      h_variants, xi_brackets)
+                      h_variants)
 from .curvature import (covariant_ricci_table, g_tensor_table,
                         nabla_riemann_table, ricci, riemann, riemann_on)
-from .frames import (compute_brackets, covariant_derivative_vector,
-                     frame_pairing, koszul_connection, matvec,
-                     validate_frame, wedge)
+from .frames import (compute_brackets, covariant_derivative_tensor11,
+                     covariant_derivative_vector, frame_pairing,
+                     koszul_connection, matvec, validate_frame, wedge)
 from .nullity import extract_k_mu, resolve_params
 from .sampling import DEFAULT_POINTS, DEFAULT_SEED, DEFAULT_TOL, Sampler
 from .symcore import (DivisionByZeroExpr, ExprSyntaxError, UnknownSymbol,
@@ -45,7 +48,8 @@ class Workspace:
     `k` and `mu` are override expressions (text) and are parsed here, so a
     malformed override fails before any suite runs, with a `BadOverride`
     naming its option.  `h_tables(h)` holds the `contact.HTables` of each
-    distinct h operator.
+    distinct h operator, and `nabla_phi(w)` nabla_{E_w} phi for each
+    direction w.
     """
 
     def __init__(self, parsed, k=None, mu=None, seed=DEFAULT_SEED,
@@ -60,7 +64,7 @@ class Workspace:
             else _override("mu", mu, symbols))
         self.sampler = Sampler(self.spec, seed=seed, points=points, tol=tol)
         self.deta_factor = deta_factor
-        self._h_tables = {}
+        self._h_tables, self._nabla_phi = {}, {}
 
     @cached_property
     def validation(self):
@@ -140,11 +144,6 @@ class Workspace:
         return frame_pairing(None, self.spec.metric, self.cs.phi)
 
     @cached_property
-    def xi_lie(self):
-        """The operator whose column j is [xi, E_j]."""
-        return xi_brackets(self.spec, self.cs, self.brackets)
-
-    @cached_property
     def nabla_xi(self):
         """nabla_{E_i} xi, indexed [i][l]."""
         return tuple(covariant_derivative_vector(self.spec, self.conn, i,
@@ -157,9 +156,16 @@ class Workspace:
         eta = g(., xi) and nabla g = 0."""
         return tuple(matvec(self.spec.metric, v) for v in self.nabla_xi)
 
+    def nabla_phi(self, w):
+        """nabla_{E_w} phi, built on first use for each direction w."""
+        if w not in self._nabla_phi:
+            self._nabla_phi[w] = covariant_derivative_tensor11(
+                self.spec, self.conn, w, self.cs.phi)
+        return self._nabla_phi[w]
+
     @cached_property
     def h_computed(self):
-        return compute_h(self.spec, self.cs, self.xi_lie)
+        return compute_h(self.cs, self.nabla_xi, self.nabla_phi)
 
     @cached_property
     def variants(self):

@@ -20,6 +20,13 @@ uni3 is the family of 3-dim unimodular Lie groups (Milnor 1976, Adv.
 Math. 21) with their left-invariant contact metric structure, a
 (k, mu)-space with k = 1 - (l2 - l3)^2/4 and mu = 2 - (l2 + l3) (Blair
 2010, Riemannian Geometry of Contact and Symplectic Manifolds, 2nd ed.).
+
+kt3 is a proper generalized (k, mu)-space (Koufogiorgos & Tsichlias
+2000, Canad. Math. Bull. 43), where k and mu are functions.  Its facts
+come from a hand derivation on its 3x3 frame, given in the spec's
+header: with lam = x3^-2, h = diag(lam, -lam, 0), k = 1 - lam^2 and
+mu = 2(1 - lam).  Its I3.4, I3.9, I3.10 and I3.13 fail, since those
+relations assume constant k and mu; they are not asserted here.
 """
 
 import io
@@ -35,8 +42,9 @@ from cmverify.symcore import ZERO, parse_expr, render
 from cmverify.workspace import Workspace
 
 SPECS = Path(__file__).resolve().parent / "specs"
-T1E3, T1E4, T1E3A, UNI3 = (SPECS / f"{name}.cmspec"
-                           for name in ("t1e3", "t1e4", "t1e3a", "uni3"))
+T1E3, T1E4, T1E3A, UNI3, KT3 = (
+    SPECS / f"{name}.cmspec"
+    for name in ("t1e3", "t1e4", "t1e3a", "uni3", "kt3"))
 AXIOMS = ("I2.1", "I2.2", "I2.3", "I2.4", "H1", "H2", "H3", "H4",
           "KILLING", "CONTACT", "NULLITY")
 IDENTITIES = tuple(f"I3.{i}" for i in range(1, 14))
@@ -116,3 +124,30 @@ def test_uni3_k_and_mu_in_closed_form():
     assert ext.status == "unique"
     assert ext.k == parse_expr("1 - (l2 - l3)^2/4", syms)
     assert ext.mu == parse_expr("2 - (l2 + l3)", syms)
+
+
+def _kt3_exprs(rows):
+    return tuple(tuple(parse_expr(e, {"x3"}) for e in row) for row in rows)
+
+
+def test_kt3_brackets_and_h_by_hand():
+    # [E1,E2] = x3^-3 E2 + 2 E3, [E1,E3] = -2 x3^-2 E2, [E2,E3] = 0; then
+    # [xi, E1] = 2 lam E2 and [xi, E2] = 0 give h = diag(lam, -lam, 0)
+    ws = Workspace(load_spec(KT3))
+    c = ws.brackets
+    assert (c[0][1], c[0][2], c[1][2]) == _kt3_exprs(
+        [("0", "x3^-3", "2"), ("0", "-2*x3^-2", "0"), ("0", "0", "0")])
+    assert ws.h_computed == _kt3_exprs(
+        [("x3^-2", "0", "0"), ("0", "-x3^-2", "0"), ("0", "0", "0")])
+
+
+def test_kt3_axioms_pass_with_function_k_and_mu(capsys):
+    cli.run(["all", str(KT3), "--format", "json"])
+    checks = {c["id"]: c
+              for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert {cid: checks[cid]["verdict"] for cid in AXIOMS} \
+        == dict.fromkeys(AXIOMS, "pass")
+    ext = primary_k_mu(KT3)
+    assert ext.status == "unique"
+    assert ext.k == parse_expr("1 - x3^-4", {"x3"})
+    assert ext.mu == parse_expr("2*(1 - x3^-2)", {"x3"})

@@ -3,14 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from _geometry_cases import basis, vanishes
-from cmverify.contact import (InconsistentEta, axiom_suite, build_structure,
-                              contact_volume, deta_tensor, h_variants,
-                              lie_xi_g, phi2_rows)
-from cmverify.frames import (ShapeError, apply_vector,
-                             covariant_derivative_tensor11, dot, frame_apply,
-                             matvec)
-from cmverify.specfile import load_spec, parse_spec_text, resolve_spec_path
+from _geometry_cases import basis, random_spec, vanishes
+from cmverify.contact import (ContactDecl, InconsistentEta, axiom_suite,
+                              build_structure, contact_volume, deta_tensor,
+                              h_variants, lie_xi_g, phi2_rows)
+from cmverify.frames import (ShapeError, covariant_derivative_tensor11, dot,
+                             frame_apply, matvec, validate_frame)
+from cmverify.specfile import (ParsedSpec, load_spec, parse_spec_text,
+                               resolve_spec_path)
 from cmverify.symcore import Expr, esum, render
 from cmverify.workspace import FrameInvalid, Workspace
 
@@ -106,24 +106,14 @@ def test_xi_not_killing_under_declared_h_example(ex3):
     assert vanishes(lie_xi_g(ex3.nabla_eta))
 
 
-def test_xi_lie_on_sphere(sph):
-    # xi = E3 and [E3,E1] = 2 E2, [E3,E2] = -[E2,E3] = -2 E1, [E3,E3] = 0
-    assert [[render(c) for c in row] for row in sph.xi_lie] \
-        == [["0", "-2", "0"], ["2", "0", "0"], ["0", "0", "0"]]
+# --- references: the bracket and 1-form formulas that the Workspace
+# tables replaced, h among them, which compute_h reads off nabla ----------
 
+def apply_vector(spec, v, f):
+    """v(f) for a vector v."""
+    return esum(c * frame_apply(spec, i, f)
+                for i, c in enumerate(v) if not c.is_zero)
 
-def test_xi_lie_on_example(ex3):
-    # xi = E3 brackets to zero with every frame field, so [xi, z E1] is
-    # xi(z) E1 = E1, read off xi(v) + L v
-    assert vanishes(ex3.xi_lie)
-    z_e1 = tuple(Expr.sym("z") * c for c in basis(0))
-    got = [apply_vector(ex3.spec, ex3.cs.xi, c) + lc
-           for c, lc in zip(z_e1, matvec(ex3.xi_lie, z_e1))]
-    assert [render(c) for c in got] == ["1", "0", "0"]
-
-
-# --- references: the bracket and 1-form formulas that the Workspace tables
-# xi_lie and nabla_eta replaced -------------------------------------------
 
 def ref_lie_bracket(spec, v, w, brackets):
     """[v, w] = v(w) - w(v) + sum_{a,b} v^a w^b [E_a, E_b]."""
@@ -139,8 +129,9 @@ def ref_lie_bracket(spec, v, w, brackets):
 
 
 def ref_tables(ws):
-    """[xi, E_j] (column j), d eta, Lie_xi g, h and nabla eta by the
-    bracket formulas, each indexed as its Workspace table."""
+    """d eta, Lie_xi g, h and nabla eta by the bracket formulas, each
+    indexed as its Workspace table: h's column j is
+    (1/2)([xi, phi E_j] - phi [xi, E_j])."""
     spec, b, conn = ws.spec, ws.brackets, ws.conn
     dim, g = spec.dim, spec.metric
     xi, eta, phi = ws.cs.xi, ws.cs.eta, ws.cs.phi
@@ -161,8 +152,8 @@ def ref_tables(ws):
         for j, col in enumerate(zip(*phi))]
     nabla_eta = [[frame_apply(spec, i, eta[j]) - dot(conn[i][j], eta)
                   for j in range(dim)] for i in range(dim)]
-    return {"xi_lie": _rows(zip(*lie)), "deta": deta, "lie_g": lie_g,
-            "h": _rows(zip(*h_cols)), "nabla_eta": nabla_eta}
+    return {"deta": deta, "lie_g": lie_g, "h": _rows(zip(*h_cols)),
+            "nabla_eta": nabla_eta}
 
 
 def ref_tensor11(spec, gamma, i, t):
@@ -186,7 +177,9 @@ ORACLE_SPECS = {
     **{name: ROOT / "bench" / "specs" / f"{name}.cmspec"
        for name in ("conf3", "heis5", "heis7", "polyboth3", "polyframe3",
                     "polymetric3")},
-    "asym3": ROOT / "tests" / "specs" / "asym3.cmspec",
+    # kt3's h has a non-constant eigenvalue
+    **{name: ROOT / "tests" / "specs" / f"{name}.cmspec"
+       for name in ("asym3", "kt3")},
 }
 
 
@@ -194,17 +187,53 @@ ORACLE_SPECS = {
 def test_xi_tables_match_bracket_formulas(name):
     ws = Workspace(load_spec(ORACLE_SPECS[name]))
     ref = ref_tables(ws)
-    assert _rows(ws.xi_lie) == ref["xi_lie"]
     assert _rows(ws.deta) == ref["deta"]
     assert _rows(lie_xi_g(ws.nabla_eta)) == ref["lie_g"]
     assert _rows(ws.h_computed) == ref["h"]
     assert _rows(ws.nabla_eta) == ref["nabla_eta"]
-    ops = [ws.cs.phi] + [h for _, h in ws.variants]
     for i in range(ws.spec.dim):
-        for t in ops:
+        assert _rows(ws.nabla_phi(i)) \
+            == ref_tensor11(ws.spec, ws.conn, i, ws.cs.phi)
+        for _, h in ws.variants:
             assert _rows(covariant_derivative_tensor11(ws.spec, ws.conn, i,
-                                                       t)) \
-                == ref_tensor11(ws.spec, ws.conn, i, t)
+                                                       h)) \
+                == ref_tensor11(ws.spec, ws.conn, i, h)
+
+
+def _assert_h_matches_bracket_formula(parsed):
+    """Returns h, which must equal the bracket formula's."""
+    ws = Workspace(parsed)
+    assert _rows(ws.h_computed) == ref_tables(ws)["h"]
+    return ws.h_computed
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_h_matches_bracket_formula_on_random_frames(dim):
+    # (1/2) Lie_xi phi = (1/2)(nabla_xi phi - A phi + phi A) needs only a
+    # torsion-free connection, so any (1,1) phi and any xi will do: a
+    # frame vector, as every spec file declares, and a vector with
+    # non-constant components
+    hs = []
+    for seed in range(4):
+        spec = random_spec(seed, dim, 0.5)
+        for xi in (basis(seed % dim, dim), spec.act[-1]):
+            hs.append(_assert_h_matches_bracket_formula(ParsedSpec(
+                spec.name, spec, ContactDecl(xi=xi, phi=spec.act),
+                None, None)))
+    assert sum(not vanishes(h) for h in hs) >= len(hs) // 2
+
+
+def test_h_matches_bracket_formula_when_brackets_fail_jacobi():
+    # Koszul is torsion-free with respect to the declared brackets even
+    # when they fail Jacobi and clash with the declared actions
+    text = ("coords x y z\nframe-mode bracket\nmetric identity\n"
+            "bracket [E1,E2] = x E3\nact E3 : x -> 1\n"
+            "contact xi = E3\ncontact phi : E1 -> x E2\n"
+            "contact phi : E2 -> -1 E1\ncontact phi : E3 -> 0\n")
+    parsed = parse_spec_text(text, "t")
+    assert {i.name for i in validate_frame(parsed.spec).warnings} \
+        == {"jacobi", "action-compatibility"}
+    assert not vanishes(_assert_h_matches_bracket_formula(parsed))
 
 
 def test_phi2_projection(sph):

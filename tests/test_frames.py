@@ -214,6 +214,29 @@ def test_validate_frame_warns_on_jacobi_failure():
          "declared actions clash with brackets, e.g. ((0, 1), 'x', '-x')")]
 
 
+def test_validation_names_no_empty_degeneracy_locus():
+    # kt3's frame determinant is 1/x3^3 and the metric below has
+    # det g = 1/x^2: a nonzero constant numerator vanishes nowhere, so
+    # neither determinant is a warning; a non-constant one still is
+    from cmverify.specfile import parse_spec_text
+    kt3 = validate_frame(load_spec(ROOT / "tests" / "specs"
+                                   / "kt3.cmspec").spec)
+    levels = {i.name: (i.level, i.detail) for i in kt3.issues}
+    assert levels["frame-independent"] == ("ok", "")
+    text = ("coords x y z\nframe-mode vector\nvector E1 = 1 dx\n"
+            "vector E2 = 1 dy\nvector E3 = (1/y) dz\nmetric g11 = 1/x^2\n"
+            "metric g22 = 1\nmetric g33 = 1\n")
+    rep = validate_frame(parse_spec_text(text, "t").spec)
+    levels = {i.name: (i.level, i.detail) for i in rep.issues}
+    assert levels["metric-nondegenerate"] == ("ok", "")
+    assert levels["frame-independent"] == ("ok", "")
+    rep = validate_frame(parse_spec_text(
+        text.replace("(1/y)", "y").replace("1/x^2", "x^2"), "t").spec)
+    assert [(i.name, i.detail) for i in rep.warnings] == [
+        ("metric-nondegenerate", "metric degenerates where x^2 = 0"),
+        ("frame-independent", "frame degenerates where y = 0")]
+
+
 def test_frame_pairing_pairs_operator_columns():
     # asym3's phi is not g-skew and its h is not g-symmetric, so a
     # transposed operator would change the table

@@ -326,13 +326,16 @@ def _check_builders(kernel, spec, cs):
 # dense reference, by spec: brackets are derived for i < j only (heis5:
 # 4 Poly products, not 8); Koszul forms each E_i(g_jk) and each lowered
 # bracket g([E_i,E_j],E_k) once (heis5: 26 products, not 36; example3d:
-# 7 gcds, not 12); R negates each bracket coefficient once per plane,
-# not each of its products (heis5: 68 constructions, not 74); and
-# S = tr R forms no product with an entry of g or g^-1.
+# 10 products, not 20); R negates each bracket coefficient once per
+# plane, not each of its products (heis5: 68 constructions, not 74); and
+# S = tr R forms no product with an entry of g or g^-1.  example3d's
+# Koszul gcds were 7, not 12, until a product stopped running a gcd for
+# a constant numerator: every gcd the repeats made had one, so both
+# builders now make 2, and its products are the count that falls.
 STRICTLY_FEWER = {
     "heis5": {"brackets": "__mul__", "koszul": "__mul__",
               "riemann": "__init__", "ricci": "__mul__"},
-    "example3d": {"koszul": "poly_gcd"},
+    "example3d": {"koszul": "__mul__"},
     "polymetric3": {"ricci": "__mul__"},
 }
 

@@ -7,7 +7,9 @@ import pytest
 from cmverify.symcore import (ONE, ZERO, DivisionByZeroExpr, DomainError,
                               Expr, ExprSyntaxError, UnknownSymbol, esum,
                               eval_rational, parse_expr, render, tokenize)
-from cmverify.symcore.poly import _P_ONE, Poly, RationalFunction, poly_divexact
+from cmverify.symcore import poly
+from cmverify.symcore.poly import (_P_ONE, Poly, RationalFunction,
+                                   poly_divexact, poly_gcd)
 
 SYMS = {"x", "y", "z"}
 
@@ -260,3 +262,48 @@ class TestDivexact:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             poly_divexact(self.X, Poly({}))
+
+
+def _canceling_pair(rng):
+    """Two polynomials that share half of a's terms, b with the opposite
+    coefficients, so that sums, differences and products cancel."""
+    a = _seeded_poly(rng, 8, 3)
+    b = dict(_seeded_poly(rng, 6, 3).terms)
+    b.update((m, -c) for m, c in list(a.terms.items())[::2])
+    return a, Poly(b)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_no_result_holds_a_zero_coefficient(seed):
+    # Poly stores its term dict as given, so each builder must leave out
+    # the coefficients that cancel
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(8):
+        a, b = _canceling_pair(rng)
+        c = _seeded_poly(rng, 3, 2)
+        polys += [a + b, a - b, b - a, a * b, (a + b) * (a - b),
+                  a.scale(Fraction(rng.randint(1, 9), 7)), a.derivative("x"),
+                  poly_divexact(a * b, b), poly_gcd(a * c, b * c)]
+        ra, rb = RationalFunction(a, b), RationalFunction(b, c)
+        exprs = [ra + rb, ra - rb, ra * rb, ra / rb, -ra, ra ** 2,
+                 ra.derivative("y"), RationalFunction(a) - RationalFunction(a),
+                 esum([RationalFunction(a), RationalFunction(b), ra,
+                       RationalFunction(-a)])]
+        polys += [p for e in exprs for p in (e.num, e.den)]
+    assert all(0 not in p.terms.values() for p in polys)
+    assert any(p.is_zero for p in polys)
+
+
+def test_product_runs_no_gcd_for_a_constant_numerator(monkeypatch):
+    # Cross-cancelling 1/(y + 1) by x/(x + 1) takes gcd(x, y + 1) only: a
+    # constant numerator shares no factor with (x + 1)
+    a, b, want = ex("1/(y + 1)"), ex("x/(x + 1)"), ex("x/((x + 1)*(y + 1))")
+    calls = []
+
+    def counted(f, g, _fn=poly_gcd):
+        calls.append((f, g))
+        return _fn(f, g)
+    monkeypatch.setattr(poly, "poly_gcd", counted)
+    assert a * b == want
+    assert calls == [(b.num, a.den)]

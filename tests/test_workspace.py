@@ -168,34 +168,68 @@ def test_all_builds_shared_tables_once(capsys, monkeypatch, spec):
 @pytest.mark.parametrize("spec", ["example3d", str(ASYM3)],
                          ids=["example3d", "asym3"])
 def test_xi_derivatives_built_once(capsys, monkeypatch, command, spec):
-    # Both specs audit a declared and a computed h.  The computed h reads
-    # [xi, .]; d eta, Lie_xi g, and I2.4 and I3.12 of each h read nabla xi,
-    # which is one nabla_{E_i} xi per frame direction.
-    built, lie_calls, nabla_dirs = {}, [], []
+    # Both specs audit a declared and a computed h.  Every derivative of
+    # xi, eta and phi comes off the connection: d eta, Lie_xi g, the
+    # computed h, and I2.4 and I3.12 of each h read nabla xi, which is one
+    # nabla_{E_i} xi per frame direction; h reads nabla_{E_w} phi along
+    # xi, and I3.3 of each h reads it in every direction, each built once.
+    # No [xi, .] table is built: only Koszul and R read the brackets.
+    built, nabla_dirs, phi_dirs, readers, reads = {}, [], [], [], []
     original = contact.build_structure
 
     def kept(*args):
         built["cs"] = original(*args)
         return built["cs"]
 
-    def counted_lie(*args, _fn=contact.xi_brackets):
-        lie_calls.append(args)
-        return _fn(*args)
-
     def recorded(spec, gamma, i, v, _fn=frames.covariant_derivative_vector):
         if "cs" in built and v is built["cs"].xi:
             nabla_dirs.append(i)
         return _fn(spec, gamma, i, v)
 
+    def recorded_phi(spec, gamma, i, t,
+                     _fn=frames.covariant_derivative_tensor11):
+        if t is built["cs"].phi:
+            phi_dirs.append(i)
+        return _fn(spec, gamma, i, t)
+
+    class Watched(tuple):
+        def __getitem__(self, i):
+            reads.append(readers[-1] if readers else None)
+            return super().__getitem__(i)
+
+        def __iter__(self):
+            reads.append(readers[-1] if readers else None)
+            return super().__iter__()
+
+    def reader(name, fn):
+        def read(*args):
+            readers.append(name)
+            try:
+                return fn(*args)
+            finally:
+                readers.pop()
+        return read
+
     _patch_everywhere(monkeypatch, "build_structure", original, kept)
-    _patch_everywhere(monkeypatch, "xi_brackets", contact.xi_brackets,
-                      counted_lie)
     _patch_everywhere(monkeypatch, "covariant_derivative_vector",
                       frames.covariant_derivative_vector, recorded)
+    _patch_everywhere(monkeypatch, "covariant_derivative_tensor11",
+                      frames.covariant_derivative_tensor11, recorded_phi)
+    _patch_everywhere(monkeypatch, "compute_brackets",
+                      frames.compute_brackets,
+                      lambda *args, _fn=frames.compute_brackets:
+                      Watched(_fn(*args)))
+    for name, fn in (("koszul_connection", frames.koszul_connection),
+                     ("riemann", curvature.riemann)):
+        _patch_everywhere(monkeypatch, name, fn, reader(name, fn))
     cli.run(command + [spec])
     capsys.readouterr()
-    assert len(lie_calls) == 1
     assert nabla_dirs == [0, 1, 2]
+    assert len(phi_dirs) == len(set(phi_dirs))
+    xi_dirs = [w for w, c in enumerate(built["cs"].xi) if not c.is_zero]
+    assert sorted(phi_dirs) == (xi_dirs if command == ["check", "axioms"]
+                                else [0, 1, 2])
+    assert reads and set(reads) <= {"koszul_connection", "riemann"}
 
 
 def test_ricci_solve_builds_nabla_s_from_nabla_r(capsys, build_counts):
