@@ -180,9 +180,20 @@ def compute_brackets(spec: FrameSpec, a_inv):
         dim, zip(_coordinate_bracket(spec, i, j), a_inv)), zero_row(dim))
 
 
+def _vanishes_nowhere(p) -> bool:
+    """A polynomial whose monomials all have even exponents and whose
+    coefficients all have the sign of its nonzero constant term, as a
+    nonzero constant or x^2 + y^2 + 1: each monomial is >= 0 on real
+    points, so |p| >= |p(0)| > 0."""
+    c0 = p.terms.get(())
+    return bool(c0) and all(c * c0 > 0 and all(e % 2 == 0 for _, e in m)
+                            for m, c in p.terms.items())
+
+
 def validate_frame(spec: FrameSpec) -> ValidationReport:
     """A determinant degenerates where its numerator vanishes: nowhere
-    when that is a nonzero constant, as for 1/x^3."""
+    when `_vanishes_nowhere` holds of it, as for 1/x^3 or
+    1/(x^2 + y^2 + 1)."""
     report = ValidationReport()
     dim = spec.dim
     if dim % 2 == 0:
@@ -195,7 +206,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
     if gdet.is_zero:
         report.add("metric-nondegenerate", "error",
                    "metric determinant is identically zero")
-    elif not gdet.num.is_const:
+    elif not _vanishes_nowhere(gdet.num):
         report.add("metric-nondegenerate", "warning",
                    f"metric degenerates where {render(gdet)} = 0")
     else:
@@ -206,7 +217,7 @@ def validate_frame(spec: FrameSpec) -> ValidationReport:
         if det.is_zero:
             raise FrameDependent(
                 "coordinate frame determinant is identically zero")
-        if not det.num.is_const:
+        if not _vanishes_nowhere(det.num):
             report.add("frame-independent", "warning",
                        f"frame degenerates where {render(det)} = 0")
         else:

@@ -8,7 +8,6 @@ needs-input instead of guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 
 from .curvature import riemann_on
 from .frames import (
@@ -251,7 +250,7 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
         wa, wah = wedge(a_w), wedge(a_w, h)
         wc = wedge(eta, outer(xi, c_rows[w]))
         res += [(f"(E{w + 1};E{i + 1},E{j + 1})", c)
-                for i, j in permutations(range(dim), 2)
+                for i in range(dim) for j in range(i + 1, dim)
                 for c in lincomb(dim, [
                     (1, nr_xi[w][i][j]), (minus_k, wa[i][j]),
                     (minus_mu, wah[i][j]), (minus_mu, wc[i][j]),

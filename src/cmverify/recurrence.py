@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .contact import phi2_rows
 from .curvature import nabla_riemann, riemann_apply, riemann_on
-from .frames import FrameSpec, dot, outer, wedge
+from .frames import FrameSpec, outer, wedge
 from .linalg import solve_two_unknowns
 from .nullity import NullityParams, k_mu, param_check
 from .report import (DEGENERATE, FAIL, PASS, CheckReport, join_notes,
@@ -251,18 +251,38 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
 # -- printed computational chain --------------------------------------
 
 
-_EXPECTED = {
-    "5.1": ("-2*b3/y^2*(a1*b2 - a2*b1)",
-            "2*a3/y^2*(a1*b2 - a2*b1)", "0"),
-    "5.3": ("4*b3/y^3*(a1*b2 - a2*b1)",
-            "-4*a3/y^3*(a1*b2 - a2*b1)", "0"),
-    "u1": "2*b3/y^2*(a1*b2 - a2*b1)",
-    "u2": "-2*a3/y^2*(a1*b2 - a2*b1)",
-    "v1": "a2*(b1*b3 + c1*c3) - a1*(b2*b3 + c2*c3)",
-    "v2": "b2*(a1*a3 + c1*c3) - b1*(a2*a3 + c2*c3)",
-    "p1": "-4*b3/y^3*(a1*b2 - a2*b1)",
-    "q1": "4*a3/y^3*(a1*b2 - a2*b1)",
-}
+# The printed chain, eqs. 5.1-5.7, on the generic fields X = (a1, b1, c1),
+# Y = (a2, b2, c2) and Z = (a3, b3, c3): for each step, the label and the
+# printed formula of each component ("0" where the chain states a zero),
+# and the step's note.  The steps read, in order, R(X,Y)Z, the model
+# G(X,Y)Z = g(Y,Z)X - g(X,Z)Y, (nabla_{E_w} R)(X,Y)Z for w = 1, 2, 3, the
+# phi^2-projections u of R and v of G, and those of the three derivatives.
+_W = "(a1*b2 - a2*b1)"
+_G = "(a2*a3 + b2*b3 + c2*c3)*{0}1 - (a1*a3 + b1*b3 + c1*c3)*{0}2"
+_CHAIN = (
+    ("5.1", (("E1", f"-2*b3/y^2*{_W}"), ("E2", f"2*a3/y^2*{_W}"),
+             ("E3", "0")),
+     "curvature on generic fields matches the stored formula"),
+    ("5.2", (("E1", _G.format("a")), ("E2", _G.format("b")),
+             ("E3", _G.format("c"))),
+     "constant-curvature model on generic fields"),
+    ("5.3", (("E1", f"4*b3/y^3*{_W}"), ("E2", f"-4*a3/y^3*{_W}"),
+             ("E3", "0")),
+     "derivative of the curvature along E1"),
+    ("5.4", (("E1", "0"), ("E2", "0"), ("E3", "0")),
+     "derivative of the curvature along E2"),
+    ("5.5", (("E1", "0"), ("E2", "0"), ("E3", "0")),
+     "derivative of the curvature along E3"),
+    ("5.6", (("u1", f"2*b3/y^2*{_W}"), ("u2", f"-2*a3/y^2*{_W}"),
+             ("u3", "0"), ("v1", "a2*(b1*b3 + c1*c3) - a1*(b2*b3 + c2*c3)"),
+             ("v2", "b2*(a1*a3 + c1*c3) - b1*(a2*a3 + c2*c3)"), ("v3", "0")),
+     "projected curvature and model coefficients"),
+    ("5.7", (("p1", f"-4*b3/y^3*{_W}"), ("q1", f"4*a3/y^3*{_W}"),
+             ("third component, i=1", "0"), ("p2", "0"), ("q2", "0"),
+             ("third component, i=2", "0"), ("p3", "0"), ("q3", "0"),
+             ("third component, i=3", "0")),
+     "projected curvature derivatives; p2 = q2 = p3 = q3 = 0"),
+)
 
 
 def pipeline_available(spec: FrameSpec) -> bool:
@@ -272,76 +292,33 @@ def pipeline_available(spec: FrameSpec) -> bool:
 
 def example_pipeline(ws) -> list:
     """Reproduce the audited computational chain step by step against the
-    stored formulas, then test the closing recurrence relation."""
+    printed formulas of `_CHAIN`, then test the closing recurrence
+    relation."""
     spec = ws.spec
     if not pipeline_available(spec):
         return [CheckReport(
             f"PIPE-5.{i}", "needs-input", "", None,
             "requires a 3-dimensional frame with parameters "
             + ", ".join(PIPELINE_PARAMS))
-            for i in (1, 2, 3, 4, 5, 6, 7, 8, 9)]
-    r_table, nr_table, cs, sampler = ws.r_table, ws.nr_table, ws.cs, \
-        ws.sampler
+            for i in range(1, 10)]
+    cs, sampler = ws.cs, ws.sampler
     symbols = spec.symbols()
-    ex = lambda s: parse_expr(s, symbols)
     x_f, y_f, z_f = ((Expr.sym(f"a{i}"), Expr.sym(f"b{i}"), Expr.sym(f"c{i}"))
                      for i in (1, 2, 3))
-    # (nabla_{E_w} R)(X,Y)Z on the generic fields, for w = 1, 2, 3
-    nabla_rv = [nabla_riemann(nr_table, w, x_f, y_f, z_f) for w in range(3)]
-    reports = []
-
-    rv = riemann_apply(r_table, x_f, y_f, z_f)
-    expect = [ex(s) for s in _EXPECTED["5.1"]]
-    reports.append(residual_check(
-        "PIPE-5.1",
-        [(f"E{l + 1}", rv[l] - expect[l]) for l in range(3)],
-        sampler, notes="curvature on generic fields matches the stored "
-                       "formula"))
-
+    rv = riemann_apply(ws.r_table, x_f, y_f, z_f)
     gv = riemann_apply(ws.g_table, x_f, y_f, z_f)
-    coef_yz, coef_xz = dot(y_f, z_f), dot(x_f, z_f)
-    reports.append(residual_check(
-        "PIPE-5.2",
-        [(f"E{l + 1}", gv[l] - (coef_yz * x_f[l] - coef_xz * y_f[l]))
-         for l in range(3)],
-        sampler, notes="constant-curvature model on generic fields"))
-
-    for step, w in (("5.3", 0), ("5.4", 1), ("5.5", 2)):
-        dv = nabla_rv[w]
-        if step == "5.3":
-            expect = [ex(s) for s in _EXPECTED["5.3"]]
-        else:
-            expect = [ZERO] * 3
-        reports.append(residual_check(
-            f"PIPE-{step}",
-            [(f"E{l + 1}", dv[l] - expect[l]) for l in range(3)],
-            sampler,
-            notes=f"derivative of the curvature along E{w + 1}"))
-
+    nabla_rv = [nabla_riemann(ws.nr_table, w, x_f, y_f, z_f)
+                for w in range(3)]
     u, v = phi2_rows(cs, [rv, gv])
-    res = [("u1", u[0] - ex(_EXPECTED["u1"])),
-           ("u2", u[1] - ex(_EXPECTED["u2"])),
-           ("u3", u[2]),
-           ("v1", v[0] - ex(_EXPECTED["v1"])),
-           ("v2", v[1] - ex(_EXPECTED["v2"])),
-           ("v3", v[2])]
-    reports.append(residual_check(
-        "PIPE-5.6", res, sampler,
-        notes="projected curvature and model coefficients"))
-
     projected = phi2_rows(cs, nabla_rv)
-    res = []
-    for w, pr in enumerate(projected):
-        if w == 0:
-            res.append(("p1", pr[0] - ex(_EXPECTED["p1"])))
-            res.append(("q1", pr[1] - ex(_EXPECTED["q1"])))
-        else:
-            res.append((f"p{w + 1}", pr[0]))
-            res.append((f"q{w + 1}", pr[1]))
-        res.append((f"third component, i={w + 1}", pr[2]))
-    reports.append(residual_check(
-        "PIPE-5.7", res, sampler,
-        notes="projected curvature derivatives; p2 = q2 = p3 = q3 = 0"))
+    computed = (rv, gv, *nabla_rv, (*u, *v),
+                tuple(c for pr in projected for c in pr))
+    reports = [residual_check(
+        f"PIPE-{step}",
+        [(label, c - parse_expr(formula, symbols))
+         for (label, formula), c in zip(components, vec)],
+        sampler, notes=note)
+        for (step, components, note), vec in zip(_CHAIN, computed)]
 
     u1, u2 = u[0], u[1]
     v1, v2 = v[0], v[1]

@@ -217,7 +217,8 @@ def test_validate_frame_warns_on_jacobi_failure():
 def test_validation_names_no_empty_degeneracy_locus():
     # kt3's frame determinant is 1/x3^3 and the metric below has
     # det g = 1/x^2: a nonzero constant numerator vanishes nowhere, so
-    # neither determinant is a warning; a non-constant one still is
+    # neither determinant is a warning; nor is an even numerator of one
+    # sign with a constant term, and any other non-constant one still is
     from cmverify.specfile import parse_spec_text
     kt3 = validate_frame(load_spec(ROOT / "tests" / "specs"
                                    / "kt3.cmspec").spec)
@@ -235,6 +236,11 @@ def test_validation_names_no_empty_degeneracy_locus():
     assert [(i.name, i.detail) for i in rep.warnings] == [
         ("metric-nondegenerate", "metric degenerates where x^2 = 0"),
         ("frame-independent", "frame degenerates where y = 0")]
+    # x^2 + y^2 + 1 has even monomials of one sign and a constant term,
+    # so it is >= 1 at every real point
+    rep = validate_frame(parse_spec_text(
+        text.replace("1/x^2", "x^2 + y^2 + 1"), "t").spec)
+    assert rep.warnings == []
 
 
 def test_frame_pairing_pairs_operator_columns():
