@@ -2,9 +2,11 @@
 
 Sign convention: R(X,Y) = nabla_X nabla_Y - nabla_Y nabla_X - nabla_[X,Y].
 Tables store R[i][j][k][l], the E_l-component of R(E_i,E_j)E_k, skew in
-(i, j) and built by `frames.skew`, as is each plane of nabla R.  The Ricci
-tensor is the trace S = tr R, S[j][k] = sum_a R[a][j][k][a], and nabla
-commutes with that trace, so nabla S is the same trace of nabla R.
+(i, j) and built by `frames.skew`, as is each plane of nabla R; each row
+of either table is one `lincomb`, and nabla R reads the mirrored R rows
+where it would negate a product.  The Ricci tensor is the trace
+S = tr R, S[j][k] = sum_a R[a][j][k][a], and nabla commutes with that
+trace, so nabla S is the same trace of nabla R.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from functools import partial
 
 from .frames import (FrameSpec, covariant_derivative_vector, matmul,
                      nonzero_entries, skew, wedge, zero_row)
-from .symcore import ZERO, Expr, esum, lincomb
+from .symcore import Expr, esum, lincomb
 
 
 def riemann(spec: FrameSpec, gamma, brackets):
@@ -57,38 +59,25 @@ def nabla_riemann(nr_table, w: int, x, y, z):
 
 
 def nabla_riemann_table(spec: FrameSpec, gamma, r_table):
-    """(nabla_{E_w} R)(E_i,E_j)E_k components, indexed [w][i][j][k][l].
-    Only rows that can be nonzero are built: a row whose R row is zero
-    and whose correction terms meet only zero R rows is the shared zero
-    row, and component l sums only the R rows with a nonzero entry l."""
+    """(nabla_{E_w} R)(E_i,E_j)E_k components, indexed [w][i][j][k][l],
+    each plane i < j by `skew`: row (nabla_{E_w} R)(E_i,E_j)E_k is one
+    `lincomb` of nabla_{E_w} of the R row, differentiated only where that
+    row is not the shared zero row, and minus R with nabla_{E_w} applied
+    to E_i, E_j and E_k in turn.  R is skew in its first pair, so those
+    terms read the mirrored rows of R(E_j, .) and R(., E_i) with the
+    nonzero connection coefficients as they stand, and form no sign."""
     dim = spec.dim
     zero = zero_row(dim)
-    r_live = [[[nonzero_entries(row) for row in rows] for rows in plane]
-              for plane in r_table]
-    g_live = [[nonzero_entries(row) for row in gw] for gw in gamma]
+    conn = [[nonzero_entries(row) for row in gw] for gw in gamma]
 
     def plane(w, i, j):
-        gw, rows = g_live[w], r_live[i][j]
-        out = []
-        for k in range(dim):
-            # nabla_w of R(E_i,E_j)E_k, minus R with nabla_w applied to
-            # each argument in turn
-            corr = ([(c, r) for m, c in gw[i] if (r := r_live[m][j][k])]
-                    + [(c, r) for m, c in gw[j] if (r := r_live[i][m][k])]
-                    + [(c, r) for m, c in gw[k] if (r := rows[m])])
-            if not (corr or rows[k]):
-                out.append(zero)
-                continue
-            lead = (covariant_derivative_vector(spec, gamma, w,
-                                                r_table[i][j][k])
-                    if rows[k] else zero)
-            comps = [[x] if x.num.terms else [] for x in lead]
-            for c, r in corr:
-                for l, x in r:
-                    comps[l].append(-(c * x))
-            row = tuple([esum(p) if p else ZERO for p in comps])
-            out.append(row if any([x.num.terms for x in row]) else zero)
-        return tuple(out)
+        gw, rows, mirror = conn[w], r_table[i][j], r_table[j][i]
+        return tuple([lincomb(dim, [
+            (1, zero if rows[k] is zero
+             else covariant_derivative_vector(spec, gamma, w, rows[k]))]
+            + [(c, r_table[j][m][k]) for m, c in gw[i]]
+            + [(c, r_table[m][i][k]) for m, c in gw[j]]
+            + [(c, mirror[m]) for m, c in gw[k]]) for k in range(dim)])
 
     return tuple(skew(dim, partial(plane, w), (zero,) * dim)
                  for w in range(dim))

@@ -5,6 +5,9 @@ Frames are unit lower-triangular perturbations of the coordinate basis so
 the frame matrix is always invertible with polynomial inverse; the frame
 metric is the identity.  Every connection and curvature quantity then stays
 inside the polynomial ring and the exact checks carry no denominators.
+With `polynomial_metric` the metric has g_11 = 1 + x^2 instead, so g^-1,
+the connection and the curvature carry denominators and the kernel runs
+gcds and exact divisions on them.
 """
 
 import random
@@ -37,11 +40,12 @@ def _monomial(rng, coords):
     return term
 
 
-def random_spec(seed, dim=DIM, density=0.7):
+def random_spec(seed, dim=DIM, density=0.7, polynomial_metric=False):
     """A unit lower-triangular frame in `dim` coordinates whose entries
     below the diagonal are random monomials, each present with
     probability `density`; the defaults give the frames of the property
-    suite."""
+    suite.  The metric is the identity, or with `polynomial_metric` has
+    g_11 = 1 + x^2, x the first coordinate."""
     coords = (COORDS + ("u", "v", "w", "t"))[:dim]
     rng = random.Random(seed)
     a = [[ZERO] * dim for _ in range(dim)]
@@ -51,11 +55,13 @@ def random_spec(seed, dim=DIM, density=0.7):
         for j in range(i):
             if rng.random() < density:
                 a[i][j] = _monomial(rng, coords)
-    metric = tuple(tuple(ONE if i == j else ZERO for j in range(dim))
-                   for i in range(dim))
+    metric = [[ONE if i == j else ZERO for j in range(dim)]
+              for i in range(dim)]
+    if polynomial_metric:
+        metric[0][0] = ONE + Expr.sym(coords[0]) * Expr.sym(coords[0])
     return FrameSpec(name=f"case{seed}", coords=CoordSystem(coords, ()),
                      params=(), act=tuple(map(tuple, a)),
-                     metric=metric)
+                     metric=tuple(map(tuple, metric)))
 
 
 def torsion_residuals(spec, conn, brackets):

@@ -5,19 +5,22 @@ Each builder is checked against a dense reference, a copy of the loop it
 replaced: every entry must be equal, and the kernel must do exactly the
 same work (the same RationalFunction constructions, Poly products, gcds
 and exact divisions), because each sum still gets the same nonzero
-summands in the same order.  Five builders do less than their
+summands in the same order.  Six builders do less than their
 references, so their entries must be equal and no kernel count may
 exceed the reference's, and `STRICTLY_FEWER` names the counts that must
 fall: `compute_brackets` derives [E_i,E_j] for i < j only and mirrors
 it; `koszul_connection` forms each E_i(g_jk) and each lowered bracket
 g([E_i,E_j],E_k) once; `riemann` negates each bracket coefficient once
-per plane, not each product; and `ricci` and `covariant_ricci_table`
-take traces of R and nabla R where their references contract S through
-g and g^-1 and differentiate it.  `symcore.lincomb`, which builds every
-residual row, is checked against `dense_lincomb`, which forms every
-product: the values agree, no operator gets a zero operand, and an
-all-zero row is the shared zero row.  A residual entry whose every term
-has a zero factor is the shared `ZERO`, and no operator is called for it.
+per plane, not each product; `nabla_riemann_table` reads the mirrored
+rows of the skew R table where its reference negates each product, and
+makes exactly its reference's products, gcds and exact divisions; and
+`ricci` and `covariant_ricci_table` take traces of R and nabla R where
+their references contract S through g and g^-1 and differentiate it.
+`symcore.lincomb`, which builds every residual row, is checked against
+`dense_lincomb`, which forms every product: the values agree, no
+operator gets a zero operand, and an all-zero row is the shared zero
+row.  A residual entry whose every term has a zero factor is the shared
+`ZERO`, and no operator is called for it.
 """
 
 import hashlib
@@ -277,10 +280,11 @@ def _same(kernel, seen, dense, sparse, *args):
     return got
 
 
-def _check_builders(kernel, spec, cs):
-    """Every builder against its dense reference.  Returns the kernel
-    calls made by the references, and the (dense, sparse) counts of each
-    builder that may make fewer calls than its reference, by name."""
+def _check_tables(kernel, spec):
+    """The frame and curvature table builders against their dense
+    references.  Returns the kernel calls made by the references, the
+    (dense, sparse) counts of each builder that may make fewer calls than
+    its reference, by name, and the tables built."""
     seen = Counter()
     fewer = {}
 
@@ -299,25 +303,42 @@ def _check_builders(kernel, spec, cs):
     r_table = no_more("riemann",
                       lambda: dense_riemann(spec, conn, brackets),
                       lambda: riemann(spec, conn, brackets))
-    nr_table = _same(kernel, seen, dense_nabla_riemann_table,
-                     nabla_riemann_table, spec, conn, r_table)
-    s, _, _ = no_more("ricci", lambda: dense_ricci(spec, r_table, ginv),
+    nr_table = no_more("nabla_riemann",
+                       lambda: dense_nabla_riemann_table(spec, conn, r_table),
+                       lambda: nabla_riemann_table(spec, conn, r_table))
+    # only constructions may fall: nabla R forms the reference's products,
+    # each with one factor negated
+    dense, sparse = fewer["nabla_riemann"]
+    for count in ("__mul__", "poly_gcd", "poly_divexact"):
+        assert sparse[count] == dense[count], count
+    s, r, _ = no_more("ricci", lambda: dense_ricci(spec, r_table, ginv),
                       lambda: ricci_parts(r_table, ginv))
-    _no_more(kernel, seen,
-             lambda: tuple(dense_covariant_derivative_tensor02(spec, conn,
-                                                               w, s)
-                           for w in range(spec.dim)),
-             lambda: covariant_ricci_table(nr_table))
+    nabla_s = _no_more(
+        kernel, seen,
+        lambda: tuple(dense_covariant_derivative_tensor02(spec, conn, w, s)
+                      for w in range(spec.dim)),
+        lambda: covariant_ricci_table(nr_table))[0]
+    return seen, fewer, SimpleNamespace(ginv=ginv, r_table=r_table,
+                                        nr_table=nr_table, r=r,
+                                        nabla_s=nabla_s)
+
+
+def _check_builders(kernel, spec, cs):
+    """Every builder against its dense reference: the tables, then their
+    contractions with xi and their phi^2 projections.  Returns the kernel
+    calls made by the references, and the (dense, sparse) counts of each
+    builder that may make fewer calls than its reference, by name."""
+    seen, fewer, t = _check_tables(kernel, spec)
     mixed = tuple(ONE if a % 2 else Expr.sym(spec.coords.names[0])
                   for a in range(spec.dim))
     for z in (cs.xi, mixed, zero_row(spec.dim)):
-        _same(kernel, seen, dense_riemann_on, riemann_on, r_table, z)
-        for plane in nr_table:
+        _same(kernel, seen, dense_riemann_on, riemann_on, t.r_table, z)
+        for plane in t.nr_table:
             _same(kernel, seen, dense_riemann_on, riemann_on, plane, z)
     planes = [(i, j, s) for i in range(spec.dim)
               for j in range(i + 1, spec.dim) for s in range(spec.dim)]
-    rows = [r_table[i][j][s] for i, j, s in planes]
-    rows += [plane[i][j][s] for plane in nr_table for i, j, s in planes]
+    rows = [t.r_table[i][j][s] for i, j, s in planes]
+    rows += [plane[i][j][s] for plane in t.nr_table for i, j, s in planes]
     _same(kernel, seen, dense_phi2_rows, phi2_rows, cs, rows)
     return seen, fewer
 
@@ -327,16 +348,21 @@ def _check_builders(kernel, spec, cs):
 # 4 Poly products, not 8); Koszul forms each E_i(g_jk) and each lowered
 # bracket g([E_i,E_j],E_k) once (heis5: 26 products, not 36; example3d:
 # 10 products, not 20); R negates each bracket coefficient once per
-# plane, not each of its products (heis5: 68 constructions, not 74); and
-# S = tr R forms no product with an entry of g or g^-1.  example3d's
-# Koszul gcds were 7, not 12, until a product stopped running a gcd for
-# a constant numerator: every gcd the repeats made had one, so both
-# builders now make 2, and its products are the count that falls.
+# plane, not each of its products (heis5: 68 constructions, not 74);
+# nabla R reads the mirrored R rows where its reference negates each
+# product (heis5: 304 constructions, not 440; asym3 and polymetric3: 76,
+# not 92; example3d: 16, not 18); and S = tr R forms no product with an
+# entry of g or g^-1.  example3d's Koszul gcds were 7, not 12, until a
+# product stopped running a gcd for a constant numerator: every gcd the
+# repeats made had one, so both builders now make 2, and its products
+# are the count that falls.
 STRICTLY_FEWER = {
     "heis5": {"brackets": "__mul__", "koszul": "__mul__",
-              "riemann": "__init__", "ricci": "__mul__"},
-    "example3d": {"koszul": "__mul__"},
-    "polymetric3": {"ricci": "__mul__"},
+              "riemann": "__init__", "nabla_riemann": "__init__",
+              "ricci": "__mul__"},
+    "example3d": {"koszul": "__mul__", "nabla_riemann": "__init__"},
+    "asym3": {"nabla_riemann": "__init__"},
+    "polymetric3": {"nabla_riemann": "__init__", "ricci": "__mul__"},
 }
 
 
@@ -371,8 +397,10 @@ def test_brackets_are_derived_for_i_below_j_only(monkeypatch):
     assert got == dense_compute_brackets(spec, a_inv)
 
 
-@pytest.mark.parametrize("dim,density,seeds",
-                         [(3, 0.7, range(10)), (5, 0.3, range(6))],
+RANDOM_FRAMES = [(3, 0.7, range(10)), (5, 0.3, range(6))]
+
+
+@pytest.mark.parametrize("dim,density,seeds", RANDOM_FRAMES,
                          ids=["dim3", "dim5"])
 def test_builders_match_dense_reference_on_random_frames(kernel, dim,
                                                          density, seeds):
@@ -385,6 +413,28 @@ def test_builders_match_dense_reference_on_random_frames(kernel, dim,
         seen += _check_builders(kernel, spec,
                                 SimpleNamespace(xi=last, eta=last))[0]
     assert seen["__init__"] and seen["__mul__"]
+
+
+@pytest.mark.parametrize("dim,density,seeds", RANDOM_FRAMES,
+                         ids=["dim3", "dim5"])
+def test_tables_match_dense_reference_and_bianchi_with_polynomial_metric(
+        kernel, dim, density, seeds):
+    # With g_11 = 1 + x^2, g^-1, the connection and the curvature carry
+    # denominators, so the table builders meet gcds and exact divisions
+    # on frames beyond the pinned specs, and the three Bianchi identities
+    # hold exactly on the tables they build.  The contractions of these
+    # tables are left to the specs above, to keep tier-1 short.
+    seen = Counter()
+    for seed in seeds:
+        spec = gc.random_spec(seed, dim, density, polynomial_metric=True)
+        counts, _, t = _check_tables(kernel, spec)
+        seen += counts
+        residuals = (gc.first_bianchi_residuals(t.r_table)
+                     + gc.second_bianchi_residuals(t.nr_table)
+                     + gc.contracted_bianchi_residuals(spec, t.ginv,
+                                                       t.nabla_s, t.r))
+        assert residuals and all(e.is_zero for e in residuals), seed
+    assert seen["poly_gcd"] and seen["poly_divexact"]
 
 
 def test_random_spec_default_dimension_keeps_the_property_frames():
@@ -676,8 +726,10 @@ def test_structurally_zero_residual_entries_are_shared_zero(capsys,
         # reaches were skipped but a live entry still formed its zero
         # terms; 5,676 once every residual row is one `lincomb` (5,190
         # after later changes), and 1,659 once the phi^2 projection and
-        # the Koszul and R builders form no term with a zero factor.
-        assert 0 < sum(zero_operands.values()) <= 2_000
+        # the Koszul and R builders form no term with a zero factor; 1,414
+        # after later changes, and still 1,414 once nabla R builds each
+        # row with one `lincomb`.
+        assert 0 < sum(zero_operands.values()) <= 1_500
 
 
 def test_solve_recurrence_builds_only_the_tables_it_reads(capsys, kernel):
@@ -688,8 +740,9 @@ def test_solve_recurrence_builds_only_the_tables_it_reads(capsys, kernel):
     # one more value in the model tensor G.  149 became 139 when Koszul
     # formed each lowered bracket and each E_i(g_jk) once (8 fewer),
     # brackets were derived for i < j only and R negated each bracket
-    # coefficient once per plane (one fewer each).
+    # coefficient once per plane (one fewer each), and 137 when nabla R
+    # read the mirrored R rows in place of negating its products.
     kernel.clear()
     cli.run(["solve", "recurrence", "--kind", "full", "example3d"])
     capsys.readouterr()
-    assert kernel["__init__"] == 139
+    assert kernel["__init__"] == 137
