@@ -58,15 +58,18 @@ def run_pipeline(ws: Workspace, doc: ReportDocument):
 def run_all(ws: Workspace, doc: ReportDocument):
     run_axioms(ws, doc)
     run_identities(ws, doc)
-    sols = {}
     for kind in KINDS:
-        sols[kind] = solve_recurrence(kind, ws)
-        doc.add(recurrence_report(sols[kind], ws.sampler))
+        sol = solve_recurrence(kind, ws)
+        doc.add(recurrence_report(sol, ws.sampler))
+        # only the phi solution is read after its report, so the others
+        # are not kept
+        if kind == "phi":
+            phi_sol = sol
     for label, h, ext, used in ws.params:
-        doc.extend(theorem_checks(ws, h, used, sols["phi"], label))
+        doc.extend(theorem_checks(ws, h, used, phi_sol, label))
     if pipeline_available(ws.spec):
         run_pipeline(ws, doc)
-    _attach_solution(ws, doc, sols["phi"])
+    _attach_solution(ws, doc, phi_sol)
 
 
 def _jval(v):

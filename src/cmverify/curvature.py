@@ -46,10 +46,12 @@ def riemann_apply(r_table, x, y, z):
 
 def riemann_on(table, z):
     """R(E_i,E_j)Z for every frame pair, indexed [i][j][l]; `table` is the
-    R table or one direction's plane nr_table[w] of the nabla R table."""
+    R table or one direction's plane nr_table[w] of the nabla R table.
+    Both are skew in (i, j), so the rows i < j are contracted and `skew`
+    mirrors them."""
     n, live = len(z), nonzero_entries(z)
-    return tuple(tuple(lincomb(n, [(c, plane[k]) for k, c in live])
-                       for plane in row) for row in table)
+    return skew(n, lambda i, j: lincomb(n, [(c, table[i][j][k])
+                                            for k, c in live]), zero_row(n))
 
 
 def nabla_riemann(nr_table, w: int, x, y, z):

@@ -16,9 +16,10 @@ two component sequences, so w(v) is `dot(w, v)`; `matvec` applies a
 (1,1) operator to a vector (T v) or a (0,2) table to its second slot
 (g(E_i, v), which lowers an index); `matmul` composes two operators.
 A table skew in its first two indices (the brackets, `wedge`'s
-a(Y)BX - a(X)BY of the nullity form, R and nabla R) is built by `skew`
-from its entries i < j.  A row that is a sum of scaled rows is built by
-`symcore.lincomb`, which forms only products of two nonzero factors.
+a(Y)BX - a(X)BY of the nullity form, R, nabla R and their contractions
+R(E_i,E_j)Z) is built by `skew` from its entries i < j.  A row that is a
+sum of scaled rows is built by `symcore.lincomb`, which forms only
+products of two nonzero factors.
 Checks read frame components by index: g(E_i, E_j) is metric[i][j], and
 a value such as g(h E_i, phi E_j) is entry [i][j] of
 `frame_pairing(h, metric, phi)`.

@@ -108,19 +108,24 @@ def k_mu(params: NullityParams) -> tuple:
 
 def param_check(check_id, params: NullityParams, residuals, sampler=None,
                 notes="") -> CheckReport:
-    """`residual_check` of `residuals` ([(label, Expr)], built from
-    `k_mu(params)`) under the substitution policy: the check is needs-input
-    only if the symbol of an indeterminate value survives in some
-    canonical residual."""
+    """`residual_check` of `residuals` (an iterable of (label, Expr), built
+    from `k_mu(params)`) under the substitution policy: the check is
+    needs-input only if the symbol of an indeterminate value survives in
+    some canonical residual.  The residuals are read one at a time, and
+    none is read past the first at which every indeterminate symbol has
+    appeared, since the rest cannot change the verdict; the residuals
+    read are kept for `residual_check` otherwise."""
+    wanted = {name for name, value in ((K_NAME, params.k),
+                                       (MU_NAME, params.mu))
+              if value is None}
     missing = set()
-    for _, e in residuals:
-        if e.is_zero:
-            continue
-        names = e.variables()
-        if params.k is None and K_NAME in names:
-            missing.add(K_NAME)
-        if params.mu is None and MU_NAME in names:
-            missing.add(MU_NAME)
+    read = []
+    for item in residuals:
+        read.append(item)
+        if wanted and item[1].num.terms:
+            missing |= wanted & item[1].variables()
+            if missing == wanted:
+                break
     if missing:
         what = " and ".join(sorted(missing))
         flag = ", ".join(f"--{m}" for m in sorted(missing))
@@ -128,7 +133,7 @@ def param_check(check_id, params: NullityParams, residuals, sampler=None,
             check_id, NEEDS_INPUT, "", None, notes=join_notes(
                 notes, f"requires {what} (indeterminate here); declare via "
                        f"{flag}"))
-    return residual_check(check_id, residuals, sampler, notes=notes)
+    return residual_check(check_id, read, sampler, notes=notes)
 
 
 def identity_battery(ws, h, params: NullityParams, h_label="") -> list:

@@ -4,15 +4,16 @@ An `Expr` is a `poly.RationalFunction`, the one value class of the
 kernel: one canonical quotient num/den over Q, whether it was parsed from
 text or built by operators.  Equality and hashing are those of the
 canonical form, and `render` prints it, so two equal Exprs print the
-same.  This module adds the parser's errors, `esum`, the shared
-`zero_row`, `lincomb`, the one builder of a row that is a sum of
-scaled rows, and the one numeric path, `eval_rational`.
+same.  This module adds the parser's errors, the shared `zero_row`,
+`lincomb`, the one builder of a row that is a sum of scaled rows, and
+the one numeric path, `eval_rational`, and exports the kernel's n-ary
+sum `esum` with them.
 """
 from __future__ import annotations
 
 from functools import cache
 
-from .poly import _P_ONE, ONE, ZERO, Poly, RationalFunction
+from .poly import ONE, ZERO, RationalFunction, esum
 
 __all__ = [
     "Expr", "ZERO", "ONE", "ExprSyntaxError", "UnknownSymbol",
@@ -38,37 +39,6 @@ class UnknownSymbol(ValueError):
 
 class DomainError(ValueError):
     """Evaluation hit a pole or an unassigned symbol."""
-
-
-def esum(items) -> Expr:
-    """Sum of Exprs (a number is no summand).  Zero summands are dropped:
-    with none left the sum is `ZERO`, and with one left it is that summand
-    itself.  Polynomial summands add into one term dict; the others are
-    folded with `+`, and the two parts added last."""
-    nonzero = []
-    for item in items:
-        if item.num.terms:
-            nonzero.append(item)
-    if len(nonzero) < 2:
-        return nonzero[0] if nonzero else ZERO
-    terms = {}
-    rest = None
-    for item in nonzero:
-        if item.den is not _P_ONE:
-            rest = item if rest is None else rest + item
-            if not rest.num.terms:
-                rest = None
-            continue
-        for m, c in item.num.terms.items():
-            s = terms.get(m, 0) + c
-            if s:
-                terms[m] = s
-            else:
-                del terms[m]
-    if not terms:
-        return ZERO if rest is None else rest
-    acc = RationalFunction(Poly(terms), _P_ONE, reduced=True)
-    return acc if rest is None else acc + rest
 
 
 @cache

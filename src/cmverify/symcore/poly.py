@@ -3,6 +3,8 @@ Fraction coefficients.
 
 A monomial is a tuple of (symbol, exponent) pairs sorted by symbol name,
 with every exponent positive.  The empty tuple is the constant monomial.
+`mono_mul` and `mono_div` intern what they build, so equal monomials are
+one tuple per process.
 Term order is graded lexicographic with symbols compared alphabetically:
 higher total degree first, then the higher exponent of the first symbol
 where two monomials differ.  This order fixes leading terms, hence the
@@ -15,8 +17,12 @@ and `render` prints that form.  Its operators take only
 `RationalFunction` operands, never an `int` or `Fraction`, and answer a
 zero operand without building a value.  A constant denominator is always
 the shared `_P_ONE`, so `den is _P_ONE` says a value is a polynomial;
-two polynomials add, subtract and multiply without any gcd dispatch, and
-`expr.esum` accumulates polynomial summands in one term dict.
+two polynomials add, subtract and multiply without any gcd dispatch.
+Products and sums of fractions follow Henrici (1956): a product cancels
+crosswise, and a sum a/b + c/d cancels only gcd(t, gcd(b, d)) from its
+numerator t.  `esum` adds polynomial summands in one term dict and brings
+the others over the lcm of their distinct denominators, canonicalizing
+once.
 `poly_gcd` splits off the common monomial content and then tries, in order:
 
 - Coprimality certificate.  For each variable x the inputs share, every
@@ -54,6 +60,11 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# Every monomial `mono_mul` and `mono_div` build, once: equal monomials
+# are one tuple per process, however many terms hold them.
+_MONOS: dict = {}
+
+
 def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -76,7 +87,8 @@ def mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
             j += 1
     out.extend(m1[i:])
     out.extend(m2[j:])
-    return tuple(out)
+    m = tuple(out)
+    return _MONOS.setdefault(m, m)
 
 
 def mono_gcd(m1: Monomial, m2: Monomial) -> Monomial:
@@ -95,7 +107,8 @@ def mono_div(m2: Monomial, m1: Monomial):
             d[name] = rem
         else:
             del d[name]
-    return tuple(d.items())
+    m = tuple(d.items())
+    return _MONOS.setdefault(m, m)
 
 
 def mono_degree(m: Monomial) -> int:
@@ -113,8 +126,8 @@ class Poly:
     __slots__ = ("terms", "_hash", "_lead")
 
     def __init__(self, terms: dict):
-        # stored as given: every builder, here and in `expr.esum`, passes
-        # a fresh dict with no zero coefficient
+        # stored as given: every builder, `esum` included, passes a fresh
+        # dict with no zero coefficient
         self.terms = terms
         self._hash = None
 
@@ -412,32 +425,53 @@ def _coprime_images(a: Poly, b: Poly, shared: list, names: list) -> bool:
     False proves nothing."""
     p = _P
     point = {name: _POINTS.randrange(1, p) for name in names}
+    powers: dict = {}
+    fa = _residues(a, point, p, powers)
+    fb = None if fa is None else _residues(b, point, p, powers)
+    if fb is None:
+        return False
     for x in shared:
-        fa = _image(a, x, point, p)
-        if fa is None:
+        ia = _image(fa, x, p)
+        if ia is None:
             return False
-        fb = _image(b, x, point, p)
-        if fb is None or len(_gcd_mod(fa, fb, p)) > 1:
+        ib = _image(fb, x, p)
+        if ib is None or len(_gcd_mod(ia, ib, p)) > 1:
             return False
     return True
 
 
-def _image(f: Poly, x: str, point: dict, p: int):
-    """Coefficients mod p, lowest degree first, of f as a univariate in x
-    with every other variable at `point`.  None when a coefficient
-    denominator is divisible by p or the leading coefficient in x
-    vanishes at the point."""
-    coeffs: dict = {}
+def _residues(f: Poly, point: dict, p: int, powers: dict):
+    """The terms of f reduced mod p once for every image: (c mod p,
+    [(name, exponent, point[name]^exponent mod p)]) per term, each power
+    taken once into `powers`.  None when p divides a coefficient
+    denominator."""
+    out = []
     for m, c in f.terms.items():
         v = _mod(c, p)
         if v is None:
             return None
-        e = 0
+        factors = []
         for name, k in m:
+            pk = powers.get((name, k))
+            if pk is None:
+                pk = powers[name, k] = pow(point[name], k, p)
+            factors.append((name, k, pk))
+        out.append((v, factors))
+    return out
+
+
+def _image(residues: list, x: str, p: int):
+    """Coefficients mod p, lowest degree first, of f as a univariate in x
+    with every other variable at the point, from `_residues` of f.  None
+    when the leading coefficient in x vanishes at the point."""
+    coeffs: dict = {}
+    for v, factors in residues:
+        e = 0
+        for name, k, pk in factors:
             if name == x:
                 e = k
             else:
-                v = v * pow(point[name], k, p) % p
+                v = v * pk % p
         coeffs[e] = (coeffs.get(e, 0) + v) % p
     top = max(coeffs)
     if not coeffs[top]:
@@ -613,11 +647,8 @@ class RationalFunction:
             self.num, self.den = _P_ZERO, _P_ONE
             return
         if den is not _P_ONE:
-            if not reduced and not den.is_const:
-                g = poly_gcd(num, den)
-                if not g.is_const:
-                    num = poly_divexact(num, g)
-                    den = poly_divexact(den, g)
+            if not reduced:
+                num, den = _cancel(num, den)
             if not den.is_const:
                 _, lc = den.leading()
                 if lc != 1:
@@ -664,10 +695,7 @@ class RationalFunction:
             return other
         if self.den is _P_ONE and other.den is _P_ONE:
             return RationalFunction(self.num + other.num, _P_ONE, reduced=True)
-        if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return _add(self.num, self.den, other.num, other.den)
 
     def __neg__(self):
         if not self.num.terms:
@@ -683,7 +711,7 @@ class RationalFunction:
             return -other
         if self.den is _P_ONE and other.den is _P_ONE:
             return RationalFunction(self.num - other.num, _P_ONE, reduced=True)
-        return self + (-other)
+        return _add(self.num, self.den, -other.num, other.den)
 
     def __mul__(self, other):
         if other.__class__ is not RationalFunction:
@@ -756,6 +784,104 @@ def _cancel(num: Poly, den: Poly):
     if g.is_const:
         return num, den
     return poly_divexact(num, g), poly_divexact(den, g)
+
+
+def _add(a: Poly, b: Poly, c: Poly, d: Poly) -> RationalFunction:
+    """a/b + c/d for canonical operands, by Henrici's sum (Henrici 1956;
+    Knuth, TAOCP vol. 2, 4.5.1).  With g = gcd(b, d), b = g b' and
+    d = g d', the numerator t = a d' + c b' is prime to b' and to d': a is
+    prime to b, c to d, and b' to d'.  So only g2 = gcd(t, g) can cancel,
+    and (t/g2) / (b' (d/g2)) is in lowest terms, its denominator monic.
+    A polynomial operand (b or d the shared 1) makes g = 1 and takes no
+    gcd; b = d takes g = b."""
+    if b is _P_ONE:
+        return RationalFunction(a * d + c, d, reduced=True)
+    if d is _P_ONE:
+        return RationalFunction(a + c * b, b, reduced=True)
+    if b == d:
+        g, b1, t = b, _P_ONE, a + c
+    else:
+        g = poly_gcd(b, d)
+        if g.is_const:
+            return RationalFunction(a * d + c * b, b * d, reduced=True)
+        b1 = poly_divexact(b, g)
+        t = a * poly_divexact(d, g) + c * b1
+    if not t.is_const:
+        g2 = poly_gcd(t, g)
+        if not g2.is_const:
+            t, d = poly_divexact(t, g2), poly_divexact(d, g2)
+    return RationalFunction(t, d if b1 is _P_ONE else b1 * d, reduced=True)
+
+
+def _accumulate(acc: dict, p: Poly):
+    """Add the terms of p into the term dict acc, dropping any that
+    cancel."""
+    for m, c in p.terms.items():
+        s = acc.get(m, _ZERO) + c
+        if s:
+            acc[m] = s
+        else:
+            del acc[m]
+
+
+def esum(items) -> RationalFunction:
+    """Sum of RationalFunctions (a number is no summand).  Zero summands
+    are dropped: with none left the sum is `ZERO`, and with one left it is
+    that summand itself.  Polynomial summands add into one term dict, which
+    is the sum when no other summand is left.  The others are grouped by
+    denominator, each group's numerators added, and the sum is N/L over
+    the lcm L of the distinct denominators, N = sum n_i (L/d_i) in one
+    term dict, canonicalized once: gcds run between denominators and once
+    on N, and no partial sum carries a shared factor twice.  A single
+    rational summand is added to the polynomial part by Henrici's sum,
+    which needs no gcd."""
+    nonzero = []
+    for item in items:
+        if item.num.terms:
+            nonzero.append(item)
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ZERO
+    terms = {}
+    groups = None
+    for item in nonzero:
+        if item.den is not _P_ONE:
+            if groups is None:
+                groups = {}
+            groups.setdefault(item.den, []).append(item.num)
+            continue
+        for m, c in item.num.terms.items():
+            s = terms.get(m, _ZERO) + c
+            if s:
+                terms[m] = s
+            else:
+                del terms[m]
+    if groups is None:
+        return RationalFunction(Poly(terms), _P_ONE, reduced=True) \
+            if terms else ZERO
+    if len(groups) == 1:
+        (den, nums), = groups.items()
+        if len(nums) == 1:
+            return _add(Poly(terms), _P_ONE, nums[0], den)
+    parts = []
+    for den, nums in groups.items():
+        num = nums[0]
+        if len(nums) > 1:
+            acc = {}
+            for n in nums:
+                _accumulate(acc, n)
+            num = Poly(acc)
+        parts.append((den, num))
+    lcm = parts[0][0]
+    for den, _ in parts[1:]:
+        g = poly_gcd(lcm, den)
+        lcm = lcm * (den if g.is_const else poly_divexact(den, g))
+    total = {}
+    if terms:
+        _accumulate(total, Poly(terms) * lcm)
+    for den, num in parts:
+        _accumulate(total, num if den is lcm
+                    else num * poly_divexact(lcm, den))
+    return RationalFunction(Poly(total), lcm) if total else ZERO
 
 
 ZERO = RationalFunction.const(0)

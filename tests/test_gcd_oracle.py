@@ -11,7 +11,7 @@ from math import gcd
 
 import pytest
 
-from cmverify.symcore import poly
+from cmverify.symcore import esum, poly
 from cmverify.symcore.poly import (Poly, RationalFunction, poly_divexact,
                                    poly_gcd)
 
@@ -42,7 +42,8 @@ def from_sympy(expr, gens):
     out = {}
     for exps, c in sympy.Poly(expr, *gens, domain="QQ").terms():
         mono = tuple((n, e) for n, e in zip(NAMES, exps) if e)
-        out[mono] = Fraction(int(c.p), int(c.q))
+        if c:  # the zero polynomial has one zero term
+            out[mono] = Fraction(int(c.p), int(c.q))
     return Poly(out)
 
 
@@ -321,3 +322,90 @@ def test_cross_coprime_product_makes_two_gcds(kernel):
     got = p * q
     assert kernel["poly_gcd"] == 2
     assert (got.num, got.den) == (x * y, (x + one) * (y + one))
+
+
+# RationalFunction.__add__ takes g = gcd(b, d) of the denominators and
+# t = a (d/g) + c (b/g); only gcd(t, g) can cancel (Henrici 1956).  `esum`
+# brings its summands over the lcm of their distinct denominators.  Both
+# must give sympy's `cancel` of the sum.
+
+def sympy_sum(items):
+    gens = sympy.symbols(NAMES)
+    want = sympy.cancel(sum((to_sympy(e.num, gens) / to_sympy(e.den, gens)
+                             for e in items), sympy.Integer(0)))
+    num, den = (from_sympy(e, gens) for e in sympy.fraction(want))
+    scale = 1 / den.leading()[1]
+    return num.scale(scale), den.scale(scale)
+
+
+def shared_factor_terms(rng, names, count):
+    """`count` canonical fractions whose denominators are powers of one
+    non-constant f times a small random factor, so they overlap."""
+    f = rand_poly(rng, names, 2, 1) * Poly.var(names[0]) + Poly.const(1)
+    return [RationalFunction(rand_poly(rng, names, 3, 2),
+                             f ** rng.randint(1, 2)
+                             * rand_poly(rng, names, 2, 1))
+            for _ in range(count)]
+
+
+def rf(text):
+    """The RationalFunction of sympy text in w, x, y, z."""
+    gens = sympy.symbols(NAMES)
+    expr = sympy.cancel(sympy.sympify(text, dict(zip(NAMES, gens))))
+    num, den = (from_sympy(e, gens) for e in sympy.fraction(expr))
+    return RationalFunction(num, den)
+
+
+@pytest.mark.parametrize("seed,nvars", CASES)
+def test_sums_match_sympy_cancel(seed, nvars):
+    rng = random.Random(13000 + 1000 * nvars + seed)
+    names = NAMES[:nvars]
+    p, q, r = shared_factor_terms(rng, names, 3)
+    got = p + q
+    assert (got.num, got.den) == sympy_sum([p, q])
+    got = p - q
+    assert (got.num, got.den) == sympy_sum([p, -q])
+    got = esum([p, q, r, q])
+    assert (got.num, got.den) == sympy_sum([p, q, r, q])
+
+
+HAND_SUMS = [
+    # y^2 against y^3
+    ["x/y^2", "1/y^3"],
+    ["x/y^2", "1/y^3", "(x + 1)/(x*y)"],
+    # powers of 1 + x^2 + y^2, one summand a polynomial
+    ["x/(1 + x^2 + y^2)", "y/(1 + x^2 + y^2)^2",
+     "1/((1 + x^2 + y^2)^3*(x - y))", "x*y"],
+    # three distinct denominators over the lcm x y (x + y): the numerator
+    # 2 y shares y with it, and the sum is 2/(x (x + y))
+    ["1/(x*y)", "1/(x*(x + y))", "-1/(y*(x + y))"],
+    # the same denominator twice, cancelling to 1/y
+    ["1/(1 + x^2 + y^2)", "(x^2 + y^2 - y + 1)/((1 + x^2 + y^2)*y)"],
+    # sums that cancel to zero
+    ["x/y^2", "-x/y^2"],
+    ["x/(1 + x^2 + y^2)", "y/(1 + x^2 + y^2)^2",
+     "-(x*(1 + x^2 + y^2) + y)/(1 + x^2 + y^2)^2"],
+]
+
+
+@pytest.mark.parametrize("texts", HAND_SUMS)
+def test_hand_sums_match_sympy_cancel(texts):
+    items = [rf(t) for t in texts]
+    want = sympy_sum(items)
+    got = esum(items)
+    assert (got.num, got.den) == want
+    folded = items[0]
+    for e in items[1:]:
+        folded = folded + e
+    assert (folded.num, folded.den) == want
+
+
+def test_second_gcd_cancels_the_shared_factor(kernel):
+    # b = q, d = q y share g = q; t = 1 * y + (q - y) * 1 = q, so
+    # gcd(t, g) = q cancels and the sum is 1/y
+    p = rf("1/(1 + x^2 + y^2)")
+    r = rf("(x^2 + y^2 - y + 1)/((1 + x^2 + y^2)*y)")
+    kernel.clear()
+    got = p + r
+    assert kernel["poly_gcd"] == 2
+    assert (got.num, got.den) == (Poly.const(1), Poly.var("y"))

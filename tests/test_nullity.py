@@ -1,10 +1,10 @@
 """Extraction of the nullity functions and the curvature identity battery."""
 
 from cmverify.curvature import riemann_on
-from cmverify.nullity import (RESERVED_NAMES, extract_k_mu,
+from cmverify.nullity import (RESERVED_NAMES, NullityParams, extract_k_mu,
                               extraction_report, identity_battery,
-                              resolve_params)
-from cmverify.symcore import parse_expr, render
+                              param_check, resolve_params)
+from cmverify.symcore import ZERO, parse_expr, render
 
 
 def ex(text, syms=("x", "y", "z")):
@@ -107,6 +107,39 @@ class TestParamCheck:
         used = resolve_params(p, None, None)
         assert by_id(battery(sph, sph.h_computed, used), "I3.11").verdict \
             == "pass"
+
+    def test_reads_nothing_past_the_residual_that_proves_needs_input(self):
+        # k first appears in the second residual and mu in the fourth; the
+        # iterator fails the test if it is advanced once more
+        syms = ("x", "k", "mu")
+
+        def residuals():
+            yield "a", ZERO
+            yield "b", ex("k*x", syms)
+            yield "c", ex("x", syms)
+            yield "d", ex("mu + k", syms)
+            raise AssertionError("read past the proof of needs-input")
+
+        rep = param_check("T", NullityParams(None, None, "underdetermined"),
+                          residuals())
+        assert rep.verdict == "needs-input"
+        assert "requires k and mu" in rep.notes
+
+    def test_reads_every_residual_without_the_missing_symbol(self):
+        # only k is indeterminate and it never appears, so every residual
+        # is read and the first nonzero one is the verdict's
+        syms = ("x", "mu")
+        read = []
+
+        def residuals():
+            for label, text in (("a", "0"), ("b", "mu*x"), ("c", "x")):
+                read.append(label)
+                yield label, ex(text, syms)
+
+        rep = param_check("T", NullityParams(None, ex("1"), "k-indeterminate"),
+                          residuals())
+        assert read == ["a", "b", "c"]
+        assert rep.verdict == "fail" and rep.residual_symbolic == "b: mu*x"
 
 
 class TestBatteryVerdicts:

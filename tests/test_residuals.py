@@ -52,11 +52,15 @@ def residual_digests(argv, patch) -> list:
     check = suites[1].residual_check
     param = suites[1].param_check
 
+    # a suite may hand over a generator, so each list is read whole once,
+    # digested and passed on
     def residual_check(check_id, residuals, *args, **kwargs):
+        residuals = list(residuals)
         seen.append(f"{check_id}: {_digest(residuals)}")
         return check(check_id, residuals, *args, **kwargs)
 
     def param_check(check_id, params, residuals, *args, **kwargs):
+        residuals = list(residuals)
         seen.append(f"{check_id} (k, mu): {_digest(residuals)}")
         return param(check_id, params, residuals, *args, **kwargs)
 

@@ -349,3 +349,60 @@ def test_constant_denominator_pipeline_runs_no_gcd(capsys, monkeypatch):
     assert cli.run(corpus.argv("all", "heis5")) \
         == EXIT_CODES[corpus.key("all", "heis5")]
     assert calls == []
+
+
+def _residuals_pulled(argv, patch, lazy=True) -> list:
+    """(check id, residuals read) for each list a suite hands to
+    `param_check` while `argv` runs; with `lazy` False each list is read
+    whole before the check sees it, which gives its full length."""
+    seen = []
+    mods = [sys.modules[f"cmverify.{m}"] for m in ("nullity", "recurrence")]
+    param = mods[0].param_check
+
+    def counted(check_id, params, residuals, *args, **kwargs):
+        pulled = [0]
+
+        def pull():
+            for item in residuals:
+                pulled[0] += 1
+                yield item
+        rows = pull() if lazy else list(pull())
+        report = param(check_id, params, rows, *args, **kwargs)
+        seen.append((check_id, pulled[0]))
+        return report
+
+    for mod in mods:
+        patch(mod, "param_check", counted)
+    cli.run(argv)
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["polyframe3", "polymetric3"])
+def test_needs_input_checks_stop_at_their_proof(capsys, monkeypatch, spec):
+    # k and mu are indeterminate on polyframe3 and mu on polymetric3, so
+    # T4.14 and T4.17 are needs-input and need not build every row
+    argv = corpus.argv("all", spec)
+    with monkeypatch.context() as m:
+        full = _residuals_pulled(argv, m.setattr, lazy=False)
+    capsys.readouterr()
+    got = _residuals_pulled(argv, monkeypatch.setattr)
+    out = capsys.readouterr().out
+    golden = corpus.GOLDEN_DIR / f"{corpus.slug('all', spec)}.json"
+    assert out.encode() == golden.read_bytes()
+    assert [c for c, _ in got] == [c for c, _ in full]
+    assert all(n <= whole for (_, n), (_, whole) in zip(got, full))
+    fewer = {c for (c, n), (_, whole) in zip(got, full) if n < whole}
+    assert {"T4.14", "T4.17"} <= fewer
+
+
+def test_determinate_checks_read_every_residual(capsys, monkeypatch):
+    argv = ["all", str(ASYM3), "--k", "2", "--mu", "3", "--format", "json"]
+    with monkeypatch.context() as m:
+        full = _residuals_pulled(argv, m.setattr, lazy=False)
+    capsys.readouterr()
+    got = _residuals_pulled(argv, monkeypatch.setattr)
+    out = capsys.readouterr().out
+    assert out.encode() == (TESTS / "goldens"
+                            / "asym3.all-k-2-mu-3.json").read_bytes()
+    assert got == full
+    assert {"T4.9b", "T4.14", "T4.17"} <= {c for c, _ in got}
