@@ -222,26 +222,18 @@ def _pfaffian(m, rows):
         entry = m[i][j]
         if entry.is_zero:
             continue
-        sub = tuple(x for x in rest if x != j)
-        sign = 1 if pos % 2 == 0 else -1
-        term = entry * _pfaffian(m, sub)
-        acc = acc + (term if sign > 0 else -term)
+        term = entry * _pfaffian(m, tuple(x for x in rest if x != j))
+        acc = acc + (term if pos % 2 == 0 else -term)
     return acc
 
 
 def contact_volume(cs: ContactStructure, deta) -> Expr:
     """eta wedge (d eta)^n evaluated on the frame, up to the constant n!
-    factor: sum_i (-1)^(i-1) eta_i Pf(deta with row/col i removed)."""
-    dim = len(cs.eta)
-    acc = ZERO
-    for i in range(dim):
-        e = cs.eta[i]
-        if e.is_zero:
-            continue
-        rows = tuple(x for x in range(dim) if x != i)
-        term = e * _pfaffian(deta, rows)
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    factor: the Pfaffian of deta bordered by eta, which expands along the
+    border to sum_i (-1)^(i-1) eta_i Pf(deta with row/col i removed).
+    `_pfaffian` reads only entries above the diagonal."""
+    bordered = ((ZERO, *cs.eta), *((None, *row) for row in deta))
+    return _pfaffian(bordered, tuple(range(len(bordered))))
 
 
 def axiom_suite(ws):

@@ -108,18 +108,16 @@ def k_mu(params: NullityParams) -> tuple:
 
 def param_check(check_id, params: NullityParams, residuals, sampler=None,
                 notes="") -> CheckReport:
-    """`residual_check` of `residuals` (an iterable of (label, Expr), built
+    """`residual_check` of `residuals` (a stream of (label, Expr), built
     from `k_mu(params)`) under the substitution policy: the check is
     needs-input only if the symbol of an indeterminate value survives in
-    some canonical residual.  The residuals are read one at a time, and
-    none is read past the first at which every indeterminate symbol has
-    appeared, since the rest cannot change the verdict; the residuals
-    read are kept for `residual_check` otherwise."""
-    wanted = {name for name, value in ((K_NAME, params.k),
-                                       (MU_NAME, params.mu))
-              if value is None}
-    missing = set()
-    read = []
+    some canonical residual.  The stream is read one residual at a time
+    and left at the first at which every indeterminate symbol has
+    appeared, so no residual past that proof is built; otherwise what
+    was read goes on to `residual_check`."""
+    wanted = {name for name, v in zip(RESERVED_NAMES, (params.k, params.mu))
+              if v is None}
+    missing, read = set(), []
     for item in residuals:
         read.append(item)
         if wanted and item[1].num.terms:
@@ -138,7 +136,8 @@ def param_check(check_id, params: NullityParams, residuals, sampler=None,
 
 def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     """Checks I3.1 through I3.13 for one h choice.  Each residual row is
-    one `lincomb` of the terms of its relation."""
+    one `lincomb` of the terms of its relation, generated as its check
+    reads it."""
     spec, conn, cs, sampler = ws.spec, ws.conn, ws.cs, ws.sampler
     r_table, nr_xi, ric = ws.r_table, ws.nr_xi, ws.ric
     t = ws.h_tables(h)
@@ -157,11 +156,11 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
               for a, b in zip(ws.g_phi, t.g_hphi)]
     reports = []
 
-    res = [(f"(E{i + 1},E{j + 1})", c)
+    res = ((f"(E{i + 1},E{j + 1})", c)
            for i in range(dim) for j in range(i + 1, dim)
            for c in lincomb(dim, [(1, ws.r_xi[i][j]),
                                   (minus_k, ws.wedge_eta[i][j]),
-                                  (minus_mu, t.wedge_eta_h[i][j])])]
+                                  (minus_mu, t.wedge_eta_h[i][j])]))
     reports.append(param_check("I3.1", params, res, sampler,
                                notes=join_notes(note, params.notes)))
 
@@ -172,42 +171,42 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
     # (nabla_{E_i} phi) E_j - g(E_i + hE_i, E_j) xi + eta(E_j)(E_i + hE_i)
     idh, h_phi_idh, phih, h_cols = (tuple(zip(*m)) for m in (
         t.idh, t.h_phi_idh, t.phih, h))
-    res = [(f"(E{i + 1},E{j + 1})", c) for i in range(dim)
+    res = ((f"(E{i + 1},E{j + 1})", c) for i in range(dim)
            for j, col in enumerate(zip(*ws.nabla_phi(i)))
            for c in lincomb(dim, [(1, col), (t.g_idh[i][j], minus_xi),
-                                  (eta[j], idh[i])])]
+                                  (eta[j], idh[i])]))
     reports.append(residual_check("I3.3", res, sampler, notes=note))
 
-    res = [(f"(E{i + 1},E{j + 1})", c) for i in range(dim)
+    res = ((f"(E{i + 1},E{j + 1})", c) for i in range(dim)
            for j, col in enumerate(zip(*covariant_derivative_tensor11(
                spec, conn, i, h)))
            for c in lincomb(dim, [(1, col), (c_rows[i][j], minus_xi),
                                   (minus_eta[j], h_phi_idh[i]),
-                                  (mu_eta[i], phih[j])])]
+                                  (mu_eta[i], phih[j])]))
     reports.append(param_check("I3.4", params, res, sampler, notes=note))
 
     # k g(E_i, .) + mu g(h E_i, .), and column i of k Id + mu h
     c_xi = [lincomb(dim, [(k, a), (mu, b)]) for a, b in zip(g, t.g_h)]
     k_mu_h = [lincomb(dim, [(1, scaled_basis(dim, i, k)), (mu, col)])
               for i, col in enumerate(h_cols)]
-    res = [(f"(E{i + 1},E{j + 1})", c)
+    res = ((f"(E{i + 1},E{j + 1})", c)
            for i in range(dim) for j in range(dim)
            for c in lincomb(dim, [(1, ws.r_of_xi[i][j]),
                                   (c_xi[i][j], minus_xi),
-                                  (eta[j], k_mu_h[i])])]
+                                  (eta[j], k_mu_h[i])]))
     reports.append(param_check("I3.5", params, res, sampler, notes=note))
 
     # eta(X) g(Y, E_l) - eta(Y) g(X, E_l) = -wedge(eta, g); with hX, hY too
     wg, wgh = wedge(eta, g), wedge(eta, t.g_e_h)
-    res = [(f"(E{i + 1},E{j + 1},E{l + 1})", c)
+    res = ((f"(E{i + 1},E{j + 1},E{l + 1})", c)
            for i in range(dim) for j in range(i + 1, dim)
            for l, c in enumerate(lincomb(dim, [
                *zip(eta, zip(*r_table[i][j])), (k, wg[i][j]),
-               (mu, wgh[i][j])]))]
+               (mu, wgh[i][j])])))
     reports.append(param_check("I3.6", params, res, sampler, notes=note))
 
-    res = [(f"X=E{i + 1}", c) for i, c in enumerate(lincomb(
-        dim, [*zip(xi, zip(*ric.S)), (-1, two_n_k_eta)]))]
+    res = ((f"X=E{i + 1}", c) for i, c in enumerate(lincomb(
+        dim, [*zip(xi, zip(*ric.S)), (-1, two_n_k_eta)])))
     reports.append(param_check("I3.7", params, res, sampler, notes=note))
 
     q_phi, phi_q = matmul(ric.Q, phi), matmul(phi, ric.Q)
@@ -244,22 +243,20 @@ def identity_battery(ws, h, params: NullityParams, h_label="") -> list:
         notes=join_notes(note, "stated relation lacks the second argument; "
                                "measured as g(X+hX, phi Y)")))
 
-    # R(E_i,E_j)(phi W + phi h W), indexed [w][i][j][l]
-    r_phi_idh = [riemann_on(r_table, col) for col in zip(*t.phi_idh)]
     w_phih = wedge(eta, t.phih)
     mu2_eta = lincomb(dim, [(mu * mu, eta)])
-    res = []
-    for w in range(dim):
-        # wedges of a_W = g(W + hW, phi .), and of eta and xi (x) c_W
-        a_w = t.g_idh_phi[w]
-        wa, wah = wedge(a_w), wedge(a_w, h)
-        wc = wedge(eta, outer(xi, c_rows[w]))
-        res += [(f"(E{w + 1};E{i + 1},E{j + 1})", c)
-                for i in range(dim) for j in range(i + 1, dim)
-                for c in lincomb(dim, [
-                    (1, nr_xi[w][i][j]), (minus_k, wa[i][j]),
-                    (minus_mu, wah[i][j]), (minus_mu, wc[i][j]),
-                    (mu2_eta[w], w_phih[i][j]), (-1, r_phi_idh[w][i][j])])]
+    # per W, the wedges of a_W = g(W + hW, phi .), and of eta and xi (x) c_W,
+    # and R(E_i,E_j)(phi W + phi h W), each indexed [i][j][l]
+    per_w = ((wedge(a_w), wedge(a_w, h), wedge(eta, outer(xi, c_w)),
+              riemann_on(r_table, col))
+             for a_w, c_w, col in zip(t.g_idh_phi, c_rows, zip(*t.phi_idh)))
+    res = ((f"(E{w + 1};E{i + 1},E{j + 1})", c)
+           for w, (wa, wah, wc, r_w) in enumerate(per_w)
+           for i in range(dim) for j in range(i + 1, dim)
+           for c in lincomb(dim, [
+               (1, nr_xi[w][i][j]), (minus_k, wa[i][j]),
+               (minus_mu, wah[i][j]), (minus_mu, wc[i][j]),
+               (mu2_eta[w], w_phih[i][j]), (-1, r_w[i][j])]))
     reports.append(param_check("I3.13", params, res, sampler, notes=note))
     return reports
 

@@ -141,9 +141,7 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
                    h_label="") -> list:
     """Checks T4.7 through T4.17 for one h choice, on the A and B of
     `sol`.  Each residual row is one `lincomb` of the terms of its
-    relation.  The rows of T4.9b, T4.14 and T4.17 are generated as
-    `param_check` reads them, so a check that is needs-input builds none
-    past the residual that shows it."""
+    relation, generated as `param_check` reads it."""
     spec, cs, sampler = ws.spec, ws.cs, ws.sampler
     ric, nabla_s, t = ws.ric, ws.nabla_s, ws.h_tables(h)
     dim = spec.dim
@@ -159,8 +157,8 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
     two = Expr.const(2)
     reports = []
 
-    res = [(f"W=E{w + 1}", c)
-           for w, c in enumerate(lincomb(dim, [(k, a_w), (1, b_w)]))]
+    res = ((f"W=E{w + 1}", c)
+           for w, c in enumerate(lincomb(dim, [(k, a_w), (1, b_w)])))
     reports.append(param_check("T4.7", params, res, sampler,
                                notes=join_notes(note, "k A(W) + B(W)")))
 
@@ -180,9 +178,9 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
 
     # 2 A(QW) - [r - 2n(2n-1)] A(W) - mu A(hW)
     coef = ric.r - two_n * Expr.const(2 * n - 1)
-    res = [(f"W=E{w + 1}", c) for w, c in enumerate(lincomb(dim, [
+    res = ((f"W=E{w + 1}", c) for w, c in enumerate(lincomb(dim, [
         (two, lincomb(dim, zip(a_w, ric.Q))), (-coef, a_w),
-        (minus_mu, lincomb(dim, zip(a_w, h)))]))]
+        (minus_mu, lincomb(dim, zip(a_w, h)))])))
     reports.append(param_check("T4.12", params, res, sampler, notes=note))
 
     # the bracketed term of T4.14, indexed [w][j][l]: brace(W, E_j) eta
@@ -204,8 +202,8 @@ def theorem_checks(ws, h, params: NullityParams, sol: RecurrenceSolution,
                (1, nabla_s[w][j]), (minus_a[w], ric.S[j]),
                (two_n_k_a[w], g[j]), (minus_mu, cond[w][j])])))
     reports.append(param_check("T4.14", params, res, sampler, notes=note))
-    res = [(f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
-           for w in range(dim) for j in range(dim) for l in range(dim)]
+    res = ((f"(W=E{w + 1},E{j + 1},E{l + 1})", cond[w][j][l])
+           for w in range(dim) for j in range(dim) for l in range(dim))
     reports.append(param_check(
         "T4.14.cond", params, res, sampler,
         notes=join_notes(note, "bracketed criterion for generalized "

@@ -1,4 +1,7 @@
-"""Check reports and the machine-readable output document."""
+"""Check reports and the machine-readable output document.
+
+Every check hands its reader a stream of (label, Expr) residuals, each
+built only when it is read; see `residual_check` and `nullity.param_check`."""
 from __future__ import annotations
 
 import json
@@ -39,36 +42,29 @@ def join_notes(*parts) -> str:
     return "; ".join(p for p in parts if p)
 
 
-def pair_residuals(dim, terms, first=None) -> list:
-    """("(E_i,E_j)", entry [i][j]) of the table whose row i is the
+def pair_residuals(dim, terms, first=None):
+    """Yields ("(E_i,E_j)", entry [i][j]) of the table whose row i is the
     `lincomb` of the terms `terms(i)`, for j >= i + first, or for every j
-    when first is None."""
-    res = []
+    when first is None; row i is built only when it is read."""
     for i in range(dim):
         s = 0 if first is None else i + first
         row = lincomb(dim - s, [(c, r[s:]) for c, r in terms(i)])
-        res += [(f"(E{i + 1},E{j + 1})", x) for j, x in enumerate(row, s)]
-    return res
+        yield from ((f"(E{i + 1},E{j + 1})", x) for j, x in enumerate(row, s))
 
 
 def residual_check(check_id, residuals, sampler=None, notes="",
                    pass_notes="") -> CheckReport:
-    """Verdict from a list of (label, Expr) residuals: pass iff every one is
-    identically zero.  The first nonzero residual is rendered, labelled."""
-    worst = None
-    for label, e in residuals:
-        if not e.is_zero:
-            worst = (label, e)
-            break
-    sampled = None
-    if sampler is not None:
-        sampled = sampler.max_abs([e for _, e in residuals])
-    if worst is None:
+    """Verdict from a stream of (label, Expr) residuals, read once: pass
+    iff every one is identically zero.  The first nonzero residual is
+    rendered, labelled."""
+    residuals = list(residuals)
+    sampled = None if sampler is None else \
+        sampler.max_abs([e for _, e in residuals])
+    label, e = next(((label, e) for label, e in residuals if not e.is_zero),
+                    ("", None))
+    if e is None:
         return CheckReport(check_id, PASS, "0", sampled, pass_notes or notes)
-    label, e = worst
-    shown = str(e)
-    if label:
-        shown = f"{label}: {shown}"
+    shown = f"{label}: {e}" if label else str(e)
     return CheckReport(check_id, FAIL, shown, sampled, notes)
 
 

@@ -288,6 +288,22 @@ def test_remainder_sequence_when_heuristic_gives_up(seed, nvars, monkeypatch,
         assert prs_calls
 
 
+@pytest.mark.parametrize("seed", (2, 5, 6, 7))
+def test_certificate_keeps_coprime_pairs_out_of_the_remainder_sequence(
+        seed, monkeypatch, prs_calls):
+    # With no evaluation point to try, a coprime pair that the images did
+    # not decide would go to the remainder sequence, and each content gcd
+    # there recurses through it again: without the certificate, seed 2
+    # runs for more than a minute.  The images decide these pairs first.
+    monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+    rng = random.Random(7000 + seed)
+    a, b = (rand_poly(rng, NAMES, 5, 2) + Poly.const(1) for _ in range(2))
+    assert a.variables() == b.variables() == set(NAMES)
+    assert poly_gcd(a, b) == Poly.const(1)
+    assert prs_calls == []
+    check_against_sympy(a, b)
+
+
 # RationalFunction.__mul__ cancels each numerator against the other
 # operand's denominator; the product of what is left is already in
 # lowest terms (Henrici 1956), so it is built without a third gcd.

@@ -292,7 +292,7 @@ def test_every_dataclass_field_is_read():
     assert unread_fields(defining, [*defining.values(), *reading]) == []
 
 
-MAX_FUNCTION_LINES = 126
+MAX_FUNCTION_LINES = 125
 
 
 def long_functions(source: str, limit: int) -> list:

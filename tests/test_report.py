@@ -46,6 +46,17 @@ def test_residual_check_pass_notes_replace_context_notes():
     assert failing.verdict == "fail" and failing.notes == "ctx"
 
 
+def test_residual_check_reads_a_stream_as_its_list(ex3):
+    # a suite hands over a generator that can be read only once; the
+    # report, sampled max included, is the one its list gives
+    for res in ([("a", ex("0")), ("b", ex("x*y^3")), ("c", ex("x/y"))],
+                [("a", ex("0")), ("b", ex("x - x"))]):
+        stream = (item for item in res)
+        assert residual_check("X", stream, ex3.sampler, notes="n") \
+            == residual_check("X", res, ex3.sampler, notes="n")
+        assert next(stream, None) is None
+
+
 def test_document_exit_code_and_counts():
     doc = ReportDocument("p", "h")
     doc.add(CheckReport("A", "pass", "0", None, ""))

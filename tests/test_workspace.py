@@ -395,6 +395,34 @@ def test_needs_input_checks_stop_at_their_proof(capsys, monkeypatch, spec):
     assert {"T4.14", "T4.17"} <= fewer
 
 
+def test_needs_input_identities_build_no_residual_past_their_proof(
+        monkeypatch, kernel):
+    # k and mu are indeterminate on polyframe3, so most I3.x checks are
+    # needs-input.  Each hands `param_check` a stream, so the residuals
+    # past the proof are never constructed; reading every stream whole
+    # first constructs them all.  Both runs start with every table built.
+    nullity = sys.modules["cmverify.nullity"]
+    ws = Workspace(load_spec(corpus.SPEC_DIR / "polyframe3.cmspec"))
+    param = nullity.param_check
+
+    def read_whole(check_id, params, residuals, *args, **kwargs):
+        return param(check_id, params, list(residuals), *args, **kwargs)
+
+    def battery():
+        kernel.clear()
+        return [r for label, h, _, used in ws.params
+                for r in nullity.identity_battery(ws, h, used, label)]
+
+    with monkeypatch.context() as m:
+        m.setattr(nullity, "param_check", read_whole)
+        battery()
+        whole = battery(), kernel["__init__"]
+    streamed = battery(), kernel["__init__"]
+    assert streamed[0] == whole[0]
+    assert "needs-input" in {r.verdict for r in streamed[0]}
+    assert streamed[1] < whole[1]
+
+
 def test_determinate_checks_read_every_residual(capsys, monkeypatch):
     argv = ["all", str(ASYM3), "--k", "2", "--mu", "3", "--format", "json"]
     with monkeypatch.context() as m:
